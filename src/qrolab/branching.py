@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ATOL
+
 PROB_FLOOR = 1e-15
 
 
@@ -19,6 +21,46 @@ def _clean_probs(probs) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("all outcome probabilities vanish")
     return p / total
+
+
+def _spiked_mass(count: int, base: float, spikes: dict) -> float:
+    """Total mass of `count` outcomes of probability `base`, except `spikes`.
+
+    Raises unless the total is within ATOL of 1: a caller that lost or
+    invented probability is a bug, not something to renormalize away.
+    """
+    if base < 0.0 or any(p < 0.0 for p in spikes.values()):
+        raise ValueError("negative outcome probability")
+    if any(not 0 <= i < count for i in spikes):
+        raise ValueError(f"spike index outside range({count})")
+    total = base * (count - len(spikes)) + sum(spikes.values())
+    if abs(total - 1.0) > ATOL:
+        raise ValueError(f"outcome mass {total!r} deviates from 1 by more than {ATOL}")
+    return total
+
+
+def _invert_spiked_cdf(count: int, base: float, spikes: dict, target: float) -> int:
+    """First outcome whose cumulative mass exceeds target, walking the runs of
+    base-probability outcomes between spikes in O(#spikes)."""
+    acc = 0.0
+    last = None  # last outcome with positive mass, for a target rounded past the end
+    start = 0
+    for idx in sorted(spikes) + [count]:
+        run = idx - start
+        if run and base > 0.0:
+            last = idx - 1
+            if acc + run * base > target:
+                return start + min(int((target - acc) // base), run - 1)
+            acc += run * base
+        if idx == count:
+            break
+        if spikes[idx] > 0.0:
+            last = idx
+            acc += spikes[idx]
+            if acc > target:
+                return idx
+        start = idx + 1
+    return last
 
 
 class RandomChooser:
@@ -41,6 +83,22 @@ class RandomChooser:
 
     def choose_uniform(self, count: int) -> int:
         outcome = int(self.rng.integers(count))
+        self.log.append((self.calls, outcome))
+        self.calls += 1
+        return outcome
+
+    def choose_spiked(self, count: int, base: float, spikes: dict) -> int:
+        """Draw from `count` outcomes of probability `base`, except the indices
+        in `spikes` (index -> probability).
+
+        Generator.choice(p=...) draws one rng.random() and returns the first
+        index whose normalized cumulative mass exceeds it; this makes the same
+        single draw against the piecewise-constant CDF, so it returns the same
+        outcome and leaves the same generator state as choose() on the dense
+        vector, in O(#spikes) instead of O(count).
+        """
+        total = _spiked_mass(count, base, spikes)
+        outcome = _invert_spiked_cdf(count, base, spikes, self.rng.random() * total)
         self.log.append((self.calls, outcome))
         self.calls += 1
         return outcome
@@ -74,6 +132,13 @@ class ReplayChooser:
 
     def choose_uniform(self, count: int) -> int:
         return self.choose(np.full(count, 1.0 / count))
+
+    def choose_spiked(self, count: int, base: float, spikes: dict) -> int:
+        _spiked_mass(count, base, spikes)
+        probs = np.full(count, float(base))
+        for i, p in spikes.items():
+            probs[i] = p
+        return self.choose(probs)
 
 
 def enumerate_paths(run, prob_floor: float = PROB_FLOOR) -> list[tuple[float, object]]:

@@ -120,6 +120,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be an object with an 'experiment' field")
     if cfg["experiment"] not in BATTERIES:
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
+    if not isinstance(cfg.get("params", {}), dict):
+        raise ConfigError("config 'params' must be an object")
     for name in cfg.get("fixtures", []):
         from .fixtures import fixture_names
 
@@ -140,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--backend", choices=["dense", "sparse"], default="dense")
         p.add_argument("--out", default="qrolab-out")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--relations", type=int, default=40,
                        help="random relations in the commutator sweep")
@@ -167,7 +168,10 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             args.command = cfg["experiment"]
             for key, val in cfg.get("params", {}).items():
-                setattr(args, key.replace("-", "_"), val)
+                attr = key.replace("-", "_")
+                if attr in ("command", "config") or not hasattr(args, attr):
+                    raise ConfigError(f"unknown param {key!r}")
+                setattr(args, attr, val)
             if "seed" in cfg:
                 args.seed = int(cfg["seed"])
             if "backend" in cfg:

@@ -361,7 +361,7 @@ def run_early_extraction_battery() -> list[BoundReport]:
 
 
 def run_sigma_battery(seed: int = 0, trials: int = 1000,
-                      inequality_n: int = 20,
+                      inequality_n: int = 32,
                       inequality_trials: int = 300) -> list[dict]:
     share_bits = 2
     spec = xor_toy_spec(share_bits=share_bits, randomness_bits=16)

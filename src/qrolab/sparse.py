@@ -13,6 +13,15 @@ Two representations share one interface:
 
 Cells are stored in the computational basis at rest; quantum queries switch
 to the Hadamard frame transiently.
+
+ProductState columns are never dense.  After q classical queries a cell
+carries O(q) structure (Zhandry's compressed oracle), so every column stays in
+the closed form a|bot> + sum_y (b + d[y])|y> with a sparse dict d, and a
+query or an extraction step costs O(|d| + #preimages) rather than O(2^n).  A
+re-query's response distribution is uniform except at the keys of d and at 0;
+`choose_spiked` samples it with the single uniform draw numpy's
+Generator.choice makes on the dense vector, so seeded runs do not depend on
+the representation.  ProductState's docstring gives the update formulas.
 """
 
 from __future__ import annotations
@@ -510,47 +519,87 @@ def sparse_measure_relation(sparse: SparseState, member, chooser):
 # -- product-of-columns backend ---------------------------------------------------
 
 
+class _CellColumn:
+    """One register's cell state a|bot> + sum_y (b + d[y])|y> over y < 2^n."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: dict):
+        self.a = a
+        self.b = b
+        self.d = d
+
+    def amp(self, y: int):
+        return self.b + self.d[y] if y in self.d else self.b
+
+    def normalized(self, big_n: int) -> "_CellColumn":
+        norm_sq = (abs(self.a) ** 2 + (big_n - len(self.d)) * abs(self.b) ** 2
+                   + sum(abs(self.b + v) ** 2 for v in self.d.values()))
+        nrm = np.sqrt(norm_sq)
+        if nrm <= 0.0:
+            raise ValueError("collapse onto zero-probability branch")
+        return _CellColumn(self.a / nrm, self.b / nrm,
+                          {y: v / nrm for y, v in self.d.items()})
+
+    def dense(self, big_n: int) -> np.ndarray:
+        col = np.full(big_n + 1, self.b, dtype=complex)
+        for y, v in self.d.items():
+            col[y] += v
+        col[big_n] = self.a
+        return col
+
+
 class ProductState:
     """Per-register cell columns; exact for classical queries and extraction.
 
-    The joint state is the tensor product of one normalized (2^n+1)-vector per
+    The joint state is the tensor product of one normalized cell column per
     queried register with |bot> everywhere else, which classical queries and
     the (diagonal, per-register) extraction measurement preserve branchwise.
+
+    Column algebra.  With N = 2^n, every column stays in the closed form
+    a|bot> + sum_y (b + d[y])|y> (a `_CellColumn`): a bot amplitude, a
+    uniform amplitude and a sparse dict of deltas.
+
+    * Classical query, Kraus form K_h = F(|h><h| + d_h0 |bot><bot|)F.  Let
+      s = (N b + sum(d)) / sqrt(N) and c0 = (a - s) / sqrt(N).  Response h
+      has probability |b + d[h] + c0|^2, plus |s|^2 at h = 0, and leaves
+      a' = alpha/sqrt(N), b' = gamma, d' = {h: alpha} (then normalized),
+      where alpha = b + d[h] + c0 and gamma = (s [h = 0] - alpha/sqrt(N)) /
+      sqrt(N).  A fresh register (a = 1, b = 0) answers uniformly and
+      becomes F|h>: a = N^-1/2, b = -1/N, d = {h: 1}.
+    * Extraction against the preimage set P of register x: a hit keeps
+      only the cells in P (a = b = 0, d = the amplitudes on P); a miss
+      zeroes them (d[c] = -b for c in P).
+
+    Each step costs O(|d| + |P|), independent of N; a large P only makes a
+    large d.
+
+    Sampling.  The response distribution is constant except at the keys of
+    d and at 0.  Generator.choice(p=...) draws one uniform u and returns the
+    first index whose normalized cumulative mass exceeds u; the chooser's
+    `choose_spiked` inverts the same piecewise-constant CDF with the same
+    single draw, so seeded runs are those of the dense-vector form.  Run
+    offsets in that CDF are float64 integers, exact only while n <= 52.
     """
 
+    MAX_N = 52
+
     def __init__(self, n: int, m: int):
+        if n > self.MAX_N:
+            raise ValueError(f"n={n} > {self.MAX_N}: float64 cannot index 2^n cells exactly")
         self.n = n
         self.m = m
-        self.columns: dict[int, np.ndarray] = {}
+        self.columns: dict[int, _CellColumn] = {}
 
     @property
     def big_n(self) -> int:
         return 2**self.n
 
-    def copy(self) -> "ProductState":
-        out = ProductState(self.n, self.m)
-        out.columns = {x: col.copy() for x, col in self.columns.items()}
-        return out
-
-    def _fresh_column(self) -> np.ndarray:
-        col = np.zeros(self.big_n + 1, dtype=complex)
-        col[self.big_n] = 1.0
-        return col
-
     def column(self, x: int) -> np.ndarray:
-        return self.columns.get(x, self._fresh_column())
-
-    def classical_query_probs(self, x: int) -> np.ndarray:
-        big_n = self.big_n
-        if x not in self.columns:
-            return np.full(big_n, 1.0 / big_n)
-        v = self.column(x)
-        root = np.sqrt(big_n)
-        b = v[:big_n].sum() / root
-        c0 = (v[big_n] - b) / root
-        probs = np.abs(v[:big_n] + c0) ** 2
-        probs[0] += abs(b) ** 2
-        return probs
+        """Register x's cell column as a dense (2^n+1)-vector, bot last."""
+        if x in self.columns:
+            return self.columns[x].dense(self.big_n)
+        return _CellColumn(1.0, 0.0, {}).dense(self.big_n)
 
     def classical_query(self, x: int, chooser) -> int:
         if not 0 <= x < self.m:
@@ -558,28 +607,20 @@ class ProductState:
         big_n = self.big_n
         root = np.sqrt(big_n)
         if x not in self.columns:
-            # fresh register: exactly uniform response, post-state F|h>
             h = int(chooser.choose_uniform(big_n))
-            col = np.full(big_n + 1, -1.0 / big_n, dtype=complex)
-            col[h] += 1.0
-            col[big_n] = 1.0 / root
-            self.columns[x] = col
+            self.columns[x] = _CellColumn(1.0 / root, -1.0 / big_n, {h: 1.0})
             return h
-        v = self.column(x)
-        a = v[big_n]
-        b = v[:big_n].sum() / root
-        c0 = (a - b) / root
-        alphas = v[:big_n] + c0
-        probs = np.abs(alphas) ** 2
-        probs[0] += abs(b) ** 2
-        h = int(chooser.choose(probs))
-        alpha = alphas[h]
-        beta = b if h == 0 else 0.0
+        col = self.columns[x]
+        s = (big_n * col.b + sum(col.d.values())) / root
+        c0 = (col.a - s) / root
+        spikes = {y: abs(col.b + v + c0) ** 2 for y, v in col.d.items()}
+        base = abs(col.b + c0) ** 2
+        spikes[0] = spikes.get(0, base) + abs(s) ** 2
+        h = int(chooser.choose_spiked(big_n, base, spikes))
+        alpha = col.amp(h) + c0
+        beta = s if h == 0 else 0.0
         gamma = (beta - alpha / root) / root
-        col = np.full(big_n + 1, gamma, dtype=complex)
-        col[h] += alpha
-        col[big_n] = alpha / root
-        self.columns[x] = col / np.linalg.norm(col)
+        self.columns[x] = _CellColumn(alpha / root, gamma, {h: alpha}).normalized(big_n)
         return h
 
     def quantum_query(self, *_args, **_kw):
@@ -592,10 +633,10 @@ class ProductState:
         for x in sorted(self.columns):
             col = self.columns[x]
             if satisfying is not None:
-                cells = [c for c in satisfying(x) if 0 <= c < big_n]
+                cells = dict.fromkeys(c for c in satisfying(x) if 0 <= c < big_n)
             else:
                 cells = [c for c in range(big_n) if member(x, c)]
-            p = float(np.sum(np.abs(col[cells]) ** 2)) if cells else 0.0
+            p = float(sum(abs(col.amp(c)) ** 2 for c in cells))
             hits[x] = (p, cells)
         candidates = sorted(hits) + [None]
         probs = []
@@ -607,21 +648,15 @@ class ProductState:
         probs.append(alive)
         pick = candidates[int(chooser.choose(np.array(probs)))]
         for x in sorted(hits):
-            p, cells = hits[x]
-            col = self.columns[x]
             if pick is not None and x > pick:
                 break
+            _, cells = hits[x]
+            col = self.columns[x]
             if x == pick:
-                keep = np.zeros_like(col)
-                keep[cells] = col[cells]
-                self.columns[x] = keep / np.linalg.norm(keep)
-                break
-            col = col.copy()
-            col[cells] = 0.0
-            nrm = np.linalg.norm(col)
-            if nrm <= 0.0:
-                raise ValueError("collapse onto zero-probability branch")
-            self.columns[x] = col / nrm
+                col = _CellColumn(0.0, 0.0, {c: col.amp(c) for c in cells})
+            else:
+                col = _CellColumn(col.a, col.b, col.d | dict.fromkeys(cells, -col.b))
+            self.columns[x] = col.normalized(big_n)
         return pick
 
     def to_dense_vector(self, cap: int = DIM_CAP) -> np.ndarray:

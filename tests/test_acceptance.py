@@ -233,6 +233,12 @@ def test_criterion_7_sigma_online_extraction():
                                  xor_witness_checker, n=20,
                                  backend="product", trials=200, seed=43)
     ineq_ok = (not rep20.vacuous) and rep20.satisfied and rep20.rhs > 0
+    # at n = 32 epsilon is ~0.005, so the bound is non-vacuous with margin
+    rep32 = run_sigma_experiment(honest, spec, access, hook, gen,
+                                 xor_witness_checker, n=32,
+                                 backend="product", trials=2000, seed=44)
+    ineq32_ok = ((not rep32.vacuous) and rep32.satisfied
+                 and rep32.epsilon < 0.01 and rep32.rhs > 0.99)
 
     pt = p_trivial(spec, access)
     from qrolab.fixtures import load
@@ -243,15 +249,18 @@ def test_criterion_7_sigma_online_extraction():
     ptriv_ok = (pt == Fraction(1, 3) and pt10 == Fraction(1, 10)
                 and pt_par == Fraction(1, 9))
     elapsed = time.perf_counter() - start
-    ok = success_ok and vacuous_reported and ineq_ok and ptriv_ok
+    ok = success_ok and vacuous_reported and ineq_ok and ineq32_ok and ptriv_ok
     announce("7", ok,
              f"n=16 extract rate {rep16.p_extract:.4f} over 10^4 trials; "
              f"n=16 inequality vacuous (eps={rep16.epsilon:.2f}) as reported; "
              f"n=20 non-vacuous rhs={rep20.rhs:.3f} <= {rep20.p_extract:.4f}; "
+             f"n=32 eps={rep32.epsilon:.4f}, rhs={rep32.rhs:.3f} <= "
+             f"{rep32.p_extract:.4f}; "
              f"p_triv {pt}, {pt10}, {pt_par} ({elapsed:.0f}s)")
     assert success_ok
     assert vacuous_reported, "n=16 epsilon >= 1 must be flagged, not hidden"
     assert ineq_ok
+    assert ineq32_ok
     assert ptriv_ok
 
 

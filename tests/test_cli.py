@@ -85,6 +85,33 @@ class TestCommands:
         }))
         assert run_cli(["collision", "--config", str(cfg)]) == 2
 
+    def test_unknown_param_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "collision", "params": {"relatons": 5},
+            "out": str(tmp_path / "typo"),
+        }))
+        assert run_cli(["collision", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "typo").exists()
+
+    def test_known_param_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "collision", "params": {"bound-scale": 1.0, "trials": 5},
+            "out": str(tmp_path / "ok"),
+        }))
+        assert run_cli(["collision", "--config", str(cfg)]) == 0
+
+    def test_params_must_be_object_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "collision", "params": [1]}))
+        assert run_cli(["collision", "--config", str(cfg)]) == 2
+
+    def test_jobs_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["collision", "--jobs", "2", "--out", str(tmp_path / "j")])
+        assert exc.value.code == 2
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
