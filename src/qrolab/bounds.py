@@ -9,7 +9,7 @@ SVD cutoff and matrix-free (Lanczos on K^dag K) above it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,52 +17,62 @@ from .branching import enumerate_paths
 from .config import ATOL, DENSE_SVD_CUTOFF
 from .linalg import apply_on_axes, operator_norm, spectral_norm_linop
 from .oracle import OracleConfig, build_f, build_o_small
-from .relations import CommitFunction, Relation, outcome_array, projectors_for_relation
+from .relations import CommitFunction, Relation, projectors_for_relation, \
+    purified_m_permutation
 
 
 @dataclass
-class BoundReport:
+class Report:
+    """One checked inequality: `measured` against `bound`, and its verdict.
+
+    `satisfied` defaults to measured <= bound + ATOL.  Experiments whose
+    check is another predicate (an exact identity, a lower bound, a
+    Monte-Carlo band) supply their own verdict, which must be a bool.
+    `vacuous` flags a bound that cannot constrain anything, such as a
+    probability bound at or above 1.  `stats` holds further numbers the
+    experiment computed on the way.
+    """
+
     experiment: str
     params: dict
     measured: float
     bound: float
-    runtime_ms: float = 0.0
+    satisfied: bool | None = None
+    vacuous: bool = False
     note: str = ""
+    runtime_ms: float = 0.0
+    stats: dict = field(default_factory=dict)
 
-    @property
-    def satisfied(self) -> bool:
-        return self.measured <= self.bound + ATOL
+    def __post_init__(self):
+        if self.satisfied is None:
+            self.satisfied = self.measured <= self.bound + ATOL
+        if not isinstance(self.satisfied, (bool, np.bool_)):
+            raise TypeError(f"{self.experiment}: verdict {self.satisfied!r} is not a bool")
+        self.satisfied = bool(self.satisfied)
+        self.vacuous = bool(self.vacuous)
 
-    @property
-    def vacuous(self) -> bool:
-        """A probability bound at or above 1 cannot constrain anything."""
-        return self.experiment.startswith(("grover", "collision", "interface",
-                                           "early")) and self.bound >= 1.0
-
-    def as_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": {k: _jsonable(v) for k, v in sorted(self.params.items())},
-            "measured": float(self.measured),
-            "bound": float(self.bound),
-            "satisfied": bool(self.satisfied),
-            "vacuous": bool(self.vacuous),
-            "note": self.note,
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    def row(self) -> dict:
+        """The results.jsonl row: the CSV columns, with every other param,
+        the stats and the vacuous flag under `detail`."""
+        row = {"experiment": self.experiment,
+               **{k: self.params.get(k, "") for k in ("n", "M", "gamma", "q")},
+               "measured": float(self.measured), "bound": float(self.bound),
+               "satisfied": self.satisfied}
+        extra = {**self.params, **self.stats, "vacuous": self.vacuous}
+        row["detail"] = {k: v for k, v in extra.items() if k not in row}
+        if self.note:
+            row["note"] = self.note
+        return row
 
 
 def timed(fn):
     start = time.perf_counter()
     out = fn()
     return out, (time.perf_counter() - start) * 1000.0
+
+
+def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    return operator_norm(a @ b - b @ a)
 
 
 # -- commutator norms ---------------------------------------------------------------
@@ -75,14 +85,8 @@ class OxMCommutator:
         self.config = config
         self.x = x
         self.o_small = build_o_small(config.n)
-        arr = outcome_array(rel, config)
-        enc = np.where(arr == config.m, 0, arr + 1)
-        p_dim = config.m + 1
-        d_idx = np.repeat(np.arange(config.d_dim()), p_dim)
-        w = np.tile(np.arange(p_dim), config.d_dim())
-        self.dest = d_idx * p_dim + (w + np.repeat(enc, p_dim)) % p_dim
-        self.inv = np.argsort(self.dest)
-        self.dims = [config.big_n] + [config.cell_dim] * config.m + [p_dim]
+        self.dest = purified_m_permutation(rel, config)
+        self.dims = [config.big_n] + [config.cell_dim] * config.m + [config.m + 1]
         self.dim = int(np.prod(self.dims))
 
     def _apply_o(self, flat: np.ndarray) -> np.ndarray:
@@ -129,7 +133,7 @@ def full_commutator_norm_direct(rel: Relation, config: OracleConfig) -> float:
     p_dim = config.m + 1
     o_full = np.kron(o, np.eye(p_dim))
     m_full = np.kron(np.eye(config.m * config.big_n), m_perm)
-    return operator_norm(o_full @ m_full - m_full @ o_full)
+    return _commutator_norm(o_full, m_full)
 
 
 def local_bound(n: int, gamma_x: int) -> float:
@@ -140,66 +144,37 @@ def theorem_bound(n: int, gamma: int) -> float:
     return 8.0 * 2.0 ** (-n / 2) * np.sqrt(2 * gamma)
 
 
-def verify_local_bounds(n: int, rel: Relation) -> list[BoundReport]:
+def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
     """Lemma-level bounds: [F, Pi^x], [O^x, Pi^x], [O^x, Pi^empty] per x."""
     config = OracleConfig(n, rel.m)
     f = build_f(n)
     o_small = build_o_small(n)
     locals_, empty = projectors_for_relation(rel, config)
+    # O^x acts on (Y, D_x) inside Y (x) D
+    dims = [config.big_n] + [config.cell_dim] * rel.m
+    dim = int(np.prod(dims))
+    eye = np.eye(dim, dtype=complex).reshape(dims + [dim])
+    p_emb = np.kron(np.eye(config.big_n), empty)
     reports = []
     for x in range(rel.m):
         gx = rel.gamma_x(x)
         base = dict(n=n, M=rel.m, x=x, gamma=gx)
-        start = time.perf_counter()
         pi = locals_[x]
-        m1 = operator_norm(f @ pi - pi @ f)
-        pi_y = np.kron(np.eye(config.big_n), pi)
-        m2 = operator_norm(o_small @ pi_y - pi_y @ o_small)
-        # O^x acts on (Y, D_x) inside Y (x) D
-        dims = [config.big_n] + [config.cell_dim] * rel.m
-        dim = int(np.prod(dims))
-        eye = np.eye(dim, dtype=complex)
-        o_emb = apply_on_axes(
-            o_small, eye.reshape(dims + [dim]), [0, 1 + x]
-        ).reshape(dim, dim)
-        p_emb = np.kron(np.eye(config.big_n), empty)
-        m3 = operator_norm(o_emb @ p_emb - p_emb @ o_emb)
-        ms = (time.perf_counter() - start) * 1000.0
-        reports.append(BoundReport("local-F-Pi", base, m1, local_bound(n, gx), ms / 3))
-        reports.append(BoundReport("local-O-Pi", base, m2, 2 * local_bound(n, gx), ms / 3))
-        reports.append(BoundReport("local-O-PiEmpty", base, m3, 2 * local_bound(n, gx), ms / 3))
+        m1, ms1 = timed(lambda: _commutator_norm(f, pi))
+        m2, ms2 = timed(lambda: _commutator_norm(
+            o_small, np.kron(np.eye(config.big_n), pi)))
+        m3, ms3 = timed(lambda: _commutator_norm(
+            apply_on_axes(o_small, eye, [0, 1 + x]).reshape(dim, dim), p_emb))
+        reports.append(Report("local-F-Pi", base, m1, local_bound(n, gx),
+                              runtime_ms=ms1))
+        reports.append(Report("local-O-Pi", base, m2, 2 * local_bound(n, gx),
+                              runtime_ms=ms2))
+        reports.append(Report("local-O-PiEmpty", base, m3, 2 * local_bound(n, gx),
+                              runtime_ms=ms3))
     return reports
 
 
-def verify_commutator_bound(n: int, m: int, rel: Relation) -> BoundReport:
-    """Main theorem: ||[O_XYD, M_DP]|| <= 8 2^{-n/2} sqrt(2 Gamma_R)."""
-    config = OracleConfig(n, m)
-    (measured, ms) = timed(lambda: theorem_commutator_norm(rel, config))
-    return BoundReport(
-        "commutator-theorem", dict(n=n, M=m, gamma=rel.gamma),
-        measured, theorem_bound(n, rel.gamma), ms,
-    )
-
-
-def verify_lifting_inequality(n: int, m: int, rel: Relation) -> list[BoundReport]:
-    """Per-x: ||[O^x, M_DP]|| <= 3 ||[O^x, Pi^x]|| + ||[O^x, Pi^empty]||."""
-    config = OracleConfig(n, m)
-    locals_reports = verify_local_bounds(n, rel)
-    by_x: dict[int, dict[str, float]] = {}
-    for rep in locals_reports:
-        by_x.setdefault(rep.params["x"], {})[rep.experiment] = rep.measured
-    out = []
-    for x in range(m):
-        (lhs, ms) = timed(lambda: OxMCommutator(rel, config, x).norm())
-        rhs = 3 * by_x[x]["local-O-Pi"] + by_x[x]["local-O-PiEmpty"]
-        out.append(BoundReport(
-            "lifting-inequality", dict(n=n, M=m, x=x, gamma=rel.gamma_x(x)),
-            lhs, rhs, ms,
-        ))
-    return out
-
-
-def relation_chain_monotonicity(n: int, m: int, chain: list[Relation]) -> BoundReport:
+def relation_chain_monotonicity(n: int, m: int, chain: list[Relation]) -> Report:
     """Empirical probe: is the commutator norm monotone under enlargement?
 
     Flagged in the note, never asserted: monotonicity is not a theorem.
@@ -207,9 +182,9 @@ def relation_chain_monotonicity(n: int, m: int, chain: list[Relation]) -> BoundR
     config = OracleConfig(n, m)
     values = [theorem_commutator_norm(rel, config) for rel in chain]
     monotone = all(values[i] <= values[i + 1] + ATOL for i in range(len(values) - 1))
-    return BoundReport(
+    return Report(
         "monotonicity-probe", dict(n=n, M=m, values=[float(v) for v in values]),
-        0.0, 0.0, 0.0,
+        0.0, 0.0,
         note="monotone" if monotone else "NOT monotone (informational only)",
     )
 
@@ -217,7 +192,7 @@ def relation_chain_monotonicity(n: int, m: int, chain: list[Relation]) -> BoundR
 # -- query experiments ---------------------------------------------------------------
 
 
-def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> BoundReport:
+def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Report:
     """Exact Pr[(x, RO(x)) in R] for a circuit that outputs register X."""
     from .circuits import circuit_registers, gate_matrix, validate_circuit
     from .oracle import DenseOracleState
@@ -262,10 +237,10 @@ def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Bou
     success = sum(p * hit_prob for p, hit_prob in enumerate_paths(run))
     ms = (time.perf_counter() - start) * 1000.0
     bound = 152.0 * (q + 1) ** 2 * rel.gamma / 2.0**config.n
-    return BoundReport(
+    return Report(
         "grover", dict(n=config.n, M=config.m, q=q, gamma=rel.gamma,
                        circuit=circ.get("name", "?")),
-        float(success), bound, ms,
+        float(success), bound, vacuous=bound >= 1.0, runtime_ms=ms,
     )
 
 
@@ -288,18 +263,12 @@ def collision_mass(sim_state, f: CommitFunction) -> float:
                 arr_mask[idx] = True
                 break
             seen[t] = x
-    state = sim_state.state
-    from .oracle import d_label
-
-    d_labels = [d_label(x) for x in range(config.m)]
-    axes = [state.axis(lab) for lab in d_labels]
-    rest = [a for a in range(state.tensor.ndim) if a not in axes]
-    moved = np.transpose(state.tensor, axes + rest).reshape(config.d_dim(), -1)
-    mass = np.sum(np.abs(moved) ** 2, axis=1)
+    rows, _ = sim_state.d_rows()
+    mass = np.sum(np.abs(rows) ** 2, axis=1)
     return float(mass[arr_mask].sum())
 
 
-def collision_experiment(adversary, f: CommitFunction, q: int) -> BoundReport:
+def collision_experiment(adversary, f: CommitFunction, q: int) -> Report:
     """Cross-register collision mass of the final database vs the cubic bound."""
     from .oracle import DenseOracleState
 
@@ -323,9 +292,9 @@ def collision_experiment(adversary, f: CommitFunction, q: int) -> BoundReport:
     mass = sum(p * v for p, v in enumerate_paths(run))
     ms = (time.perf_counter() - start) * 1000.0
     bound = 40.0 * np.e**2 * q**2 * (q + 1) * f.gamma_prime / 2.0**f.n
-    return BoundReport(
+    return Report(
         "collision", dict(n=f.n, M=f.m, q=q, gamma_prime=f.gamma_prime, f=f.name),
-        float(mass), float(bound), ms,
+        float(mass), float(bound), vacuous=bound >= 1.0, runtime_ms=ms,
     )
 
 
@@ -346,7 +315,7 @@ class RoOnly:
 
 def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
                                    r_prime=None, ell: int = 1,
-                                   in_run_ro: bool = False) -> BoundReport:
+                                   in_run_ro: bool = False) -> Report:
     """Hard-property / hard-collision propositions, exactly enumerated.
 
     hard-property: adversary (S.RO only) emits t in T^ell; success if some
@@ -398,11 +367,12 @@ def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
         bound = (40.0 * np.e**2 * eff**3 * f.gamma_prime + 2.0) / 2.0**f.n
         params = dict(n=f.n, M=f.m, q=q, ell=ell_seen,
                       gamma_prime=f.gamma_prime, f=f.name, in_run_ro=in_run_ro)
-    return BoundReport(f"interface-{mode}", params, float(success), float(bound), ms)
+    return Report(f"interface-{mode}", params, float(success), float(bound),
+                  vacuous=bound >= 1.0, runtime_ms=ms)
 
 
 def early_extraction_experiment(adversary, f: CommitFunction,
-                                multi: bool = False) -> tuple[BoundReport, BoundReport]:
+                                multi: bool = False) -> tuple[Report, Report]:
     """Early extraction vs the real oracle, on classical multi-round adversaries.
 
     The adversary object exposes run(ro, announce): it may query ro freely,
@@ -481,9 +451,10 @@ def early_extraction_experiment(adversary, f: CommitFunction,
                   gamma=f.gamma, gamma_prime=f.gamma_prime, multi=multi)
     td = total_variation(real, sim_dist)
     return (
-        BoundReport("early-trace-distance", params, td, float(td_bound), ms / 2),
-        BoundReport("early-mismatch", params, float(mismatch_prob),
-                    float(mm_bound), ms / 2),
+        Report("early-trace-distance", params, td, float(td_bound),
+               vacuous=td_bound >= 1.0, runtime_ms=ms / 2),
+        Report("early-mismatch", params, float(mismatch_prob), float(mm_bound),
+               vacuous=mm_bound >= 1.0, runtime_ms=ms / 2),
     )
 
 

@@ -14,29 +14,28 @@ from .config import ATOL
 PROB_FLOOR = 1e-15
 
 
+def _check_mass(total: float) -> float:
+    """Raise unless the total is within ATOL of 1: a caller that lost or
+    invented probability is a bug, not something to renormalize away."""
+    if abs(total - 1.0) > ATOL:
+        raise ValueError(f"outcome mass {total!r} deviates from 1 by more than {ATOL}")
+    return total
+
+
 def _clean_probs(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
-        raise ValueError("all outcome probabilities vanish")
-    return p / total
+    """Clip rounding-level negatives; the mass must already be 1 within ATOL."""
+    p = np.clip(np.asarray(probs, dtype=float).reshape(-1), 0.0, None)
+    return p / _check_mass(float(p.sum()))
 
 
 def _spiked_mass(count: int, base: float, spikes: dict) -> float:
-    """Total mass of `count` outcomes of probability `base`, except `spikes`.
-
-    Raises unless the total is within ATOL of 1: a caller that lost or
-    invented probability is a bug, not something to renormalize away.
-    """
+    """Total mass of `count` outcomes of probability `base`, except `spikes`;
+    it must be 1 within ATOL."""
     if base < 0.0 or any(p < 0.0 for p in spikes.values()):
         raise ValueError("negative outcome probability")
     if any(not 0 <= i < count for i in spikes):
         raise ValueError(f"spike index outside range({count})")
-    total = base * (count - len(spikes)) + sum(spikes.values())
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"outcome mass {total!r} deviates from 1 by more than {ATOL}")
-    return total
+    return _check_mass(base * (count - len(spikes)) + sum(spikes.values()))
 
 
 def _invert_spiked_cdf(count: int, base: float, spikes: dict, target: float) -> int:

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .experiments import (
     CSV_COLUMNS,
-    report_row,
     run_collision_battery,
     run_commutator_battery,
     run_early_extraction_battery,
@@ -34,19 +33,6 @@ from .experiments import (
 
 class ConfigError(ValueError):
     pass
-
-
-def _rows_and_runtimes(reports) -> tuple[list[dict], list[float]]:
-    rows, runtimes = [], []
-    for rep in reports:
-        if hasattr(rep, "as_dict"):
-            rows.append(report_row(rep))
-            runtimes.append(float(getattr(rep, "runtime_ms", 0.0)))
-        else:
-            row = dict(rep)
-            runtimes.append(float(row.pop("runtime_ms", 0.0)))
-            rows.append(row)
-    return rows, runtimes
 
 
 def _json_default(value):
@@ -183,8 +169,9 @@ def main(argv=None) -> int:
         return 2
     start = time.time()
     reports = BATTERIES[args.command](args)
-    rows, runtimes = _rows_and_runtimes(reports)
-    ok = all(row.get("satisfied", True) is not False for row in rows)
+    rows = [rep.row() for rep in reports]
+    runtimes = [float(rep.runtime_ms) for rep in reports]
+    n_bad = sum(not rep.satisfied for rep in reports)
     meta = {
         "command": args.command,
         "seed": args.seed,
@@ -192,9 +179,8 @@ def main(argv=None) -> int:
         "elapsed_s": round(time.time() - start, 3),
     }
     write_outputs(rows, runtimes, Path(args.out), meta)
-    n_bad = sum(1 for row in rows if row.get("satisfied", True) is False)
     print(f"{args.command}: {len(rows)} rows, {n_bad} violations -> {args.out}/")
-    return 0 if ok else 1
+    return 0 if n_bad == 0 else 1
 
 
 if __name__ == "__main__":

@@ -1,23 +1,28 @@
 """Named experiment batteries: the grids behind the CLI and acceptance suite.
 
-Every battery returns a list of result dicts with at least the keys
-experiment/satisfied plus the fixed CSV fields; runtimes are reported in a
-side channel so the primary JSON output stays byte-deterministic per seed.
+Every battery returns a list of Reports.  Their runtimes go to the CLI's
+side channel, so the results.jsonl rows stay byte-deterministic per seed.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 
 from .bounds import (
-    BoundReport,
     OxMCommutator,
+    Report,
     collision_experiment,
     early_extraction_experiment,
+    full_commutator_norm_direct,
     grover_experiment,
     interface_soundness_experiment,
     relation_chain_monotonicity,
     theorem_bound,
+    theorem_commutator_norm,
+    timed,
     verify_local_bounds,
 )
 from .branching import RandomChooser, enumerate_paths
@@ -58,26 +63,6 @@ CSV_COLUMNS = ["experiment", "n", "M", "gamma", "q", "measured", "bound",
                "satisfied", "runtime_ms"]
 
 
-def report_row(rep) -> dict:
-    d = rep.as_dict() if hasattr(rep, "as_dict") else dict(rep)
-    params = d.pop("params", {})
-    row = {
-        "experiment": d.get("experiment", params.get("experiment", "?")),
-        "n": params.get("n", d.get("n", "")),
-        "M": params.get("M", d.get("M", params.get("messages", ""))),
-        "gamma": params.get("gamma", d.get("gamma", "")),
-        "q": params.get("q", d.get("q", "")),
-        "measured": d.get("measured", d.get("tv", d.get("p_extract", ""))),
-        "bound": d.get("bound", d.get("budget", d.get("rhs", ""))),
-        "satisfied": d.get("satisfied", ""),
-    }
-    row["detail"] = {k: v for k, v in {**params, **d}.items()
-                     if k not in row and k != "note"}
-    if d.get("note"):
-        row["note"] = d["note"]
-    return row
-
-
 def all_relations(n: int, m: int):
     pairs_all = [(x, y) for x in range(m) for y in range(2**n)]
     for code in range(2 ** len(pairs_all)):
@@ -100,45 +85,42 @@ def random_relations(n: int, m: int, count: int, rng) -> list[Relation]:
 
 
 def commutator_relation_reports(n: int, m: int, rel: Relation,
-                                bound_scale: float = 1.0) -> list[BoundReport]:
+                                bound_scale: float = 1.0) -> list[Report]:
     """Theorem, local, and lifting reports for one relation.
 
     The per-x commutator norms are computed once and shared between the
-    theorem report and the lifting inequality.
+    theorem report and the lifting inequality.  Every bound is multiplied
+    by bound_scale before its verdict is taken.
     """
-    import time as _time
-
     config = OracleConfig(n, m)
-    start = _time.perf_counter()
-    per_x = [OxMCommutator(rel, config, x).norm() for x in range(m)]
-    norm_ms = (_time.perf_counter() - start) * 1000.0
-    reps = [BoundReport(
+    per_x = [timed(lambda: OxMCommutator(rel, config, x).norm()) for x in range(m)]
+    reps = [Report(
         "commutator-theorem", dict(n=n, M=m, gamma=rel.gamma),
-        max(per_x), theorem_bound(n, rel.gamma), norm_ms,
+        max(norm for norm, _ in per_x), bound_scale * theorem_bound(n, rel.gamma),
+        runtime_ms=sum(ms for _, ms in per_x),
     )]
     local_reps = verify_local_bounds(n, rel)
-    reps.extend(local_reps)
+    reps.extend(replace(r, bound=bound_scale * r.bound, satisfied=None)
+                for r in local_reps)
     by_x: dict[int, dict[str, float]] = {}
     for rep in local_reps:
         by_x.setdefault(rep.params["x"], {})[rep.experiment] = rep.measured
-    for x in range(m):
+    for x, (norm, ms) in enumerate(per_x):
         rhs = 3 * by_x[x]["local-O-Pi"] + by_x[x]["local-O-PiEmpty"]
-        reps.append(BoundReport(
+        reps.append(Report(
             "lifting-inequality", dict(n=n, M=m, x=x, gamma=rel.gamma_x(x)),
-            per_x[x], rhs, 0.0,
+            norm, bound_scale * rhs, runtime_ms=ms,
         ))
-    if bound_scale != 1.0:
-        for r in reps:
-            r.bound *= bound_scale
     return reps
 
 
 def run_commutator_battery(seed: int = 0, random_count: int = 200,
-                           bound_scale: float = 1.0,
-                           full_checks: bool = True) -> list[BoundReport]:
-    """Exhaustive n=1 sweeps (m=2 and m=3) plus random relations at n=2."""
+                           bound_scale: float = 1.0) -> list[Report]:
+    """Exhaustive n=1 sweeps (m=2 and m=3) plus random relations at n=2,
+    then two checks at n=1, m=2: the block reduction against the direct
+    dense build, and the monotonicity probe."""
     rng = np.random.default_rng(seed)
-    reports: list[BoundReport] = []
+    reports: list[Report] = []
     for m in (2, 3):
         for rel in all_relations(1, m):
             reports.extend(commutator_relation_reports(1, m, rel, bound_scale))
@@ -147,37 +129,32 @@ def run_commutator_battery(seed: int = 0, random_count: int = 200,
     for n, m in grid:
         for rel in random_relations(n, m, per, rng):
             reports.extend(commutator_relation_reports(n, m, rel, bound_scale))
-    if full_checks:
-        # cross-check the block reduction against the direct dense build
-        from .bounds import full_commutator_norm_direct
-
-        rel = Relation.from_pairs(1, 2, [(0, 0)])
-        config = OracleConfig(1, 2)
-        direct = full_commutator_norm_direct(rel, config)
-        per_x = max(OxMCommutator(rel, config, x).norm() for x in range(2))
-        reports.append(BoundReport(
-            "commutator-block-reduction-crosscheck", dict(n=1, M=2, gamma=1),
-            abs(direct - per_x), 0.0,
-        ))
-        chain = [
-            Relation.from_pairs(1, 2, []),
-            Relation.from_pairs(1, 2, [(0, 0)]),
-            Relation.from_pairs(1, 2, [(0, 0), (1, 0)]),
-            Relation.from_pairs(1, 2, [(0, 0), (1, 0), (0, 1)]),
-        ]
-        reports.append(relation_chain_monotonicity(1, 2, chain))
+    rel = Relation.from_pairs(1, 2, [(0, 0)])
+    config = OracleConfig(1, 2)
+    direct = full_commutator_norm_direct(rel, config)
+    reports.append(Report(
+        "commutator-block-reduction-crosscheck", dict(n=1, M=2, gamma=1),
+        abs(direct - theorem_commutator_norm(rel, config)), 0.0,
+    ))
+    chain = [
+        Relation.from_pairs(1, 2, []),
+        Relation.from_pairs(1, 2, [(0, 0)]),
+        Relation.from_pairs(1, 2, [(0, 0), (1, 0)]),
+        Relation.from_pairs(1, 2, [(0, 0), (1, 0), (0, 1)]),
+    ]
+    reports.append(relation_chain_monotonicity(1, 2, chain))
     return reports
 
 
 # -- RO-indistinguishability battery (acceptance 1) ---------------------------------
 
 
-def run_equivalence_battery(backend: str = "dense") -> list[BoundReport]:
+def run_equivalence_battery(backend: str = "dense") -> list[Report]:
     suite = equivalence_suite()
     reports = []
     for circ in suite:
         gap = indistinguishability_gap(circ, backend=backend)
-        reports.append(BoundReport(
+        reports.append(Report(
             "ro-indistinguishability",
             dict(n=circ["n"], M=circ["m"], circuit=circ["name"], backend=backend),
             gap, 0.0,
@@ -218,7 +195,7 @@ def grover_one_iteration_circuit(n: int, m: int, uncompute: bool = False) -> dic
     }
 
 
-def run_grover_battery() -> list[BoundReport]:
+def run_grover_battery() -> list[Report]:
     reports = []
     rel34 = Relation(3, 4, lambda x, y: y == 0)
     reports.append(grover_experiment(grover_blind_circuit(3, 4), rel34,
@@ -238,7 +215,7 @@ def run_grover_battery() -> list[BoundReport]:
 # -- collision battery (acceptance 6b) -------------------------------------------------
 
 
-def run_collision_battery() -> list[BoundReport]:
+def run_collision_battery() -> list[Report]:
     reports = []
     ident32 = identity_commit(3, 2)
 
@@ -260,7 +237,7 @@ def run_collision_battery() -> list[BoundReport]:
 # -- interface-soundness battery (acceptance 6c) ----------------------------------------
 
 
-def run_interfaces_battery() -> list[BoundReport]:
+def run_interfaces_battery() -> list[Report]:
     reports = []
     for n, m in [(1, 2), (2, 2), (2, 3)]:
         ident = identity_commit(n, m)
@@ -343,7 +320,7 @@ class AdaptiveTwoQueryCommitter:
         return [0], (h0 % 2,)
 
 
-def run_early_extraction_battery() -> list[BoundReport]:
+def run_early_extraction_battery() -> list[Report]:
     reports = []
     ident12 = identity_commit(1, 2)
     toyenc22 = toy_encryption_commit(2, 2)
@@ -362,47 +339,43 @@ def run_early_extraction_battery() -> list[BoundReport]:
 
 def run_sigma_battery(seed: int = 0, trials: int = 1000,
                       inequality_n: int = 32,
-                      inequality_trials: int = 300) -> list[dict]:
+                      inequality_trials: int = 300) -> list[Report]:
+    """Trivial-attack probabilities, which must equal their exact values, and
+    four extraction experiments, each with its own verdict."""
     share_bits = 2
     spec = xor_toy_spec(share_bits=share_bits, randomness_bits=16)
     access = threshold_structure(2, len(spec.challenges))
     hook = xor_toy_hook(share_bits)
     gen = xor_instance_gen(share_bits)
     honest = lambda s, i, w, r: HonestProver(s, i, w, r, share_bits=share_bits)
-    rows: list[dict] = []
 
-    from fractions import Fraction
+    def exact(name, value, expected):
+        return Report(name, {}, float(value), float(expected),
+                      satisfied=value == expected, stats=dict(p_triv=str(value)))
+
+    from .fixtures import load  # importlib.resources is slow to import
 
     pt = p_trivial(spec, access)
-    rows.append({"experiment": "sigma-p-trivial", "value": str(pt),
-                 "satisfied": pt == Fraction(1, 3)})
-    from .fixtures import load
-
     pairs_spec = load("sigma-2of10-pairs")
     t2_10 = threshold_structure(2, len(pairs_spec.challenges))
-    pt10 = p_trivial(pairs_spec, t2_10)
-    rows.append({"experiment": "sigma-p-trivial-2of10", "value": str(pt10),
-                 "satisfied": str(pt10) == "1/10"})
-    pt_par = p_trivial_parallel(spec, access, 2)
-    rows.append({"experiment": "sigma-p-trivial-parallel-r2", "value": str(pt_par),
-                 "satisfied": pt_par == pt**2})
+    reports = [
+        exact("sigma-p-trivial", pt, Fraction(1, 3)),
+        exact("sigma-p-trivial-2of10", p_trivial(pairs_spec, t2_10), Fraction(1, 10)),
+        exact("sigma-p-trivial-parallel-r2", p_trivial_parallel(spec, access, 2), pt**2),
+    ]
 
     rep16 = run_sigma_experiment(honest, spec, access, hook, gen,
                                  xor_witness_checker, n=16, backend="product",
                                  trials=trials, seed=seed)
-    row16 = rep16.as_dict()
-    row16["experiment"] = "sigma-honest-n16"
-    row16["satisfied"] = rep16.p_extract >= 0.99
-    rows.append(row16)
+    reports.append(replace(rep16, experiment="sigma-honest-n16",
+                           satisfied=rep16.measured >= 0.99))
 
     rep_ineq = run_sigma_experiment(honest, spec, access, hook, gen,
                                     xor_witness_checker, n=inequality_n,
                                     backend="product",
                                     trials=inequality_trials, seed=seed + 1)
-    row_i = rep_ineq.as_dict()
-    row_i["experiment"] = f"sigma-inequality-n{inequality_n}"
-    row_i["satisfied"] = bool((not rep_ineq.vacuous) and rep_ineq.satisfied)
-    rows.append(row_i)
+    reports.append(replace(rep_ineq, experiment=f"sigma-inequality-n{inequality_n}",
+                           satisfied=(not rep_ineq.vacuous) and rep_ineq.satisfied))
 
     trivial = lambda s, i, w, r: TrivialAttackProver(s, i, w, r,
                                                      share_bits=share_bits)
@@ -410,47 +383,44 @@ def run_sigma_battery(seed: int = 0, trials: int = 1000,
                                     xor_witness_checker, n=16,
                                     backend="product", trials=min(trials, 1000),
                                     seed=seed + 2)
-    row_t = rep_triv.as_dict()
-    row_t["experiment"] = "sigma-trivial-attack"
-    row_t["satisfied"] = rep_triv.p_extract <= ATOL and \
-        abs(rep_triv.p_prover - 1 / 3) <= 0.1
-    rows.append(row_t)
+    reports.append(replace(
+        rep_triv, experiment="sigma-trivial-attack",
+        satisfied=rep_triv.measured <= ATOL
+        and abs(rep_triv.stats["p_prover"] - 1 / 3) <= 0.1))
 
     nocommit = lambda s, i, w, r: NoCommitProver(s)
     rep_nc = run_sigma_experiment(nocommit, spec, access, hook, gen,
                                   xor_witness_checker, n=16, backend="product",
                                   trials=200, seed=seed + 3)
-    row_nc = rep_nc.as_dict()
-    row_nc["experiment"] = "sigma-no-commit"
-    row_nc["satisfied"] = rep_nc.p_extract == 0.0 and rep_nc.p_prover == 0.0
-    rows.append(row_nc)
-    return rows
+    reports.append(replace(
+        rep_nc, experiment="sigma-no-commit",
+        satisfied=rep_nc.measured == 0.0 and rep_nc.stats["p_prover"] == 0.0))
+    return reports
 
 
 # -- FO battery (acceptance 8) --------------------------------------------------------------
 
 
-def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[dict]:
-    rows: list[dict] = []
+def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[Report]:
+    """Exact correctness and spreadness values, the backend-agreement trees,
+    and the two guessing games; each row supplies its own verdict."""
     pke = toy_pke(3, 2, seed=5)
     delta = delta_correctness_estimate(pke)
-    rows.append({"experiment": "fo-delta-honest", "measured": float(delta),
-                 "bound": 0.0, "satisfied": delta == 0})
     g_strict = gamma_spread_estimate(pke, "strict")
     g_weak = gamma_spread_estimate(pke, "weak")
-    rows.append({"experiment": "fo-gamma-honest", "measured": g_strict,
-                 "bound": float(pke.randomness_bits),
-                 "satisfied": g_strict == pke.randomness_bits == g_weak})
     faulty = toy_pke(3, 2, seed=5, faulty_cells=1)
     delta_f = delta_correctness_estimate(faulty)
-    rows.append({"experiment": "fo-delta-faulty", "measured": float(delta_f),
-                 "bound": float(1 / 4), "satisfied": delta_f == 1 / 4,
-                 "detail": {"analytic": "1/4"}})
     constct = toy_pke(3, 2, seed=5, num_keys=4, constant_ct_message=True)
     gs = gamma_spread_estimate(constct, "strict")
     gw = gamma_spread_estimate(constct, "weak")
-    rows.append({"experiment": "fo-gamma-gap", "measured": gs, "bound": gw,
-                 "satisfied": gs == 0.0 and gw > 0.0})
+    reports = [
+        Report("fo-delta-honest", {}, float(delta), 0.0, satisfied=delta == 0),
+        Report("fo-gamma-honest", {}, g_strict, float(pke.randomness_bits),
+               satisfied=g_strict == pke.randomness_bits == g_weak),
+        Report("fo-delta-faulty", {}, float(delta_f), 1 / 4,
+               satisfied=delta_f == 1 / 4, stats=dict(analytic="1/4")),
+        Report("fo-gamma-gap", {}, gs, gw, satisfied=gs == 0.0 and gw > 0.0),
+    ]
 
     pke22 = toy_pke(2, 2, seed=5)
     agreements = [
@@ -464,10 +434,7 @@ def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[dict]:
             pke22, garbage_decaps_adversary(first_non_image_ciphertext(pke22)),
             keep_ro_query=True, key_bits=1),
     ]
-    for rep in agreements:
-        row = rep.as_dict()
-        row["experiment"] = "fo-backend-agreement"
-        rows.append(row)
+    reports.extend(replace(rep, experiment="fo-backend-agreement") for rep in agreements)
 
     # coin-guessing adversary: win rate 1/2 within 3 sigma over seeded trials
     rng = np.random.default_rng(seed)
@@ -477,47 +444,39 @@ def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[dict]:
                             RandomChooser(rng), key_bits=1)
     rate = wins / trials
     slack = 3.0 * np.sqrt(0.25 / trials)
-    rows.append({"experiment": "fo-coin-guess-rate", "measured": rate,
-                 "bound": 0.5 + slack, "satisfied": abs(rate - 0.5) <= slack,
-                 "detail": {"trials": trials}})
+    reports.append(Report("fo-coin-guess-rate", dict(trials=trials), rate,
+                          0.5 + slack, satisfied=abs(rate - 0.5) <= slack))
 
     # OW-CPA guessing adversary: exact win probability 1/|M|
     paths = enumerate_paths(
         lambda ch: ow_cpa_game(pke, guessing_ow_adversary, ch)
     )
     p_win = sum(p for p, win in paths if win)
-    rows.append({"experiment": "fo-owcpa-guess", "measured": float(p_win),
-                 "bound": 1 / 3, "satisfied": abs(p_win - 1 / 3) <= ATOL})
+    reports.append(Report("fo-owcpa-guess", {}, float(p_win), 1 / 3,
+                          satisfied=abs(p_win - 1 / 3) <= ATOL))
 
-    # FO theorem advantage inequality: reported vacuous by construction
+    # FO theorem advantage inequality: vacuous at desk scale (bound >= 1), so
+    # it is reported with its numeric bound and nothing is measured
     q = 6
     adv_bound = (2 * q * np.sqrt(1 / 3) + 24 * q**2 * np.sqrt(float(delta))
                  + 24 * q * np.sqrt(q * 2) * 2.0 ** (-pke.randomness_bits / 4))
-    rows.append({"experiment": "fo-theorem-advantage", "measured": 0.0,
-                 "bound": float(adv_bound), "satisfied": True,
-                 "note": "vacuous at desk scale (bound >= 1); reported, not asserted"})
-    return rows
+    reports.append(Report("fo-theorem-advantage", {}, 0.0, float(adv_bound),
+                          vacuous=adv_bound >= 1.0))
+    return reports
 
 
 # -- sweep ------------------------------------------------------------------------------
 
 
-def run_sweep(seed: int = 0) -> list[dict]:
-    rows: list[dict] = []
-    for rep in run_equivalence_battery():
-        rows.append(report_row(rep))
-    for rep in run_commutator_battery(seed, random_count=40):
-        rows.append(report_row(rep))
-    for rep in theorem2_property_suite(ns=(1,), ms=(2,)):
-        rows.append(report_row(rep))
-    for rep in run_grover_battery():
-        rows.append(report_row(rep))
-    for rep in run_collision_battery():
-        rows.append(report_row(rep))
-    for rep in run_interfaces_battery():
-        rows.append(report_row(rep))
-    for rep in run_early_extraction_battery():
-        rows.append(report_row(rep))
-    rows.extend(run_sigma_battery(seed, trials=300, inequality_trials=100))
-    rows.extend(run_fo_battery(seed, trials=500))
-    return rows
+def run_sweep(seed: int = 0) -> list[Report]:
+    return [
+        *run_equivalence_battery(),
+        *run_commutator_battery(seed, random_count=40),
+        *theorem2_property_suite(ns=(1,), ms=(2,)),
+        *run_grover_battery(),
+        *run_collision_battery(),
+        *run_interfaces_battery(),
+        *run_early_extraction_battery(),
+        *run_sigma_battery(seed, trials=300, inequality_trials=100),
+        *run_fo_battery(seed, trials=500),
+    ]

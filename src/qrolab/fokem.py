@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import Report
 from .branching import enumerate_paths
-from .config import ATOL
 from .linalg import total_variation
 from .oracle import LazyRandomOracle
 from .relations import CommitFunction
@@ -304,31 +304,17 @@ def ow_cpa_game(pke: PKESpec, adversary, chooser, key_index: int = 0) -> bool:
 # -- backend agreement --------------------------------------------------------------
 
 
-@dataclass
-class AgreementReport:
-    params: dict
-    tv: float
-    budget: float
-    runtime_ms: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.tv <= self.budget + ATOL
-
-    def as_dict(self) -> dict:
-        return dict(params=self.params, tv=self.tv, budget=self.budget,
-                    satisfied=bool(self.satisfied))
-
-
 def backend_agreement_experiment(pke: PKESpec, adversary,
                                  keep_ro_query: bool = True,
-                                 key_bits: int = 2) -> AgreementReport:
+                                 key_bits: int = 2) -> Report:
     """TV between real and extraction decapsulation on the exhaustive game tree.
 
     The observable is (all Decaps answers, adversary output); the budget sums
     the per-decaps disagreement terms (2 2^-n Gamma(f) + 2 2^-n) and one
     almost-commutation term 8 sqrt(2 Gamma(f)/2^n) per extraction query that
-    precedes a later RO query in the run.
+    precedes a later RO query in the run.  The report measures the TV
+    against the budget; stats hold q_d (Decaps queries) and swaps (E-before-RO
+    pairs).
     """
     start = time.perf_counter()
     dists = {}
@@ -366,11 +352,11 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
         2.0 * f.gamma / 2.0**n
     )
     ms = (time.perf_counter() - start) * 1000.0
-    return AgreementReport(
-        dict(pke=pke.name, n=n, messages=pke.num_messages,
-             q_d=stats["q_d"], swaps=stats["swaps"], gamma=f.gamma,
+    return Report(
+        "agreement",
+        dict(pke=pke.name, n=n, M=pke.num_messages, gamma=f.gamma,
              keep_ro_query=keep_ro_query),
-        tv, float(budget), ms,
+        tv, float(budget), runtime_ms=ms, stats=stats,
     )
 
 

@@ -127,14 +127,6 @@ class DenseOperator:
             if dev > ATOL or herm > ATOL:
                 raise ValueError("is_projector set but not an orthogonal projector")
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.layout, self.matrix.conj().T, self.is_unitary)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.layout != other.layout:
-            raise LayoutError("layout mismatch in operator product")
-        return DenseOperator(self.layout, self.matrix @ other.matrix)
-
     def apply(self, state: StateVector) -> StateVector:
         if self.layout != state.layout:
             raise LayoutError("layout mismatch in operator application")

@@ -45,20 +45,6 @@ def build_f(n: int) -> np.ndarray:
     return f
 
 
-def build_f_operator(n: int) -> DenseOperator:
-    layout = RegisterLayout.of(("Dx", 2**n + 1))
-    return DenseOperator(layout, build_f(n), is_unitary=True)
-
-
-@lru_cache(maxsize=None)
-def cell_hadamard(n: int) -> np.ndarray:
-    """Walsh-Hadamard on a cell, acting as identity on |bot>."""
-    big_n = 2**n
-    h = np.eye(big_n + 1)
-    h[:big_n, :big_n] = walsh(n)
-    return h
-
-
 @lru_cache(maxsize=None)
 def build_o_small(n: int) -> np.ndarray:
     """O^x on the pair (Y, D_x): F . CNOT . F with D_x the CNOT control."""
@@ -116,10 +102,6 @@ class OracleConfig:
                 f"dense mode needs (2^n+1)^m * m * 2^n <= {cap}; "
                 f"got n={self.n}, m={self.m}"
             )
-
-    def d_layout(self, extra=()) -> RegisterLayout:
-        pairs = list(extra) + [(d_label(x), self.cell_dim) for x in range(self.m)]
-        return RegisterLayout.of(*pairs)
 
 
 def build_query_unitary(config: OracleConfig) -> DenseOperator:
@@ -194,8 +176,14 @@ class DenseOracleState:
     def d_vector(self) -> np.ndarray:
         return self.state.subvector([d_label(x) for x in range(self.config.m)])
 
-    def d_density(self) -> np.ndarray:
-        return self.state.density([d_label(x) for x in range(self.config.m)])
+    def d_rows(self) -> tuple[np.ndarray, list[int]]:
+        """The joint state as a matrix with one row per database basis state,
+        and the axis order (D axes first) it was flattened in."""
+        state = self.state
+        axes = [state.axis(d_label(x)) for x in range(self.config.m)]
+        order = axes + [a for a in range(state.tensor.ndim) if a not in axes]
+        rows = np.transpose(state.tensor, order).reshape(self.config.d_dim(), -1)
+        return rows, order
 
     def copy(self) -> "DenseOracleState":
         out = DenseOracleState.__new__(DenseOracleState)
@@ -219,16 +207,6 @@ class LazyRandomOracle:
     def query(self, x) -> int:
         if x not in self.table:
             self.table[x] = self.chooser.choose_uniform(2**self.n)
-        return self.table[x]
-
-
-class FixedOracle:
-    """Random function given by an explicit table (for exhaustive averaging)."""
-
-    def __init__(self, table):
-        self.table = list(table)
-
-    def query(self, x) -> int:
         return self.table[x]
 
 

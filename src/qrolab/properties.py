@@ -2,24 +2,22 @@
 
 One function per property of the simulator theorem (perfect RO-simulation,
 commutation and almost-commutation of interfaces, idempotence, and the two
-classical consistency probabilities), each returning a BoundReport.  The
+classical consistency probabilities), each returning a Report.  The
 suite runner sweeps the standard grid n in {1,2}, m in {2,3} with the three
 bundled commit functions.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .bounds import BoundReport, timed
+from .bounds import Report, timed
 from .branching import enumerate_paths
 from .linalg import apply_on_axes, density_from_branches, operator_norm, \
     pure_trace_distance, trace_distance
 from .oracle import OracleConfig, build_o_small
 from .relations import CommitFunction, constant_commit, identity_commit, \
-    outcome_array
+    purified_m_permutation
 from .simulator import SimulatorS
 
 
@@ -49,17 +47,15 @@ def _preps_for(m: int):
 # -- property 1: perfect RO-simulation ------------------------------------------------
 
 
-def property_1_report(n: int, m: int, suite=None) -> BoundReport:
+def property_1_report(n: int, m: int, suite=None) -> Report:
     from .circuits import equivalence_suite, indistinguishability_gap
 
     if suite is None:
         suite = [c for c in equivalence_suite() if c["n"] == n and c["m"] == m]
-    start = time.perf_counter()
-    gap = max(indistinguishability_gap(c) for c in suite)
-    ms = (time.perf_counter() - start) * 1000.0
-    return BoundReport(
+    (gap, ms) = timed(lambda: max(indistinguishability_gap(c) for c in suite))
+    return Report(
         "theorem2-1-ro-indistinguishable",
-        dict(n=n, M=m, circuits=len(suite)), gap, 0.0, ms,
+        dict(n=n, M=m, circuits=len(suite)), gap, 0.0, runtime_ms=ms,
     )
 
 
@@ -87,10 +83,9 @@ def independent_ro_commutation(n: int, m: int) -> float:
     return max(same, disjoint)
 
 
-def property_2a_report(n: int, m: int) -> BoundReport:
+def property_2a_report(n: int, m: int) -> Report:
     (val, ms) = timed(lambda: independent_ro_commutation(n, m))
-    rep = BoundReport("theorem2-2a-ro-commute", dict(n=n, M=m), val, 0.0, ms)
-    return rep
+    return Report("theorem2-2a-ro-commute", dict(n=n, M=m), val, 0.0, runtime_ms=ms)
 
 
 # -- property 2.b: independent extraction queries commute ------------------------------
@@ -100,25 +95,24 @@ def independent_e_commutation(f: CommitFunction) -> float:
     """max over (t, t') of ||[M^t_{DP}, M^{t'}_{DP'}]|| via permutation composition.
 
     Both purified measurements are permutations of the joint basis
-    (d, w1, w2); the commutator vanishes iff the two composed lookups agree
+    (d, w, w'): M^t_{DP} is the D (x) P permutation with P' carried along,
+    and M^{t'}_{DP'} is that permutation for t' conjugated by the swap of P
+    and P'.  The commutator vanishes iff the two composed lookups agree
     pointwise.  On disagreement the dense norm is computed outright.
     """
     config = OracleConfig(f.n, f.m)
-    d_dim, p = config.d_dim(), config.m + 1
-    encs = {}
-    for t in f.t_values:
-        arr = outcome_array(f.relation_for(t), config)
-        encs[t] = np.where(arr == config.m, 0, arr + 1)
-    dim = d_dim * p * p
+    p = config.m + 1
+    dim = config.d_dim() * p * p
     idx = np.arange(dim)
-    w2 = idx % p
-    w1 = (idx // p) % p
-    d = idx // (p * p)
+    w1, w2 = (idx // p) % p, idx % p
+    swap = idx + (w2 - w1) * (p - 1)
+    on_p = {t: purified_m_permutation(f.relation_for(t), config)[idx // p] * p + w2
+            for t in f.t_values}
     worst = 0.0
     for t in f.t_values:
         for tp in f.t_values:
-            perm1 = (d * p + (w1 + encs[t][d]) % p) * p + w2
-            perm2 = (d * p + w1) * p + (w2 + encs[tp][d]) % p
+            perm1 = on_p[t]
+            perm2 = swap[on_p[tp][swap]]
             comp_a = perm2[perm1]
             comp_b = perm1[perm2]
             if not np.array_equal(comp_a, comp_b):
@@ -130,10 +124,11 @@ def independent_e_commutation(f: CommitFunction) -> float:
     return worst
 
 
-def property_2b_report(f: CommitFunction) -> BoundReport:
+def property_2b_report(f: CommitFunction) -> Report:
     (val, ms) = timed(lambda: independent_e_commutation(f))
-    return BoundReport(
-        "theorem2-2b-e-commute", dict(n=f.n, M=f.m, f=f.name), val, 0.0, ms,
+    return Report(
+        "theorem2-2b-e-commute", dict(n=f.n, M=f.m, f=f.name), val, 0.0,
+        runtime_ms=ms,
     )
 
 
@@ -174,13 +169,6 @@ def _apply_o_full(config: OracleConfig, tensor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _m_dest(config: OracleConfig, enc: np.ndarray) -> np.ndarray:
-    p_dim = config.m + 1
-    d_idx = np.repeat(np.arange(config.d_dim()), p_dim)
-    w = np.tile(np.arange(p_dim), config.d_dim())
-    return d_idx * p_dim + (w + enc[d_idx]) % p_dim
-
-
 def _apply_m_full(config: OracleConfig, dest: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """M_DP on the same tensor layout (P is the last axis)."""
     shape = tensor.shape
@@ -195,10 +183,7 @@ def roe_almost_commutation(f: CommitFunction) -> float:
     config = OracleConfig(f.n, f.m)
     worst = 0.0
     xy_states = _xy_states(config)
-    dests = {}
-    for t in f.t_values:
-        arr = outcome_array(f.relation_for(t), config)
-        dests[t] = _m_dest(config, np.where(arr == config.m, 0, arr + 1))
+    dests = {t: purified_m_permutation(f.relation_for(t), config) for t in f.t_values}
     for prep in _preps_for(f.m):
         for p, d_vec in _prep_branches(f, prep):
             if p <= 1e-12:
@@ -224,12 +209,12 @@ def _p_zero(config: OracleConfig) -> np.ndarray:
     return p
 
 
-def property_2c_report(f: CommitFunction) -> BoundReport:
+def property_2c_report(f: CommitFunction) -> Report:
     (val, ms) = timed(lambda: roe_almost_commutation(f))
     bound = 8.0 * np.sqrt(2.0 * f.gamma / 2.0**f.n)
-    return BoundReport(
+    return Report(
         "theorem2-2c-roe-almost-commute",
-        dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma), val, bound, ms,
+        dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma), val, bound, runtime_ms=ms,
     )
 
 
@@ -289,17 +274,17 @@ def e_idempotence(f: CommitFunction) -> tuple[float, float]:
     return worst_td, worst_outcome
 
 
-def property_3a_report(f: CommitFunction) -> BoundReport:
+def property_3a_report(f: CommitFunction) -> Report:
     (val, ms) = timed(lambda: ro_idempotence(f))
-    return BoundReport("theorem2-3a-ro-idempotent",
-                       dict(n=f.n, M=f.m, f=f.name), val, 0.0, ms)
+    return Report("theorem2-3a-ro-idempotent",
+                  dict(n=f.n, M=f.m, f=f.name), val, 0.0, runtime_ms=ms)
 
 
-def property_3b_report(f: CommitFunction) -> BoundReport:
+def property_3b_report(f: CommitFunction) -> Report:
     ((td, outcome), ms) = timed(lambda: e_idempotence(f))
-    return BoundReport("theorem2-3b-e-idempotent",
-                       dict(n=f.n, M=f.m, f=f.name, outcome_disagreement=outcome),
-                       max(td, outcome), 0.0, ms)
+    return Report("theorem2-3b-e-idempotent",
+                  dict(n=f.n, M=f.m, f=f.name, outcome_disagreement=outcome),
+                  max(td, outcome), 0.0, runtime_ms=ms)
 
 
 # -- properties 4.a / 4.b: classical consistency -----------------------------------------
@@ -344,25 +329,26 @@ def prop_4b_worst(f: CommitFunction) -> float:
     return worst
 
 
-def property_4a_report(f: CommitFunction) -> BoundReport:
+def property_4a_report(f: CommitFunction) -> Report:
     (val, ms) = timed(lambda: prop_4a_worst(f))
     bound = 2.0 * f.gamma / 2.0**f.n
-    return BoundReport("theorem2-4a-extract-then-ro",
-                       dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma), val, bound, ms)
+    return Report("theorem2-4a-extract-then-ro",
+                  dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma), val, bound,
+                  runtime_ms=ms)
 
 
-def property_4b_report(f: CommitFunction) -> BoundReport:
+def property_4b_report(f: CommitFunction) -> Report:
     (val, ms) = timed(lambda: prop_4b_worst(f))
-    return BoundReport("theorem2-4b-ro-then-extract",
-                       dict(n=f.n, M=f.m, f=f.name), val, 2.0 / 2.0**f.n, ms)
+    return Report("theorem2-4b-ro-then-extract",
+                  dict(n=f.n, M=f.m, f=f.name), val, 2.0 / 2.0**f.n, runtime_ms=ms)
 
 
 # -- the suite -----------------------------------------------------------------------------
 
 
-def theorem2_property_suite(ns=(1, 2), ms=(2, 3), suite=None) -> list[BoundReport]:
+def theorem2_property_suite(ns=(1, 2), ms=(2, 3), suite=None) -> list[Report]:
     """One report per property per grid point (property 1/2.a per oracle shape)."""
-    reports: list[BoundReport] = []
+    reports: list[Report] = []
     for n in ns:
         for m in ms:
             reports.append(property_1_report(n, m, suite=suite))

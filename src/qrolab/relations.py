@@ -260,24 +260,12 @@ def purified_m(rel: Relation, config: OracleConfig) -> DenseOperator:
     return DenseOperator(layout, mat, is_unitary=True)
 
 
-def apply_purified_m(rel: Relation, config: OracleConfig, joint: np.ndarray,
-                     p_axis_last: bool = True) -> np.ndarray:
-    """Apply the M_DP permutation to a vector on D (x) P without materializing it."""
-    dest = purified_m_permutation(rel, config)
-    out = np.zeros_like(joint)
-    out[dest] = joint
-    return out
-
-
 def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> ExtractionOutcome:
     """Projective {Sigma^x} measurement on a DenseOracleState; collapses in place."""
     config = oracle_state.config
     arr = outcome_array(rel, config)
     state = oracle_state.state
-    d_labels = [d_label(x) for x in range(config.m)]
-    axes = [state.axis(lab) for lab in d_labels]
-    rest = [a for a in range(state.tensor.ndim) if a not in axes]
-    moved = np.transpose(state.tensor, axes + rest).reshape(config.d_dim(), -1)
+    moved, order = oracle_state.d_rows()
     mass = np.sum(np.abs(moved) ** 2, axis=1)
     probs = np.zeros(config.m + 1)
     np.add.at(probs, arr, mass)
@@ -286,7 +274,6 @@ def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> Extraction
     moved[~keep, :] = 0.0
     nrm = np.linalg.norm(moved)
     moved /= nrm
-    back = moved.reshape([state.dims[a] for a in axes] + [state.dims[a] for a in rest])
-    inv = np.argsort(axes + rest)
-    state.tensor = np.transpose(back, inv)
+    back = moved.reshape([state.dims[a] for a in order])
+    state.tensor = np.transpose(back, np.argsort(order))
     return ExtractionOutcome(None if code == config.m else code, config.m)

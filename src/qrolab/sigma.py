@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import Report
 from .branching import RandomChooser
 from .oracle import LazyRandomOracle
 from .relations import identity_commit
@@ -371,31 +372,6 @@ def run_real_game(prover, spec: SigmaSpec, instance, chooser, n: int):
     )
 
 
-@dataclass
-class SigmaReport:
-    params: dict
-    p_prover: float
-    p_extract: float
-    p_triv: Fraction
-    epsilon: float
-    epsilon_exact: float
-    rhs: float
-    vacuous: bool
-    satisfied: bool
-    runtime_ms: float
-    trials: int
-
-    def as_dict(self) -> dict:
-        d = dict(self.params)
-        d.update(
-            p_prover=self.p_prover, p_extract=self.p_extract,
-            p_triv=str(self.p_triv), epsilon=self.epsilon,
-            epsilon_exact=self.epsilon_exact, rhs=self.rhs,
-            vacuous=self.vacuous, satisfied=self.satisfied, trials=self.trials,
-        )
-        return d
-
-
 def epsilon_simplified(ell: int, q: int, n: int) -> float:
     return 34.0 * ell * q / np.sqrt(2.0**n) + 2365.0 * q**3 / 2.0**n
 
@@ -408,12 +384,15 @@ def epsilon_exact(ell: int, q: int, n: int, gamma_prime: int = 1) -> float:
 def run_sigma_experiment(prover_factory, spec: SigmaSpec, access: AccessStructure,
                          hook, instance_gen, witness_checker, n: int,
                          backend: str = "product", trials: int = 1000,
-                         seed: int = 0, exhaustive: bool = False) -> SigmaReport:
+                         seed: int = 0, exhaustive: bool = False) -> Report:
     """Estimate prover and extractor success and check the extraction theorem.
 
     Pr[prover] is measured against the real (lazily sampled) RO; Pr[extract]
-    in the simulated game.  The inequality uses the simplified epsilon and is
-    flagged vacuous when epsilon >= 1 or the right-hand side is negative.
+    in the simulated game.  The report's measured value is Pr[extract] and
+    its bound the right-hand side (Pr[prover] - p_triv - epsilon) /
+    (1 - p_triv), which Pr[extract] must reach.  The inequality uses the
+    simplified epsilon and is flagged vacuous when epsilon >= 1 or the
+    right-hand side is not positive.
 
     With exhaustive=True both probabilities are computed exactly over the
     full oracle/measurement/challenge game tree (the prover's own coins stay
@@ -501,10 +480,12 @@ def _sigma_report(spec, access, n, backend, p_prover, p_extract, q_used,
     vacuous = eps >= 1.0 or rhs <= 0.0
     satisfied = vacuous or p_extract >= rhs - mc_slack
     ms = (time.perf_counter() - start) * 1000.0
-    return SigmaReport(
+    return Report(
+        "sigma-extraction",
         dict(n=n, ell=spec.ell, q=q_used, spec=spec.name,
-             access=access.name, backend=backend,
+             access=access.name, backend=backend, trials=trials,
              mode="exhaustive" if trials == 0 else "monte-carlo"),
-        p_prover, p_extract, ptriv, eps, eps_exact, rhs, vacuous, satisfied,
-        ms, trials,
+        p_extract, rhs, satisfied=satisfied, vacuous=vacuous, runtime_ms=ms,
+        stats=dict(p_prover=p_prover, p_triv=str(ptriv), epsilon=eps,
+                   epsilon_exact=eps_exact),
     )

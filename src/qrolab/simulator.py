@@ -158,15 +158,3 @@ class SimulatorS:
             raise ValueError("sparse prefix registers must be declared at construction")
         else:
             raise NotImplementedError("product backend has no attached registers")
-
-    def state_vector(self) -> np.ndarray:
-        if isinstance(self.backend, DenseOracleState):
-            return self.backend.state.vector()
-        if isinstance(self.backend, SparseState):
-            return self.backend.to_dense_vector()
-        return self.backend.to_dense_vector()
-
-
-def simulator_pair(commit: CommitFunction, backends=("dense", "sparse"), **kw):
-    """Identically-seeded simulators on two backends, for agreement tests."""
-    return tuple(SimulatorS(commit, b, **kw) for b in backends)

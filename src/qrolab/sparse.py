@@ -496,26 +496,6 @@ def sparse_decode(sparse: SparseState, cap: int = DIM_CAP):
     return out
 
 
-def sparse_apply_query(sparse: SparseState, x, chooser=None):
-    """Classical query (int x, returns response) or quantum query (register pair)."""
-    if isinstance(x, int):
-        if chooser is None:
-            raise ValueError("classical query needs a chooser")
-        return sparse.classical_query(x, chooser)
-    x_label, y_label = x
-    sparse.quantum_query(x_label, y_label)
-    return None
-
-
-def basis_switch(sparse: SparseState) -> SparseState:
-    sparse.basis_switch()
-    return sparse
-
-
-def sparse_measure_relation(sparse: SparseState, member, chooser):
-    return sparse.measure_relation(member, chooser)
-
-
 # -- product-of-columns backend ---------------------------------------------------
 
 

@@ -223,7 +223,7 @@ def test_criterion_7_sigma_online_extraction():
     rep16 = run_sigma_experiment(honest, spec, access, hook, gen,
                                  xor_witness_checker, n=16,
                                  backend="product", trials=10_000, seed=42)
-    success_ok = rep16.p_extract >= 0.99
+    success_ok = rep16.measured >= 0.99
 
     # at n = 16 the simplified epsilon is >= 1 for every q >= ell, so the
     # inequality is arithmetically vacuous there; it is reported as such and
@@ -232,13 +232,13 @@ def test_criterion_7_sigma_online_extraction():
     rep20 = run_sigma_experiment(honest, spec, access, hook, gen,
                                  xor_witness_checker, n=20,
                                  backend="product", trials=200, seed=43)
-    ineq_ok = (not rep20.vacuous) and rep20.satisfied and rep20.rhs > 0
+    ineq_ok = (not rep20.vacuous) and rep20.satisfied and rep20.bound > 0
     # at n = 32 epsilon is ~0.005, so the bound is non-vacuous with margin
     rep32 = run_sigma_experiment(honest, spec, access, hook, gen,
                                  xor_witness_checker, n=32,
                                  backend="product", trials=2000, seed=44)
     ineq32_ok = ((not rep32.vacuous) and rep32.satisfied
-                 and rep32.epsilon < 0.01 and rep32.rhs > 0.99)
+                 and rep32.stats["epsilon"] < 0.01 and rep32.bound > 0.99)
 
     pt = p_trivial(spec, access)
     from qrolab.fixtures import load
@@ -251,11 +251,11 @@ def test_criterion_7_sigma_online_extraction():
     elapsed = time.perf_counter() - start
     ok = success_ok and vacuous_reported and ineq_ok and ineq32_ok and ptriv_ok
     announce("7", ok,
-             f"n=16 extract rate {rep16.p_extract:.4f} over 10^4 trials; "
-             f"n=16 inequality vacuous (eps={rep16.epsilon:.2f}) as reported; "
-             f"n=20 non-vacuous rhs={rep20.rhs:.3f} <= {rep20.p_extract:.4f}; "
-             f"n=32 eps={rep32.epsilon:.4f}, rhs={rep32.rhs:.3f} <= "
-             f"{rep32.p_extract:.4f}; "
+             f"n=16 extract rate {rep16.measured:.4f} over 10^4 trials; "
+             f"n=16 inequality vacuous (eps={rep16.stats['epsilon']:.2f}) as reported; "
+             f"n=20 non-vacuous rhs={rep20.bound:.3f} <= {rep20.measured:.4f}; "
+             f"n=32 eps={rep32.stats['epsilon']:.4f}, rhs={rep32.bound:.3f} <= "
+             f"{rep32.measured:.4f}; "
              f"p_triv {pt}, {pt10}, {pt_par} ({elapsed:.0f}s)")
     assert success_ok
     assert vacuous_reported, "n=16 epsilon >= 1 must be flagged, not hidden"
@@ -269,24 +269,24 @@ def test_criterion_8_fo_pipeline():
     rows = run_fo_battery(seed=0, trials=2000)
     by = {}
     for row in rows:
-        by.setdefault(row["experiment"], []).append(row)
-    bad = [r for r in rows if r.get("satisfied") is False]
+        by.setdefault(row.experiment, []).append(row)
+    bad = [r for r in rows if not r.satisfied]
     agreements = by["fo-backend-agreement"]
-    nonvac = [r for r in agreements if r["budget"] <= 1.0]
+    nonvac = [r for r in agreements if r.bound <= 1.0]
     advantage = by["fo-theorem-advantage"][0]
     elapsed = time.perf_counter() - start
-    ok = (not bad and by["fo-delta-honest"][0]["satisfied"]
-          and by["fo-gamma-honest"][0]["satisfied"]
-          and by["fo-delta-faulty"][0]["satisfied"]
+    ok = (not bad and by["fo-delta-honest"][0].satisfied
+          and by["fo-gamma-honest"][0].satisfied
+          and by["fo-delta-faulty"][0].satisfied
           and len(agreements) == 4 and nonvac
-          and "vacuous" in advantage["note"])
+          and advantage.vacuous)
     announce("8", ok,
              f"delta/gamma exact, {len(agreements)} agreement trees "
              f"({len(nonvac)} non-vacuous budgets), coin-guess "
-             f"{by['fo-coin-guess-rate'][0]['measured']:.3f}, {elapsed:.0f}s")
+             f"{by['fo-coin-guess-rate'][0].measured:.3f}, {elapsed:.0f}s")
     assert not bad
     assert nonvac, "need a non-vacuous agreement budget"
-    assert "vacuous" in advantage["note"]
+    assert advantage.vacuous
     # sk-withheld structural test
     from qrolab.fokem import indcca_game, toy_pke, wrong_randomness_adversary
 

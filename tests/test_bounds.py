@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qrolab.bounds import (
-    BoundReport,
     OxMCommutator,
+    Report,
     collision_experiment,
     early_extraction_experiment,
     full_commutator_norm_direct,
@@ -14,7 +14,6 @@ from qrolab.bounds import (
     relation_chain_monotonicity,
     theorem_bound,
     theorem_commutator_norm,
-    verify_lifting_inequality,
     verify_local_bounds,
 )
 from qrolab.config import ATOL
@@ -23,6 +22,7 @@ from qrolab.experiments import (
     HonestCommitter,
     RefusingCommitter,
     all_relations,
+    commutator_relation_reports,
     grover_blind_circuit,
     grover_one_iteration_circuit,
 )
@@ -98,7 +98,10 @@ class TestLocalBounds:
     def test_lifting_inequality(self):
         for pairs in ([(0, 0)], [(0, 0), (1, 1), (0, 1)]):
             rel = Relation.from_pairs(1, 2, pairs)
-            for rep in verify_lifting_inequality(1, 2, rel):
+            lifting = [r for r in commutator_relation_reports(1, 2, rel)
+                       if r.experiment == "lifting-inequality"]
+            assert len(lifting) == 2
+            for rep in lifting:
                 assert rep.satisfied
 
 
@@ -258,13 +261,28 @@ class TestInRunQueriesVariant:
         assert rep.satisfied
 
 
-class TestBoundReport:
+class TestReport:
     def test_satisfied_tolerance(self):
-        rep = BoundReport("x", {}, 1.0 + 5e-10, 1.0)
+        rep = Report("x", {}, 1.0 + 5e-10, 1.0)
         assert rep.satisfied
-        rep2 = BoundReport("x", {}, 1.0 + 5e-9, 1.0)
+        rep2 = Report("x", {}, 1.0 + 5e-9, 1.0)
         assert not rep2.satisfied
 
+    def test_supplied_verdict(self):
+        # a supplied verdict wins over the derived measured <= bound + ATOL
+        assert not Report("x", {}, 0.5, 1.0, satisfied=False).satisfied
+        assert Report("x", {}, 2.0, 1.0, satisfied=np.bool_(True)).satisfied is True
+        with pytest.raises(TypeError):
+            Report("x", {}, 0.5, 1.0, satisfied="yes")
+        row = Report("x", {"n": 1, "f": "id"}, 2.0, 1.0, satisfied=True).row()
+        assert row["satisfied"] is True and row["detail"]["f"] == "id"
+
     def test_vacuous_flagging(self):
-        assert BoundReport("grover", {}, 0.1, 2.0).vacuous
-        assert not BoundReport("commutator-theorem", {}, 0.1, 2.0).vacuous
+        # a probability bound >= 1 is vacuous; a commutator-norm bound is not
+        blind = grover_experiment(grover_blind_circuit(3, 4),
+                                  Relation(3, 4, lambda x, y: y == 0),
+                                  backend="dense")
+        assert blind.bound >= 1.0 and blind.vacuous and blind.satisfied
+        assert blind.row()["detail"]["vacuous"] is True
+        theorem = commutator_relation_reports(1, 2, Relation.from_pairs(1, 2, [(0, 0)]))[0]
+        assert theorem.bound >= 1.0 and not theorem.vacuous

@@ -96,3 +96,11 @@ def test_replay_spiked_records_dense_probs():
     assert ch.choose_spiked(4, 0.2, {2: 0.4}) == 2
     assert np.allclose(ch.branch_probs[0], [0.2, 0.2, 0.4, 0.2])
     assert abs(ch.path_prob - 0.4) <= ATOL
+
+
+@pytest.mark.parametrize("chooser", [RandomChooser(0), ReplayChooser(())])
+def test_dense_draw_refuses_mass_off_by_1e6(chooser):
+    for off in (1e-6, -1e-6):
+        with pytest.raises(ValueError, match="deviates from 1"):
+            chooser.choose([0.5, 0.5 + off])
+    assert chooser.choose([0.5, 0.5 + ATOL / 10]) in (0, 1)

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, output determinism, fixtures."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -62,6 +63,18 @@ class TestCommands:
                             "--out", str(out)]) == 0
         assert (out1 / "results.jsonl").read_bytes() == \
             (out2 / "results.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("battery", ["sigma", "fo"])
+    def test_every_row_has_one_schema(self, tmp_path, battery):
+        out = tmp_path / battery
+        assert run_cli([battery, "--trials", "200", "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert records
+        for rec in records:
+            assert all(rec[k] != "" for k in ("measured", "bound", "satisfied")), rec
+        rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
+        assert len({frozenset(r) for r in rows}) == 1
 
     def test_wrong_constant_fails(self, tmp_path):
         code = run_cli(["verify-commutator", "--relations", "2",

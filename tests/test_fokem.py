@@ -226,18 +226,18 @@ class TestBackendAgreement:
             PKE22, wrong_randomness_adversary((0, 1)),
             keep_ro_query=True, key_bits=1)
         assert rep.satisfied
-        assert rep.params["q_d"] == 2
+        assert rep.stats["q_d"] == 2
 
     def test_garbage_agreement_exact(self):
         rep = backend_agreement_experiment(
             PKE22, garbage_decaps_adversary(first_non_image_ciphertext(PKE22)),
             keep_ro_query=True, key_bits=1)
-        assert rep.tv <= ATOL
+        assert rep.measured <= ATOL
 
     def test_key_checker_within_budget_nonvacuous(self):
         rep = backend_agreement_experiment(
             PKE22, key_checking_adversary((0,), 1),
             keep_ro_query=True, key_bits=1)
         assert rep.satisfied
-        assert rep.budget <= 1.0 + ATOL  # non-vacuous configuration
-        assert rep.tv > 0.0  # extraction noise is genuinely observable
+        assert rep.bound <= 1.0 + ATOL  # non-vacuous configuration
+        assert rep.measured > 0.0  # extraction noise is genuinely observable

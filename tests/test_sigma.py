@@ -152,8 +152,8 @@ class TestExperiments:
         rep = run_sigma_experiment(honest_factory, TINY, T2, HOOK, GEN,
                                    xor_witness_checker, n=8,
                                    backend="product", trials=150, seed=0)
-        assert rep.p_prover >= 0.95
-        assert rep.p_extract >= 0.9
+        assert rep.stats["p_prover"] >= 0.95
+        assert rep.measured >= 0.9
         assert rep.satisfied
 
     def test_trivial_attacker_blocked(self):
@@ -162,15 +162,15 @@ class TestExperiments:
         rep = run_sigma_experiment(factory, TINY, T2, HOOK, GEN,
                                    xor_witness_checker, n=8,
                                    backend="product", trials=300, seed=1)
-        assert rep.p_extract == 0.0
-        assert abs(rep.p_prover - 1 / 3) <= 0.15
+        assert rep.measured == 0.0
+        assert abs(rep.stats["p_prover"] - 1 / 3) <= 0.15
 
     def test_no_commit_prover(self):
         factory = lambda s, i, w, r: NoCommitProver(s)
         rep = run_sigma_experiment(factory, TINY, T2, HOOK, GEN,
                                    xor_witness_checker, n=8,
                                    backend="product", trials=100, seed=2)
-        assert rep.p_extract == 0.0 and rep.p_prover == 0.0
+        assert rep.measured == 0.0 and rep.stats["p_prover"] == 0.0
 
     def test_exhaustive_mode_matches_monte_carlo(self):
         micro = xor_toy_spec(share_bits=1, randomness_bits=1)
@@ -179,13 +179,13 @@ class TestExperiments:
                                      backend="product", seed=5,
                                      exhaustive=True)
         assert exact.params["mode"] == "exhaustive"
-        assert abs(exact.p_prover - 1.0) <= 1e-9  # honest prover always passes
+        assert abs(exact.stats["p_prover"] - 1.0) <= 1e-9  # honest prover always passes
         mc = run_sigma_experiment(honest_factory, micro, T2, HOOK, GEN,
                                   xor_witness_checker, n=1,
                                   backend="product", trials=800, seed=5)
         # extraction success: MC within 3 sigma of an exact-tree ballpark
         sigma3 = 3 * np.sqrt(0.25 / 800)
-        assert abs(mc.p_extract - exact.p_extract) <= sigma3 + 0.05
+        assert abs(mc.measured - exact.measured) <= sigma3 + 0.05
 
     def test_vacuous_flag_at_tiny_n(self):
         rep = run_sigma_experiment(honest_factory, TINY, T2, HOOK, GEN,

@@ -14,9 +14,7 @@ from qrolab.sparse import (
     ProductState,
     QCapError,
     SparseState,
-    basis_switch,
     fwht,
-    sparse_apply_query,
     sparse_decode,
     sparse_encode,
 )
@@ -234,26 +232,28 @@ class TestMeasureRelation:
 
 
 class TestFunctionalWrappers:
+    """SparseState's query, basis-switch and measurement methods, called directly."""
+
     def test_sparse_apply_query_classical_and_quantum(self):
         sp = SparseState(1, 2, q_cap=3)
-        h = sparse_apply_query(sp, 0, RandomChooser(1))
+        h = sp.classical_query(0, RandomChooser(1))
         assert h in (0, 1)
         sp2 = SparseState(1, 2, q_cap=3, prefix=(("X", 2), ("Y", 2)))
-        assert sparse_apply_query(sp2, ("X", "Y")) is None
-        with pytest.raises(ValueError):
-            sparse_apply_query(SparseState(1, 2, q_cap=3), 0)
+        assert sp2.quantum_query("X", "Y") is None
+        with pytest.raises(TypeError):  # a classical query needs a chooser
+            SparseState(1, 2, q_cap=3).classical_query(0)
 
     def test_basis_switch_wrapper_toggles(self):
         sp = SparseState(1, 2, q_cap=3)
-        assert basis_switch(sp).basis == "hadamard"
-        assert basis_switch(sp).basis == "computational"
+        sp.basis_switch()
+        assert sp.basis == "hadamard"
+        sp.basis_switch()
+        assert sp.basis == "computational"
 
     def test_measure_relation_wrapper(self):
-        from qrolab.sparse import sparse_measure_relation
-
         sp = SparseState(1, 2, q_cap=3)
         sp.classical_query(0, RandomChooser(2))
-        out = sparse_measure_relation(sp, lambda x, c: True, RandomChooser(3))
+        out = sp.measure_relation(lambda x, c: True, RandomChooser(3))
         assert out in (0, None)
 
 
