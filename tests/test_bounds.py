@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_commutators import oxm_norm_by_columns
 from qrolab.bounds import (
     OxMCommutator,
     Report,
@@ -65,11 +66,7 @@ class TestCommutatorNorms:
         config = OracleConfig(2, 3)
         com = OxMCommutator(rel, config, 0)
         assert com.dim > 1024
-        iterative = com.norm()
-        eye = np.eye(com.dim, dtype=complex)
-        cols = np.stack([com.apply(eye[:, j]) for j in range(com.dim)], axis=1)
-        dense = float(np.linalg.svd(cols, compute_uv=False)[0])
-        assert abs(iterative - dense) <= 1e-8
+        assert abs(com.norm() - oxm_norm_by_columns(rel, config, 0)) <= 1e-8
 
 
 class TestLocalBounds:

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qrolab
 from qrolab.cli import main
 from qrolab.fixtures import list_fixtures, load, parse_fixture
 
@@ -63,6 +66,27 @@ class TestCommands:
                             "--out", str(out)]) == 0
         assert (out1 / "results.jsonl").read_bytes() == \
             (out2 / "results.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("args,hash_seeds", [
+        (["fo", "--trials", "50"], ("1", "2")),
+        (["verify-commutator", "--relations", "4"], ("0", "0")),
+    ], ids=["fo", "verify-commutator"])
+    def test_fresh_processes_write_identical_results(self, tmp_path, args, hash_seeds):
+        # total_variation once followed the set's hash order, and Lanczos
+        # its own unseeded start vector: both change between processes
+        src = str(Path(qrolab.__file__).parents[1])
+        outs = []
+        for i, hash_seed in enumerate(hash_seeds):
+            out = tmp_path / str(i)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "qrolab.cli", *args, "--seed", "0", "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "results.jsonl").read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("battery", ["sigma", "fo"])
     def test_every_row_has_one_schema(self, tmp_path, battery):
