@@ -154,7 +154,7 @@ def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
     config = OracleConfig(n, rel.m)
     f = build_f(n)
     o_small = build_o_small(n)
-    locals_, _ = projectors_for_relation(rel, config)
+    locals_ = projectors_for_relation(rel, config)
     eye_y = np.eye(config.big_n)
     eye_d = np.eye(config.cell_dim)
     reports = []
@@ -195,47 +195,49 @@ def relation_chain_monotonicity(n: int, m: int, chain: list[Relation]) -> Report
 
 
 def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Report:
-    """Exact Pr[(x, RO(x)) in R] for a circuit that outputs register X."""
-    from .circuits import circuit_registers, gate_matrix, validate_circuit
+    """Exact Pr[(x, RO(x)) in R] for a circuit that outputs register X.
+
+    The circuit defers every measurement to the end, so the state is evolved
+    once; only the measurement of X branches, on copies of that state.
+    """
+    from .circuits import circuit_registers, validate_circuit
     from .oracle import DenseOracleState
     from .sparse import SparseState
 
-    validate_circuit(circ)
+    mats = validate_circuit(circ)
     config = OracleConfig(circ["n"], circ["m"])
     q = sum(1 for s in circ["steps"] if s["op"] == "query")
     regs = circuit_registers(circ)
-    dims_of = dict(regs)
-
-    def run(ch):
-        if backend == "sparse":
-            sp = SparseState(config.n, config.m, q_cap=q + 2, prefix=regs)
-            apply = lambda mat, ts: sp.apply_prefix_unitary(ts[0], mat)
-            query = lambda: sp.quantum_query("X", "Y")
-            measure_x = lambda: sp.measure_prefix("X", ch)
-            query_probs = sp.classical_query_probs
-        else:
-            oracle = DenseOracleState(config)
-            for lab, d in regs:
-                oracle.extend(lab, d)
-            apply = lambda mat, ts: oracle.state.apply(mat, ts)
-            query = lambda: oracle.quantum_query("X", "Y")
-            measure_x = lambda: oracle.state.measure(["X"], ch)[0]
-            query_probs = oracle.classical_query_probs
-        for step in circ["steps"]:
-            if step["op"] == "unitary":
-                ts = step["targets"]
-                apply(gate_matrix(step, [dims_of[t] for t in ts]), ts)
-            elif step["op"] == "query":
-                query()
-            else:
-                raise ValueError("grover circuits must defer measurement to the end")
-        x = measure_x()
-        # exact hit probability of the final classical RO(x) check, without
-        # branching over responses
-        probs = query_probs(x)
-        return float(sum(probs[y] for y in rel.y_set(x)))
 
     start = time.perf_counter()
+    if backend == "sparse":
+        state = SparseState(config.n, config.m, q_cap=q + 2, prefix=regs)
+        apply = state.apply_prefix_unitary
+        query = lambda: state.quantum_query("X", "Y")
+        measure_x = lambda st, ch: st.measure_prefix("X", ch)
+    else:
+        state = DenseOracleState(config)
+        for lab, d in regs:
+            state.extend(lab, d)
+        apply = lambda ts, mat: state.state.apply(mat, ts)
+        query = lambda: state.quantum_query("X", "Y")
+        measure_x = lambda st, ch: st.state.measure(["X"], ch)[0]
+    for step, mat in zip(circ["steps"], mats):
+        if step["op"] == "unitary":
+            apply(step["targets"], mat)
+        elif step["op"] == "query":
+            query()
+        else:
+            raise ValueError("grover circuits must defer measurement to the end")
+
+    def run(ch):
+        st = state.copy()
+        x = measure_x(st, ch)
+        # exact hit probability of the final classical RO(x) check, without
+        # branching over responses
+        probs = st.classical_query_probs(x)
+        return float(sum(probs[y] for y in rel.y_set(x)))
+
     success = sum(p * hit_prob for p, hit_prob in enumerate_paths(run))
     ms = (time.perf_counter() - start) * 1000.0
     bound = 152.0 * (q + 1) ** 2 * rel.gamma / 2.0**config.n

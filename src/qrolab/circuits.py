@@ -19,20 +19,23 @@ diag(e^{i angle j}) when "angle" is given).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .branching import enumerate_distribution
+from .config import ATOL
 from .engine import RegisterState
 from .linalg import total_variation
-from .oracle import DenseOracleState, OracleConfig, walsh
+from .oracle import DenseOracleState, OracleConfig, check_unitary, walsh
 from .sparse import SparseState
 
 
 def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
     if "matrix" in step:
-        raw = np.asarray(step["matrix"], dtype=float)
-        if raw.ndim == 3:  # [[re, im], ...] pairs
-            return raw[..., 0] + 1j * raw[..., 1]
+        raw = np.array(step["matrix"], dtype=float)
+        if raw.ndim == 3:  # [[re, im], ...] pairs, read in place as complex
+            return raw.view(complex)[..., 0]
         return raw.astype(complex)
     name = step["gate"]
     dim = int(np.prod(dims))
@@ -64,15 +67,27 @@ def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
     raise ValueError(f"unknown gate {name!r}")
 
 
-def validate_circuit(circ: dict) -> None:
+def validate_circuit(circ: dict) -> list:
+    """Check a circuit; returns each step's gate matrix (None for other ops).
+    An explicit matrix must be square over its targets and unitary within ATOL."""
     for key in ("n", "m", "steps"):
         if key not in circ:
             raise ValueError(f"circuit missing field {key!r}")
+    dims_of = dict(circuit_registers(circ))
+    mats = []
     for step in circ["steps"]:
         if step["op"] not in ("unitary", "query", "measure"):
             raise ValueError(f"unknown step op {step['op']!r}")
         if step["op"] == "unitary" and "gate" not in step and "matrix" not in step:
             raise ValueError("unitary step needs a gate name or explicit matrix")
+        dims = [dims_of[t] for t in step["targets"]] if step["op"] == "unitary" else None
+        mats.append(None if dims is None else gate_matrix(step, dims))
+        if dims is not None and "matrix" in step:
+            if mats[-1].shape != (math.prod(dims),) * 2:
+                raise ValueError(f"matrix of shape {mats[-1].shape} on targets of dims {dims}")
+            if check_unitary(mats[-1]) > ATOL:
+                raise ValueError("explicit matrix is not unitary")
+    return mats
 
 
 def circuit_registers(circ: dict) -> list[tuple[str, int]]:
@@ -90,7 +105,7 @@ def _finish(results: list, state_measure, outputs) -> tuple:
 
 def run_circuit_compressed(circ: dict, chooser, backend: str = "dense") -> tuple:
     """Execute against the compressed oracle; returns all measured values."""
-    validate_circuit(circ)
+    mats = validate_circuit(circ)
     config = OracleConfig(circ["n"], circ["m"])
     regs = circuit_registers(circ)
     if backend == "dense":
@@ -124,11 +139,9 @@ def run_circuit_compressed(circ: dict, chooser, backend: str = "dense") -> tuple
         raise ValueError(f"unknown backend {backend!r}")
 
     results: list[int] = []
-    dims_of = dict(regs)
-    for step in circ["steps"]:
+    for step, mat in zip(circ["steps"], mats):
         if step["op"] == "unitary":
-            targets = step["targets"]
-            apply(gate_matrix(step, [dims_of[t] for t in targets]), targets)
+            apply(mat, step["targets"])
         elif step["op"] == "query":
             query()
         else:
@@ -138,7 +151,7 @@ def run_circuit_compressed(circ: dict, chooser, backend: str = "dense") -> tuple
 
 def run_circuit_reference(circ: dict, chooser, table) -> tuple:
     """Execute against a plain random oracle given by an explicit table."""
-    validate_circuit(circ)
+    mats = validate_circuit(circ)
     config = OracleConfig(circ["n"], circ["m"])
     regs = circuit_registers(circ)
     state = RegisterState(regs)
@@ -150,11 +163,9 @@ def run_circuit_reference(circ: dict, chooser, table) -> tuple:
             uh[x * big_n + (y ^ table[x]), x * big_n + y] = 1.0
 
     results: list[int] = []
-    dims_of = dict(regs)
-    for step in circ["steps"]:
+    for step, mat in zip(circ["steps"], mats):
         if step["op"] == "unitary":
-            targets = step["targets"]
-            state.apply(gate_matrix(step, [dims_of[t] for t in targets]), targets)
+            state.apply(mat, step["targets"])
         elif step["op"] == "query":
             state.apply(uh, ["X", "Y"])
         else:

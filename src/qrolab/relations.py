@@ -187,8 +187,8 @@ def constant_commit(n: int, m: int, t0=0) -> CommitFunction:
 # -- projectors and the extraction measurement --------------------------------
 
 
-def projectors_for_relation(rel: Relation, config: OracleConfig):
-    """The local projectors Pi^x on each D_x and the global Pi^empty on D."""
+def projectors_for_relation(rel: Relation, config: OracleConfig) -> dict:
+    """The local projectors Pi^x on each D_x."""
     cd = config.cell_dim
     locals_ = {}
     for x in range(config.m):
@@ -196,10 +196,7 @@ def projectors_for_relation(rel: Relation, config: OracleConfig):
         for y in rel.y_set(x):
             p[y, y] = 1.0
         locals_[x] = p
-    empty = np.array([[1.0]])
-    for x in range(config.m):
-        empty = np.kron(empty, np.eye(cd) - locals_[x])
-    return locals_, empty
+    return locals_
 
 
 def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:

@@ -100,9 +100,6 @@ class SimulatorS:
         if isinstance(self.backend, DenseOracleState):
             rel = self.commit.relation_for(t)
             out = measure_extraction_dense(self.backend, rel, self.chooser)
-        elif isinstance(self.backend, SparseState):
-            pick = self.backend.measure_relation(self._relation_member(t), self.chooser)
-            out = ExtractionOutcome(pick, self.config.m)
         else:
             pick = self.backend.measure_relation(
                 self._relation_member(t), self.chooser,

@@ -3,7 +3,8 @@
 These are the brute-force forms of `OxMCommutator.norm` and of the
 `local-O-PiEmpty` norm in `verify_local_bounds`, kept as the oracles the
 batched build, the Lanczos path and the factored [O^x, Pi^empty] are checked
-against.  The Pi^empty matrix has side 2^n (2^n + 1)^m, so keep n, m tiny.
+against, together with the dense Pi^empty itself.  The Pi^empty matrix has
+side (2^n + 1)^m, and the commutator 2^n (2^n + 1)^m, so keep n, m tiny.
 """
 
 from __future__ import annotations
@@ -37,11 +38,20 @@ def oxm_norm_by_columns(rel: Relation, config: OracleConfig, x: int) -> float:
     return float(np.linalg.svd(cols, compute_uv=False)[0])
 
 
+def pi_empty(rel: Relation, config: OracleConfig) -> np.ndarray:
+    """The dense Pi^empty on D: the Kronecker product of every 1 - Pi^x."""
+    locals_ = projectors_for_relation(rel, config)
+    empty = np.array([[1.0]])
+    for x in range(config.m):
+        empty = np.kron(empty, np.eye(config.cell_dim) - locals_[x])
+    return empty
+
+
 def o_pi_empty_norm_dense(n: int, rel: Relation, x: int) -> float:
     """||[O^x, 1_Y (x) Pi^empty]|| on Y (x) D with the dense Pi^empty matrix."""
     config = OracleConfig(n, rel.m)
     o_small = build_o_small(n)
-    _, empty = projectors_for_relation(rel, config)
+    empty = pi_empty(rel, config)
     dims = [config.big_n] + [config.cell_dim] * rel.m
     dim = int(np.prod(dims))
     eye = np.eye(dim, dtype=complex).reshape(dims + [dim])

@@ -129,6 +129,21 @@ class TestGrover:
         s = grover_experiment(circ, rel, backend="sparse")
         assert abs(d.measured - s.measured) <= ATOL
 
+    def test_pinned_sparse_value_at_n5_m8(self):
+        rel = Relation(5, 8, lambda x, y: y == 0)
+        rep = grover_experiment(grover_one_iteration_circuit(5, 8, True), rel,
+                                backend="sparse")
+        assert abs(rep.measured - 0.18025207519531228) <= ATOL
+        assert rep.runtime_ms > 0
+
+    def test_uncompute_dense_sparse_agree_at_n3_m2(self):
+        rel = Relation(3, 2, lambda x, y: y == 0)
+        circ = grover_one_iteration_circuit(3, 2, True)
+        d = grover_experiment(circ, rel, backend="dense")
+        s = grover_experiment(circ, rel, backend="sparse")
+        assert abs(d.measured - s.measured) <= ATOL
+        assert d.runtime_ms > 0 and s.runtime_ms > 0
+
     def test_uncompute_amplifies(self):
         rel = Relation(6, 8, lambda x, y: y == 0)
         rep = grover_experiment(grover_one_iteration_circuit(6, 8, True), rel,

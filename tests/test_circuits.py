@@ -11,7 +11,10 @@ from qrolab.circuits import (
     named_circuits,
     random_circuit,
     reference_distribution,
+    run_circuit_compressed,
+    validate_circuit,
 )
+from qrolab.branching import RandomChooser
 from qrolab.config import ATOL
 from qrolab.linalg import total_variation
 from qrolab.oracle import check_unitary
@@ -33,6 +36,26 @@ class TestGates:
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
             gate_matrix({"gate": "nope"}, [2])
+
+    @staticmethod
+    def _with_matrix(mat, targets):
+        packed = np.stack([mat.real, mat.imag], axis=-1).tolist()
+        return {"n": 1, "m": 2, "steps": [{"op": "unitary", "targets": targets,
+                                           "matrix": packed}], "output": ["X"]}
+
+    def test_non_unitary_matrix_rejected(self):
+        validate_circuit(self._with_matrix(np.array([[0, 1], [1, 0]], dtype=complex), ["X"]))
+        with pytest.raises(ValueError, match="not unitary"):
+            validate_circuit(self._with_matrix(np.array([[1, 0], [0, 2]], dtype=complex), ["X"]))
+        with pytest.raises(ValueError, match="not unitary"):
+            run_circuit_compressed(self._with_matrix(np.full((2, 2), 0.5 + 0j), ["Y"]),
+                                   RandomChooser(0))
+
+    def test_wrong_matrix_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            validate_circuit(self._with_matrix(np.eye(2, dtype=complex), ["X", "Y"]))
+        with pytest.raises(ValueError, match="shape"):
+            validate_circuit(self._with_matrix(np.eye(4, dtype=complex)[:, :2], ["X", "Y"]))
 
 
 class TestNamedCircuits:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_commutators import pi_empty
 from qrolab.branching import RandomChooser, enumerate_distribution
 from qrolab.config import ATOL
 from qrolab.oracle import DenseOracleState, OracleConfig
@@ -47,7 +48,8 @@ class TestProjectors:
     def test_empty_relation(self):
         config = OracleConfig(1, 2)
         rel = Relation.from_pairs(1, 2, [])
-        locals_, empty = projectors_for_relation(rel, config)
+        locals_ = projectors_for_relation(rel, config)
+        empty = pi_empty(rel, config)
         for x in range(2):
             assert np.abs(locals_[x]).max() == 0.0
         assert np.allclose(empty, np.eye(config.d_dim()))
@@ -56,7 +58,7 @@ class TestProjectors:
     def test_all_zero_relation(self):
         config = OracleConfig(1, 2)
         rel = Relation(1, 2, lambda x, y: y == 0)
-        locals_, _ = projectors_for_relation(rel, config)
+        locals_ = projectors_for_relation(rel, config)
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
         for x in range(2):
@@ -67,7 +69,7 @@ class TestProjectors:
         config = OracleConfig(1, 2)
         rel = Relation(1, 2, lambda x, y: True)
         assert rel.gamma == 2
-        _, empty = projectors_for_relation(rel, config)
+        empty = pi_empty(rel, config)
         # bar Pi^x = |bot><bot| each, so Pi^empty keeps only the all-bot state
         want = np.zeros(config.d_dim())
         want[-1] = 1.0  # all-bot basis index is last in row-major order

@@ -39,6 +39,14 @@ class TestFwht:
                 e[y] = 1.0
                 assert np.abs(fwht(e) - w[:, y]).max() <= ATOL
 
+    def test_batched_butterfly_matches_walsh_matrix(self):
+        # above 2^10 fwht runs butterflies; columns of a batch transform apart
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(2**11, 3)) + 1j * rng.normal(size=(2**11, 3))
+        out = fwht(batch)
+        assert np.abs(out - walsh(11) @ batch).max() <= ATOL
+        assert np.abs(fwht(batch[:, 1]) - out[:, 1]).max() <= ATOL
+
 
 class TestEncodeDecode:
     def test_fresh_state_is_empty_key(self):
