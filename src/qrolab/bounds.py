@@ -129,12 +129,24 @@ def theorem_commutator_norm(rel: Relation, config: OracleConfig) -> float:
 
 
 def full_commutator_norm_direct(rel: Relation, config: OracleConfig) -> float:
-    """Direct dense [O_XYD, M_DP] on X (x) Y (x) D (x) P; tiny configs only."""
-    from .oracle import build_query_unitary
-    from .relations import purified_m
+    """Direct dense [O_XYD, M_DP] on X (x) Y (x) D (x) P; tiny configs only.
 
-    o = build_query_unitary(config).matrix
-    m_perm = purified_m(rel, config).matrix
+    Independent of OxMCommutator: block x of O_XYD is np.kron(O^x, 1) on
+    (Y, D_x, rest), moved into Y (x) D order by one index permutation.
+    """
+    config.require_dense()
+    dims = [config.big_n] + [config.cell_dim] * config.m
+    block_dim = int(np.prod(dims))
+    o = np.zeros((config.m * block_dim,) * 2, dtype=complex)
+    for x in range(config.m):
+        order = [0, 1 + x] + [a for a in range(1, len(dims)) if a != 1 + x]
+        idx = np.arange(block_dim).reshape(dims).transpose(order).reshape(-1)
+        sl = slice(x * block_dim, (x + 1) * block_dim)
+        o[sl, sl][np.ix_(idx, idx)] = np.kron(
+            build_o_small(config.n), np.eye(block_dim // (config.big_n * config.cell_dim)))
+    dest = purified_m_permutation(rel, config)
+    m_perm = np.zeros((len(dest), len(dest)), dtype=complex)
+    m_perm[dest, np.arange(len(dest))] = 1.0
     p_dim = config.m + 1
     o_full = np.kron(o, np.eye(p_dim))
     m_full = np.kron(np.eye(config.m * config.big_n), m_perm)
@@ -182,11 +194,11 @@ def relation_chain_monotonicity(n: int, m: int, chain: list[Relation]) -> Report
     Flagged in the note, never asserted: monotonicity is not a theorem.
     """
     config = OracleConfig(n, m)
-    values = [theorem_commutator_norm(rel, config) for rel in chain]
+    values, ms = timed(lambda: [theorem_commutator_norm(rel, config) for rel in chain])
     monotone = all(values[i] <= values[i + 1] + ATOL for i in range(len(values) - 1))
     return Report(
         "monotonicity-probe", dict(n=n, M=m, values=[float(v) for v in values]),
-        0.0, 0.0,
+        0.0, 0.0, runtime_ms=ms,
         note="monotone" if monotone else "NOT monotone (informational only)",
     )
 
@@ -455,16 +467,3 @@ def early_extraction_experiment(adversary, f: CommitFunction,
         Report("early-mismatch", params, float(mismatch_prob), float(mm_bound),
                vacuous=mm_bound >= 1.0, runtime_ms=ms_sim),
     )
-
-
-def compare_mc_exact(run, exact_success: float, trials: int, seed) -> tuple[float, float]:
-    """Monte-Carlo estimate of Pr[run(ch) truthy] and its 3-sigma agreement slack."""
-    from .branching import RandomChooser
-
-    rng = np.random.default_rng(seed)
-    wins = 0
-    for _ in range(trials):
-        wins += 1 if run(RandomChooser(rng)) else 0
-    est = wins / trials
-    sigma = max(np.sqrt(exact_success * (1 - exact_success) / trials), 1e-6)
-    return est, 3.0 * sigma

@@ -109,9 +109,8 @@ class ReplayChooser:
     Records every decision point so the enumerator can schedule the siblings.
     """
 
-    def __init__(self, script: tuple[int, ...], prob_floor: float = PROB_FLOOR):
+    def __init__(self, script: tuple[int, ...]):
         self.script = script
-        self.prob_floor = prob_floor
         self.taken: list[int] = []
         self.branch_probs: list[np.ndarray] = []
         self.path_prob = 1.0
@@ -122,7 +121,7 @@ class ReplayChooser:
         if i < len(self.script):
             outcome = self.script[i]
         else:
-            live = np.nonzero(p > self.prob_floor)[0]
+            live = np.nonzero(p > PROB_FLOOR)[0]
             outcome = int(live[0])
         self.taken.append(outcome)
         self.branch_probs.append(p)
@@ -140,20 +139,20 @@ class ReplayChooser:
         return self.choose(probs)
 
 
-def enumerate_paths(run, prob_floor: float = PROB_FLOOR) -> list[tuple[float, object]]:
-    """All (probability, result) leaves of run(chooser), pruning branches below prob_floor."""
+def enumerate_paths(run) -> list[tuple[float, object]]:
+    """All (probability, result) leaves of run(chooser), pruning branches below PROB_FLOOR."""
     out: list[tuple[float, object]] = []
     pending: list[tuple[int, ...]] = [()]
     while pending:
         script = pending.pop()
-        ch = ReplayChooser(script, prob_floor)
+        ch = ReplayChooser(script)
         result = run(ch)
         out.append((ch.path_prob, result))
         for i in range(len(script), len(ch.taken)):
             probs_i = ch.branch_probs[i]
             prefix = tuple(ch.taken[:i])
             for b in range(len(probs_i)):
-                if b != ch.taken[i] and probs_i[b] > prob_floor:
+                if b != ch.taken[i] and probs_i[b] > PROB_FLOOR:
                     pending.append(prefix + (b,))
     return out
 
@@ -166,5 +165,5 @@ def distribution(paths) -> dict:
     return dist
 
 
-def enumerate_distribution(run, prob_floor: float = PROB_FLOOR) -> dict:
-    return distribution(enumerate_paths(run, prob_floor))
+def enumerate_distribution(run) -> dict:
+    return distribution(enumerate_paths(run))

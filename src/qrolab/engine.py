@@ -1,8 +1,8 @@
 """Mutable dense state over labeled registers: the joint-evolution workhorse.
 
-Unlike the immutable linalg types, a RegisterState is single-owner and is
-mutated in place by gates, queries and measurement collapse.  Registers can
-be attached and detached on the fly (query ancillas, purification registers).
+A RegisterState is single-owner and is mutated in place by gates, queries
+and measurement collapse.  Registers can be attached and detached on the fly
+(query ancillas, purification registers).
 """
 
 from __future__ import annotations
@@ -14,22 +14,21 @@ from .linalg import LayoutError, apply_on_axes
 
 
 class RegisterState:
-    def __init__(self, pairs, cap: int = DIM_CAP):
+    def __init__(self, pairs):
         self._labels: list[str] = [str(lab) for lab, _ in pairs]
         self._dims: list[int] = [int(d) for _, d in pairs]
         if len(set(self._labels)) != len(self._labels):
             raise LayoutError("duplicate register labels")
-        self._check_cap(cap=cap)
-        self.cap = cap
+        self._check_cap()
         self.tensor = np.zeros(self._dims, dtype=complex)
         self.tensor[(0,) * len(self._dims)] = 1.0
 
-    def _check_cap(self, extra: int = 1, cap: int | None = None) -> None:
+    def _check_cap(self, extra: int = 1) -> None:
         total = extra
         for d in self._dims:
             total *= d
-        if total > (cap if cap is not None else self.cap):
-            raise LayoutError(f"total dimension {total} exceeds cap")
+        if total > DIM_CAP:
+            raise LayoutError(f"total dimension {total} exceeds cap {DIM_CAP}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -63,7 +62,6 @@ class RegisterState:
         out = RegisterState.__new__(RegisterState)
         out._labels = list(self._labels)
         out._dims = list(self._dims)
-        out.cap = self.cap
         out.tensor = self.tensor.copy()
         return out
 

@@ -131,10 +131,11 @@ def run_commutator_battery(seed: int = 0, random_count: int = 200,
             reports.extend(commutator_relation_reports(n, m, rel, bound_scale))
     rel = Relation.from_pairs(1, 2, [(0, 0)])
     config = OracleConfig(1, 2)
-    direct = full_commutator_norm_direct(rel, config)
+    gap, ms = timed(lambda: abs(full_commutator_norm_direct(rel, config)
+                                - theorem_commutator_norm(rel, config)))
     reports.append(Report(
         "commutator-block-reduction-crosscheck", dict(n=1, M=2, gamma=1),
-        abs(direct - theorem_commutator_norm(rel, config)), 0.0,
+        gap, 0.0, runtime_ms=ms,
     ))
     chain = [
         Relation.from_pairs(1, 2, []),
@@ -153,11 +154,11 @@ def run_equivalence_battery(backend: str = "dense") -> list[Report]:
     suite = equivalence_suite()
     reports = []
     for circ in suite:
-        gap = indistinguishability_gap(circ, backend=backend)
+        gap, ms = timed(lambda: indistinguishability_gap(circ, backend=backend))
         reports.append(Report(
             "ro-indistinguishability",
             dict(n=circ["n"], M=circ["m"], circuit=circ["name"], backend=backend),
-            gap, 0.0,
+            gap, 0.0, runtime_ms=ms,
         ))
     return reports
 

@@ -11,9 +11,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ATOL, DIM_CAP
+from .config import DIM_CAP
 from .engine import RegisterState
-from .linalg import DenseOperator, LayoutError, RegisterLayout, embed_operator
+from .linalg import LayoutError
 
 
 def d_label(x: int) -> str:
@@ -87,44 +87,21 @@ class OracleConfig:
     def d_dim(self) -> int:
         return self.cell_dim**self.m
 
-    def dense_feasible(self, cap: int = DIM_CAP) -> bool:
+    def dense_feasible(self) -> bool:
         # early bailout: never materialize (2^n+1)^m for huge m
         total = self.m * self.big_n
         for _ in range(self.m):
             total *= self.cell_dim
-            if total > cap:
+            if total > DIM_CAP:
                 return False
         return True
 
-    def require_dense(self, cap: int = DIM_CAP) -> None:
-        if not self.dense_feasible(cap):
+    def require_dense(self) -> None:
+        if not self.dense_feasible():
             raise LayoutError(
-                f"dense mode needs (2^n+1)^m * m * 2^n <= {cap}; "
+                f"dense mode needs (2^n+1)^m * m * 2^n <= {DIM_CAP}; "
                 f"got n={self.n}, m={self.m}"
             )
-
-
-def build_query_unitary(config: OracleConfig) -> DenseOperator:
-    """O_XYD = sum_x |x><x| (x) F CNOT F on registers X, Y, D_0..D_{m-1}."""
-    config.require_dense()
-    layout = RegisterLayout.of(
-        ("X", config.m), ("Y", config.big_n),
-        *((d_label(x), config.cell_dim) for x in range(config.m)),
-    )
-    sub = layout.restrict([lab for lab in layout.labels if lab != "X"])
-    block_dim = sub.dim
-    o_small = build_o_small(config.n)
-    small_layout = RegisterLayout.of(("Y", config.big_n), ("Dx", config.cell_dim))
-    mat = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for x in range(config.m):
-        block = embed_operator(
-            DenseOperator(small_layout, o_small, is_unitary=True),
-            ["Y", d_label(x)],
-            sub,
-        ).matrix
-        sl = slice(x * block_dim, (x + 1) * block_dim)
-        mat[sl, sl] = block
-    return DenseOperator(layout, mat, is_unitary=True)
 
 
 class DenseOracleState:
@@ -134,11 +111,9 @@ class DenseOracleState:
     registers, purification registers) which then evolve jointly with D.
     """
 
-    def __init__(self, config: OracleConfig, cap: int = DIM_CAP):
+    def __init__(self, config: OracleConfig):
         self.config = config
-        self.state = RegisterState(
-            [(d_label(x), config.cell_dim) for x in range(config.m)], cap=cap
-        )
+        self.state = RegisterState([(d_label(x), config.cell_dim) for x in range(config.m)])
         # initial database: every cell holds |bot>
         vec = np.zeros(config.cell_dim, dtype=complex)
         vec[config.bot] = 1.0
@@ -210,13 +185,8 @@ class LazyRandomOracle:
         return self.table[x]
 
 
-def reference_lazy_ro(n: int, seed) -> LazyRandomOracle:
-    from .branching import RandomChooser
-
-    return LazyRandomOracle(n, RandomChooser(seed))
-
-
-def check_unitary(mat: np.ndarray, atol: float = ATOL) -> float:
+def check_unitary(mat: np.ndarray) -> float:
+    """Largest entry of |mat^dag mat - 1|; 0 for an exact unitary."""
     gram = mat.conj().T @ mat
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     return float(np.abs(gram).max())

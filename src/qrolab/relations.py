@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, RegisterLayout
-from .oracle import OracleConfig, d_label
-
-EMPTY = None  # extraction outcome "no register matched"
-
+from .oracle import OracleConfig
 
 @dataclass(frozen=True)
 class ExtractionOutcome:
@@ -32,12 +28,6 @@ class ExtractionOutcome:
     @property
     def encoded(self) -> int:
         return 0 if self.value is None else self.value + 1
-
-    @classmethod
-    def from_encoded(cls, code: int, m: int) -> "ExtractionOutcome":
-        if not 0 <= code <= m:
-            raise ValueError(f"encoded outcome {code} outside Z/{m + 1}Z")
-        return cls(None if code == 0 else code - 1, m)
 
 
 class Relation:
@@ -161,12 +151,6 @@ class CommitFunction:
             return tuple(self._preimage_fn(x, t))
         return tuple(y for y in range(2**self.n) if self.fn(x, y) == t)
 
-    def verify_gammas(self) -> bool:
-        """Recompute both Gamma values by brute force and compare the cache."""
-        g = gamma_of_f(self.fn, range(self.m), self.n)
-        gp = gamma_prime_of_f(self.fn, range(self.m), self.n)
-        return (g, gp) == (self.gamma, self.gamma_prime)
-
 
 def identity_commit(n: int, m: int) -> CommitFunction:
     """f(x, y) = y; the plain hash commitment. Gamma = Gamma' = 1."""
@@ -219,16 +203,6 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
     return out
 
 
-def extraction_measurement(rel: Relation, config: OracleConfig) -> dict:
-    """Ordered projector family {Sigma^x} plus Sigma^empty as dense matrices."""
-    arr = outcome_array(rel, config)
-    sigmas = {}
-    for x in range(config.m):
-        sigmas[x] = np.diag((arr == x).astype(float))
-    sigmas[EMPTY] = np.diag((arr == config.m).astype(float))
-    return sigmas
-
-
 def purified_m_permutation(rel: Relation, config: OracleConfig) -> np.ndarray:
     """M_DP as a column-index permutation over the D (x) P basis.
 
@@ -242,19 +216,6 @@ def purified_m_permutation(rel: Relation, config: OracleConfig) -> np.ndarray:
     w = np.tile(np.arange(p_dim), config.d_dim())
     dest = d_idx * p_dim + (w + np.repeat(enc, p_dim)) % p_dim
     return dest
-
-
-def purified_m(rel: Relation, config: OracleConfig) -> DenseOperator:
-    """M_DP = sum_x Sigma^x (x) Shift^enc(x) as a dense operator on D (x) P."""
-    dest = purified_m_permutation(rel, config)
-    dim = config.d_dim() * (config.m + 1)
-    mat = np.zeros((dim, dim))
-    mat[dest, np.arange(dim)] = 1.0
-    layout = RegisterLayout.of(
-        *((d_label(x), config.cell_dim) for x in range(config.m)),
-        ("P", config.m + 1),
-    )
-    return DenseOperator(layout, mat, is_unitary=True)
 
 
 def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> ExtractionOutcome:

@@ -38,29 +38,6 @@ class AccessStructure:
     def member(self, s) -> bool:
         return bool(self.member_fn(frozenset(s)))
 
-    def check_monotone(self, samples: int = 200, seed: int = 0) -> bool:
-        rng = np.random.default_rng(seed)
-        universe = list(range(self.num_challenges))
-        for _ in range(samples):
-            size = int(rng.integers(0, self.num_challenges + 1))
-            s = frozenset(rng.choice(universe, size=size, replace=False).tolist())
-            if self.member(s):
-                extra = [u for u in universe if u not in s]
-                if extra:
-                    bigger = s | {extra[int(rng.integers(len(extra)))]}
-                    if not self.member(bigger):
-                        return False
-        return True
-
-    def check_min_sets(self) -> bool:
-        for s in self.min_sets:
-            if not self.member(s):
-                return False
-            for drop in s:
-                if self.member(frozenset(s) - {drop}):
-                    return False
-        return True
-
 
 def threshold_structure(k: int, num_challenges: int) -> AccessStructure:
     """T_k: all challenge sets of size at least k."""
@@ -68,12 +45,6 @@ def threshold_structure(k: int, num_challenges: int) -> AccessStructure:
         frozenset(c) for c in itertools.combinations(range(num_challenges), k)
     )
     return AccessStructure(num_challenges, lambda s: len(s) >= k, min_sets, f"T{k}")
-
-
-def all_nonempty_structure(num_challenges: int) -> AccessStructure:
-    return AccessStructure(num_challenges, lambda s: len(s) >= 1,
-                           tuple(frozenset({i}) for i in range(num_challenges)),
-                           "T1")
 
 
 def max_nonmember_size(access: AccessStructure) -> int:
@@ -152,29 +123,6 @@ def p_trivial_parallel(spec: SigmaSpec, access: AccessStructure, r: int) -> Frac
         raise ValueError("need r >= 1")
     per_position = max_nonmember_size(access)
     return Fraction(per_position**r, len(spec.challenges) ** r)
-
-
-def brute_force_p_trivial_parallel(spec: SigmaSpec, access: AccessStructure,
-                                   r: int) -> Fraction:
-    """Reference oracle: enumerate all subsets of C^r (tiny cases only)."""
-    tuples = list(itertools.product(range(len(spec.challenges)), repeat=r))
-    if 2 ** len(tuples) > 2**20:
-        raise ValueError("too large for brute force")
-    best = 0
-    for size in range(len(tuples), 0, -1):
-        if size <= best:
-            break
-        for subset in itertools.combinations(tuples, size):
-            ok = True
-            for pos in range(r):
-                marginal = frozenset(t[pos] for t in subset)
-                if access.member(marginal):
-                    ok = False
-                    break
-            if ok:
-                best = size
-                break
-    return Fraction(best, len(spec.challenges) ** r)
 
 
 # -- the bundled toy protocol -----------------------------------------------------------

@@ -5,9 +5,7 @@ Backends:
   sparse   - associative-map compressed representation (huge m, few queries)
   product  - per-register columns; classical queries and extraction only
 
-Only classical extraction queries are supported in v1; the coherent variant
-exists behind `e_query_coherent` on the dense backend, is experimental, and
-carries no stability guarantee.
+Extraction queries are classical: S.E measures and returns an outcome.
 """
 
 from __future__ import annotations
@@ -17,13 +15,11 @@ import json
 import numpy as np
 
 from .branching import RandomChooser
-from .config import DIM_CAP
-from .oracle import DenseOracleState, OracleConfig, d_label
+from .oracle import DenseOracleState, OracleConfig
 from .relations import (
     CommitFunction,
     ExtractionOutcome,
     measure_extraction_dense,
-    purified_m_permutation,
 )
 from .sparse import ProductState, SparseState
 
@@ -41,8 +37,7 @@ def _short_seed_repr(seed) -> str:
 
 class SimulatorS:
     def __init__(self, commit: CommitFunction, backend: str = "dense", *,
-                 seed=None, chooser=None, q_cap: int | None = None,
-                 cap: int = DIM_CAP, prefix=()):
+                 seed=None, chooser=None, q_cap: int | None = None, prefix=()):
         self.commit = commit
         self.config = OracleConfig(commit.n, commit.m)
         self.backend_name = backend
@@ -53,8 +48,8 @@ class SimulatorS:
         self._seed_repr = _short_seed_repr(seed)
         self.log: list[dict] = []
         if backend == "dense":
-            self.config.require_dense(cap)
-            self.backend = DenseOracleState(self.config, cap=cap)
+            self.config.require_dense()
+            self.backend = DenseOracleState(self.config)
             for label, dim in prefix:
                 self.backend.extend(label, dim)
         elif backend == "sparse":
@@ -116,35 +111,6 @@ class SimulatorS:
             return t in self.commit.t_values
         except TypeError:
             return True
-
-    def e_query_coherent(self, t_label: str) -> None:
-        """EXPERIMENTAL: controlled M^{R_t} on an attached T register (dense only)."""
-        if not isinstance(self.backend, DenseOracleState):
-            raise NotImplementedError("coherent extraction is dense-only")
-        state = self.backend.state
-        t_ax = state.axis(t_label)
-        p_label = f"_P{sum(1 for lab in state.labels if lab.startswith('_P'))}"
-        state.add_register(p_label, self.config.m + 1, value=0)
-        d_labels = [d_label(x) for x in range(self.config.m)]
-        moved = np.moveaxis(state.tensor, t_ax, 0)
-        pieces = []
-        for ti in range(state.dims[t_ax]):
-            t = self.commit.t_values[ti]
-            rel = self.commit.relation_for(t)
-            dest = purified_m_permutation(rel, self.config)
-            sub = moved[ti]
-            axes = []
-            for lab in d_labels + [p_label]:
-                a = state.axis(lab)
-                axes.append(a - 1 if a > t_ax else a)
-            rest = [a for a in range(sub.ndim) if a not in axes]
-            block = np.transpose(sub, axes + rest).reshape(len(dest), -1)
-            out = np.zeros_like(block)
-            out[dest] = block
-            shaped = out.reshape([sub.shape[a] for a in axes + rest])
-            pieces.append(np.transpose(shaped, np.argsort(axes + rest)))
-        state.tensor = np.moveaxis(np.stack(pieces, axis=0), 0, t_ax)
-        self._record(interface="E", mode="coherent", t_register=t_label)
 
     # -- register plumbing for quantum access (dense backend) ----------------------
 

@@ -157,9 +157,6 @@ class SparseState:
     def support(self) -> int:
         return len(self.amps)
 
-    def max_key_len(self) -> int:
-        return max((len(db) for _, db in self.amps), default=0)
-
     # -- array form ----------------------------------------------------------------
 
     def _to_arrays(self):
@@ -409,7 +406,7 @@ class SparseState:
 
     # -- dense interop and serialization ------------------------------------------
 
-    def to_dense_vector(self, cap: int = DIM_CAP) -> np.ndarray:
+    def to_dense_vector(self) -> np.ndarray:
         """Decode into a dense vector over prefix (x) D (row-major, bot = 2^n)."""
         self.ensure_basis(COMPUTATIONAL)
         cd = self.big_n + 1
@@ -417,8 +414,8 @@ class SparseState:
         total = d_dim
         for _, d in self.prefix:
             total *= d
-        if total > cap:
-            raise MemoryError(f"densification dimension {total} exceeds cap")
+        if total > DIM_CAP:
+            raise MemoryError(f"densification dimension {total} exceeds cap {DIM_CAP}")
         pre_dims = [d for _, d in self.prefix]
         vec = np.zeros(total, dtype=complex)
         for (pre, db), amp in self.amps.items():
@@ -505,15 +502,15 @@ def sparse_encode(dense_state, q_cap: int) -> SparseState:
     return SparseState.from_dense_vector(vec, config.n, config.m, q_cap)
 
 
-def sparse_decode(sparse: SparseState, cap: int = DIM_CAP):
+def sparse_decode(sparse: SparseState):
     """Densify into a DenseOracleState over the same oracle config."""
     from .oracle import DenseOracleState, OracleConfig
 
     if sparse.prefix:
         raise ValueError("decode only defined for pure database states")
     config = OracleConfig(sparse.n, sparse.m)
-    out = DenseOracleState(config, cap=cap)
-    out.state.set_vector(sparse.to_dense_vector(cap=cap))
+    out = DenseOracleState(config)
+    out.state.set_vector(sparse.to_dense_vector())
     return out
 
 
@@ -660,10 +657,10 @@ class ProductState:
             self.columns[x] = col.normalized(big_n)
         return pick
 
-    def to_dense_vector(self, cap: int = DIM_CAP) -> np.ndarray:
+    def to_dense_vector(self) -> np.ndarray:
         cd = self.big_n + 1
-        if cd**self.m > cap:
-            raise MemoryError("densification exceeds cap")
+        if cd**self.m > DIM_CAP:
+            raise MemoryError(f"densification exceeds cap {DIM_CAP}")
         vec = np.array([1.0 + 0.0j])
         for x in range(self.m):
             vec = np.kron(vec, self.column(x))

@@ -66,6 +66,7 @@ def test_criterion_1_perfect_ro_indistinguishability():
     assert len(reports) >= 50
     assert worst <= 1e-9
     assert elapsed < 120
+    assert all(r.runtime_ms > 0 for r in reports)
 
 
 def test_criterion_2_main_commutator_bound(commutator_reports):
@@ -85,6 +86,8 @@ def test_criterion_2_main_commutator_bound(commutator_reports):
     assert not bad
     assert anchor_ok
     assert elapsed < 300
+    # every row of the battery carries its own measured runtime
+    assert all(r.runtime_ms > 0 for r in reports)
 
 
 def test_criterion_3_local_and_lifting(commutator_reports):

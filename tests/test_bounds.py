@@ -239,8 +239,7 @@ class TestEarlyExtraction:
 
 class TestMonteCarloCrossCheck:
     def test_mc_agrees_with_exact_within_three_sigma(self):
-        from qrolab.bounds import compare_mc_exact
-        from qrolab.branching import enumerate_paths
+        from qrolab.branching import RandomChooser, enumerate_paths
         from qrolab.simulator import SimulatorS
 
         f = identity_commit(2, 2)
@@ -251,7 +250,10 @@ class TestMonteCarloCrossCheck:
             return not sim.e_query(h).is_empty
 
         exact = sum(p for p, hit in enumerate_paths(run) if hit)
-        est, slack = compare_mc_exact(run, exact, trials=4000, seed=0)
+        rng = np.random.default_rng(0)
+        trials = 4000
+        est = sum(1 for _ in range(trials) if run(RandomChooser(rng))) / trials
+        slack = 3.0 * max(np.sqrt(exact * (1 - exact) / trials), 1e-6)
         assert abs(est - exact) <= slack
 
 

@@ -27,6 +27,7 @@ from qrolab.fokem import (
     wrong_randomness_adversary,
 )
 from qrolab.oracle import LazyRandomOracle
+from qrolab.relations import gamma_of_f, gamma_prime_of_f
 from qrolab.simulator import SimulatorS
 
 PKE = toy_pke(3, 2, seed=5)
@@ -44,7 +45,8 @@ class TestToyPke:
         _, pk = PKE.gen(0)
         f = PKE.enc_commit(pk)
         assert f.gamma == 1 and f.gamma_prime == 0
-        assert f.verify_gammas()
+        assert gamma_of_f(f.fn, range(f.m), f.n) == 1
+        assert gamma_prime_of_f(f.fn, range(f.m), f.n) == 0
 
     def test_faulty_variant_plants_collision(self):
         faulty = toy_pke(3, 2, seed=5, faulty_cells=1)

@@ -1,31 +1,21 @@
-"""Tests for the labeled-register linear algebra core."""
+"""Tests for the linear algebra kernels and the dense dimension cap."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qrolab.config import ATOL
+from qrolab.config import ATOL, DIM_CAP
+from qrolab.engine import RegisterState
 from qrolab.linalg import (
-    DenseOperator,
     LayoutError,
-    RegisterLayout,
-    StateVector,
-    commutator,
-    embed_operator,
+    apply_on_axes,
     operator_norm,
     pure_trace_distance,
     trace_distance,
 )
 from qrolab.oracle import build_f
-
-FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
-PHASE = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-def op(matrix, *dims):
-    layout = RegisterLayout.of(*((f"r{i}", d) for i, d in enumerate(dims)))
-    return DenseOperator(layout, matrix)
+from qrolab.relations import identity_commit
+from qrolab.simulator import SimulatorS
+from qrolab.sparse import ProductState, SparseState
 
 
 def random_unitary(rng, d):
@@ -34,94 +24,96 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestRegisterLayout:
-    def test_duplicate_labels_rejected(self):
+def embedded(matrix, dims, targets):
+    """The full matrix of `matrix` acting on `targets` (in that order) of a
+    space with register dims `dims`, identity elsewhere.  np.kron lays the
+    space out as (targets..., rest...); idx[j] is the flat index, in declared
+    register order, of that layout's j-th basis vector."""
+    targets = list(targets)
+    rest = [a for a in range(len(dims)) if a not in targets]
+    dim = int(np.prod(dims))
+    big = np.kron(matrix, np.eye(dim // matrix.shape[0]))
+    idx = np.arange(dim).reshape(dims).transpose(targets + rest).reshape(-1)
+    out = np.empty((dim, dim), dtype=big.dtype)
+    out[np.ix_(idx, idx)] = big
+    return out
+
+
+def random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+class TestApplyOnAxes:
+    @pytest.mark.parametrize("dims,targets", [
+        ((2, 3), [0]),
+        ((2, 3), [1]),
+        ((2, 3, 2), [0, 2]),
+        ((2, 3), [1, 0]),
+        ((3, 2, 2), [2, 0]),
+        ((2, 3, 2, 2), [3, 1]),
+    ], ids=["first", "last", "non-adjacent", "reversed", "non-adjacent-reversed",
+            "four-registers"])
+    def test_matches_kron_embedding(self, dims, targets):
+        rng = np.random.default_rng(sum(dims) + 10 * targets[0])
+        mat = random_matrix(rng, int(np.prod([dims[a] for a in targets])))
+        psi = rng.normal(size=int(np.prod(dims))) + 1j * rng.normal(size=int(np.prod(dims)))
+        got = apply_on_axes(mat, psi.reshape(dims), targets)
+        assert got.shape == dims
+        want = embedded(mat, dims, targets) @ psi
+        assert np.abs(got.reshape(-1) - want).max() <= ATOL
+
+    def test_first_register_is_most_significant(self):
+        # documented ordering: the first register is the leading kron factor
+        flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(embedded(flip, (2, 2), [0]), np.kron(flip, np.eye(2)))
+        psi = np.arange(4.0)
+        got = apply_on_axes(flip, psi.reshape(2, 2), [0]).reshape(-1)
+        assert np.array_equal(got, np.kron(flip, np.eye(2)) @ psi)
+
+    def test_trailing_batch_axis(self):
+        # a trailing axis outside the targets carries independent columns
+        rng = np.random.default_rng(21)
+        dims, targets, batch = (2, 3, 2), [2, 0], 5
+        mat = random_matrix(rng, 4)
+        cols = rng.normal(size=(12, batch)) + 1j * rng.normal(size=(12, batch))
+        got = apply_on_axes(mat, cols.reshape(dims + (batch,)), targets)
+        want = embedded(mat, dims, targets) @ cols
+        assert np.abs(got.reshape(12, batch) - want).max() <= ATOL
+
+
+class TestDimCap:
+    # every size here is above DIM_CAP = 2^22 and each guard raises before
+    # the state is allocated
+    def test_register_state_constructor(self):
+        assert 2**12 * 2**11 > DIM_CAP
         with pytest.raises(LayoutError):
-            RegisterLayout.of(("a", 2), ("a", 3))
+            RegisterState([("a", 2**12), ("b", 2**11)])
 
-    def test_cap_enforced(self):
+    def test_add_register_crossing_cap(self):
+        state = RegisterState([("a", 2**12)])
         with pytest.raises(LayoutError):
-            RegisterLayout.of(("a", 2**23))
+            state.add_register("b", 2**11)
+        assert state.labels == ("a",)
 
-    def test_total_dim(self):
-        lay = RegisterLayout.of(("a", 2), ("b", 3), ("c", 5))
-        assert lay.dim == 30
-        assert lay.axis("b") == 1
-
-
-class TestEmbedOperator:
-    def test_identity_embeds_to_identity(self):
-        full = RegisterLayout.of(("a", 2), ("b", 3))
-        small = DenseOperator(RegisterLayout.of(("b", 3)), np.eye(3))
-        out = embed_operator(small, ["b"], full)
-        assert np.allclose(out.matrix, np.eye(6))
-
-    def test_bit_flip_on_first_register(self):
-        # documented ordering: first register is the most significant index
-        full = RegisterLayout.of(("a", 2), ("b", 2))
-        small = DenseOperator(RegisterLayout.of(("a", 2)), FLIP)
-        out = embed_operator(small, ["a"], full)
-        assert np.allclose(out.matrix, np.kron(FLIP, np.eye(2)))
-
-    def test_f_on_second_database_register(self):
-        # brute-force Kronecker construction as the independent oracle
-        f = build_f(1)
-        full = RegisterLayout.of(("D0", 3), ("D1", 3))
-        small = DenseOperator(RegisterLayout.of(("D1", 3)), f)
-        out = embed_operator(small, ["D1"], full)
-        assert np.abs(out.matrix - np.kron(np.eye(3), f)).max() <= ATOL
-
-    def test_non_adjacent_targets(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        full = RegisterLayout.of(("p", 2), ("q", 3), ("r", 2))
-        small = DenseOperator(RegisterLayout.of(("p", 2), ("r", 2)), np.kron(a, a))
-        out = embed_operator(small, ["p", "r"], full)
-        # oracle: kron in full order with identity in the middle, axes permuted
-        want = np.kron(a, np.kron(np.eye(3), a))
-        assert np.abs(out.matrix - want).max() <= ATOL
-
-    def test_reversed_target_order(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(6, 6))
-        full = RegisterLayout.of(("u", 2), ("v", 3))
-        small = DenseOperator(RegisterLayout.of(("v", 3), ("u", 2)), a)
-        out = embed_operator(small, ["v", "u"], full)
-        vec = rng.normal(size=6)
-        # apply via explicit index permutation as the oracle
-        perm = np.arange(6).reshape(2, 3).T.reshape(-1)
-        want = np.empty((6, 6))
-        want[np.ix_(perm, perm)] = a
-        assert np.abs(out.matrix - want).max() <= ATOL
-        assert np.abs(out.matrix @ vec - want @ vec).max() <= ATOL
-
-    def test_unknown_label_and_dim_mismatch(self):
-        full = RegisterLayout.of(("a", 2), ("b", 3))
-        small = DenseOperator(RegisterLayout.of(("c", 2)), np.eye(2))
+    def test_dense_simulator(self):
         with pytest.raises(LayoutError):
-            embed_operator(small, ["c"], full)
-        with pytest.raises(LayoutError):
-            embed_operator(small, ["b"], full)
+            SimulatorS(identity_commit(4, 6), backend="dense")
 
-    def test_homomorphism(self):
-        rng = np.random.default_rng(2)
-        full = RegisterLayout.of(("a", 2), ("b", 2), ("c", 3))
-        sub = RegisterLayout.of(("b", 2), ("c", 3))
-        for _ in range(20):
-            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            ea = embed_operator(DenseOperator(sub, a), ["b", "c"], full).matrix
-            eb = embed_operator(DenseOperator(sub, b), ["b", "c"], full).matrix
-            eab = embed_operator(DenseOperator(sub, a @ b), ["b", "c"], full).matrix
-            assert np.abs(ea @ eb - eab).max() <= ATOL * max(1, np.abs(eab).max())
+    def test_sparse_to_dense_vector(self):
+        with pytest.raises(MemoryError):
+            SparseState(10, 3, q_cap=4).to_dense_vector()
+
+    def test_product_to_dense_vector(self):
+        with pytest.raises(MemoryError):
+            ProductState(10, 3).to_dense_vector()
 
 
 class TestOperatorNorm:
     def test_identity_is_one(self):
-        assert abs(operator_norm(op(np.eye(4), 4)) - 1.0) <= ATOL
+        assert abs(operator_norm(np.eye(4)) - 1.0) <= ATOL
 
     def test_zero_is_zero(self):
-        assert operator_norm(op(np.zeros((4, 4)), 4)) <= ATOL
+        assert operator_norm(np.zeros((4, 4))) <= ATOL
 
     def test_f_projector_commutator_matches_subspace_oracle(self):
         # Independent oracle: [F, |0><0|] = 2^{-1/2}(|d><0| - |0><d|) with
@@ -130,7 +122,7 @@ class TestOperatorNorm:
         f = build_f(1)
         proj = np.zeros((3, 3))
         proj[0, 0] = 1.0
-        measured = operator_norm(op(f @ proj - proj @ f, 3))
+        measured = operator_norm(f @ proj - proj @ f)
 
         e0 = np.array([1.0, 0.0, 0.0])
         delta = np.array([0.0, 0.0, 1.0]) - np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
@@ -148,22 +140,22 @@ class TestOperatorNorm:
     def test_iterative_path_above_cutoff(self):
         diag = np.ones(1500)
         diag[7] = 3.75
-        assert abs(operator_norm(op(np.diag(diag), 1500)) - 3.75) <= 1e-8
+        assert abs(operator_norm(np.diag(diag)) - 3.75) <= 1e-8
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 2))
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            operator_norm(op(bad, 2))
+            operator_norm(bad)
 
     def test_submultiplicative_and_triangle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
             b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            na, nb = operator_norm(op(a, 5)), operator_norm(op(b, 5))
-            assert operator_norm(op(a @ b, 5)) <= na * nb + ATOL
-            assert operator_norm(op(a + b, 5)) <= na + nb + ATOL
+            na, nb = operator_norm(a), operator_norm(b)
+            assert operator_norm(a @ b) <= na * nb + ATOL
+            assert operator_norm(a + b) <= na + nb + ATOL
 
     def test_orthogonal_images_norm_of_sum(self):
         # block-diagonal pieces conjugated by random unitaries keep
@@ -178,8 +170,8 @@ class TestOperatorNorm:
             a, b = u @ a @ v, u @ b @ v
             assert np.abs(a.conj().T @ b).max() <= 1e-9
             assert np.abs(a @ b.conj().T).max() <= 1e-9
-            na, nb = operator_norm(op(a, 6)), operator_norm(op(b, 6))
-            assert operator_norm(op(a + b, 6)) <= max(na, nb) + ATOL
+            na, nb = operator_norm(a), operator_norm(b)
+            assert operator_norm(a + b) <= max(na, nb) + ATOL
 
     def test_controlled_operator_norm_is_max_of_blocks(self):
         rng = np.random.default_rng(5)
@@ -189,32 +181,8 @@ class TestOperatorNorm:
             ctrl = np.zeros((9, 9), dtype=complex)
             for x, blk in enumerate(blocks):
                 ctrl[3 * x:3 * x + 3, 3 * x:3 * x + 3] = blk
-            want = max(operator_norm(op(b, 3)) for b in blocks)
-            assert operator_norm(op(ctrl, 9)) <= want + ATOL
-
-
-class TestCommutator:
-    def test_self_commutator_vanishes(self):
-        rng = np.random.default_rng(6)
-        a = op(rng.normal(size=(4, 4)), 4)
-        assert np.abs(commutator(a, a).matrix).max() <= ATOL
-
-    def test_disjoint_registers_commute(self):
-        rng = np.random.default_rng(7)
-        a = np.kron(rng.normal(size=(2, 2)), np.eye(3))
-        b = np.kron(np.eye(2), rng.normal(size=(3, 3)))
-        c = commutator(op(a, 2, 3), op(b, 2, 3))
-        assert np.abs(c.matrix).max() <= ATOL
-
-    def test_flip_phase_norm_two(self):
-        # 2x2 explicit computation: XZ - ZX = [[0,-2],[2,0]]
-        k = commutator(op(FLIP, 2), op(PHASE, 2))
-        assert np.allclose(k.matrix, np.array([[0.0, -2.0], [2.0, 0.0]]))
-        assert abs(operator_norm(k) - 2.0) <= ATOL
-
-    def test_layout_mismatch(self):
-        with pytest.raises(LayoutError):
-            commutator(op(np.eye(2), 2), op(np.eye(3), 3))
+            want = max(operator_norm(b) for b in blocks)
+            assert operator_norm(ctrl) <= want + ATOL
 
 
 class TestTraceDistance:
@@ -243,26 +211,3 @@ class TestTraceDistance:
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             trace_distance(bad, np.eye(2, dtype=complex) / 2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_embed_homomorphism_property(seed):
-    rng = np.random.default_rng(seed)
-    full = RegisterLayout.of(("a", 2), ("b", 3))
-    sub = RegisterLayout.of(("b", 3))
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    ea = embed_operator(DenseOperator(sub, a), ["b"], full).matrix
-    eb = embed_operator(DenseOperator(sub, b), ["b"], full).matrix
-    eab = embed_operator(DenseOperator(sub, a @ b), ["b"], full).matrix
-    assert np.abs(ea @ eb - eab).max() <= 1e-9 * max(1, np.abs(eab).max())
-
-
-def test_state_vector_basics():
-    lay = RegisterLayout.of(("a", 2), ("b", 2))
-    sv = StateVector.basis(lay, 2)
-    assert sv.is_normalized()
-    assert sv.tensor_view()[1, 0] == 1.0
-    with pytest.raises(LayoutError):
-        StateVector(lay, np.zeros(3))

@@ -1,5 +1,6 @@
 """Sigma-protocol tests: access structures, trivial attacks, online extraction."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,6 @@ from qrolab.sigma import (
     NoCommitProver,
     SigmaSpec,
     TrivialAttackProver,
-    all_nonempty_structure,
-    brute_force_p_trivial_parallel,
     epsilon_exact,
     epsilon_simplified,
     max_nonmember_size,
@@ -29,6 +28,7 @@ from qrolab.sigma import (
     xor_witness_checker,
 )
 from qrolab.simulator import SimulatorS
+from sigma_reference import brute_force_p_trivial_parallel
 
 SB = 1
 TINY = xor_toy_spec(share_bits=SB, randomness_bits=2)
@@ -43,14 +43,22 @@ def honest_factory(spec, instance, shares, rng):
 
 class TestAccessStructures:
     def test_threshold_monotone_and_min_sets(self):
+        # exhaustive over all 2^5 subsets: adding an element never leaves
+        # the structure, and every listed minimal set is minimal
         t2 = threshold_structure(2, 5)
-        assert t2.check_monotone()
-        assert t2.check_min_sets()
+        subsets = [frozenset(c) for size in range(6)
+                   for c in itertools.combinations(range(5), size)]
+        for s in subsets:
+            if t2.member(s):
+                assert all(t2.member(s | {u}) for u in range(5))
+        for s in t2.min_sets:
+            assert t2.member(s)
+            assert not any(t2.member(s - {drop}) for drop in s)
 
     def test_max_nonmember(self):
         assert max_nonmember_size(threshold_structure(2, 3)) == 1
         assert max_nonmember_size(threshold_structure(2, 10)) == 1
-        assert max_nonmember_size(all_nonempty_structure(4)) == 0
+        assert max_nonmember_size(threshold_structure(1, 4)) == 0
         # without min_sets: brute force over subsets
         bare = AccessStructure(4, lambda s: len(s) >= 3)
         assert max_nonmember_size(bare) == 2
@@ -66,7 +74,7 @@ class TestPTrivial:
         assert p_trivial(spec, t2) == Fraction(1, 10)
 
     def test_all_nonempty_gives_zero(self):
-        assert p_trivial(TINY, all_nonempty_structure(3)) == 0
+        assert p_trivial(TINY, threshold_structure(1, 3)) == 0
 
     @pytest.mark.parametrize("nc", [3, 10])
     def test_k_soundness_reproduced_for_all_k(self, nc):
@@ -82,7 +90,7 @@ class TestPTrivial:
         assert got == brute_force_p_trivial_parallel(TINY, T2, 2)
 
     def test_zero_stays_zero(self):
-        assert p_trivial_parallel(TINY, all_nonempty_structure(3), 3) == 0
+        assert p_trivial_parallel(TINY, threshold_structure(1, 3), 3) == 0
 
 
 class TestSpecValidation:

@@ -121,37 +121,6 @@ class TestBackendAgreement:
             SimulatorS(identity_commit(1, 2), backend="nope")
 
 
-class TestCoherentExtraction:
-    def test_experimental_coherent_e_query(self):
-        # classical t in a basis state must reproduce the classical channel
-        f = identity_commit(1, 2)
-
-        def run_coherent(ch):
-            sim = SimulatorS(f, backend="dense", chooser=ch)
-            h = sim.ro_classical(0)
-            sim.attach("T", len(f.t_values), value=h)
-            sim.e_query_coherent("T")
-            state = sim.backend.state
-            (enc,) = state.measure(["_P0"], ch)
-            return (h, enc)
-
-        def run_classical(ch):
-            sim = SimulatorS(f, backend="dense", chooser=ch)
-            h = sim.ro_classical(0)
-            out = sim.e_query(h)
-            return (h, out.encoded)
-
-        assert total_variation(
-            enumerate_distribution(run_coherent),
-            enumerate_distribution(run_classical),
-        ) <= ATOL
-
-    def test_coherent_rejected_off_dense(self):
-        sim = SimulatorS(identity_commit(1, 2), backend="product", seed=0)
-        with pytest.raises(NotImplementedError):
-            sim.e_query_coherent("T")
-
-
 class TestIndependentQueryOrder:
     def test_classical_ro_order_irrelevant(self):
         # both orders of two independent classical queries: same joint

@@ -77,7 +77,7 @@ class TestEncodeDecode:
     def test_round_trip_on_two_query_states(self, seed):
         oracle = random_two_query_dense(seed)
         sp = sparse_encode(oracle, q_cap=2)
-        assert sp.max_key_len() <= 2
+        assert max(len(db) for _, db in sp.amps) <= 2
         back = sparse_decode(sp)
         assert np.abs(back.d_vector() - oracle.d_vector()).max() <= ATOL
 
@@ -131,7 +131,7 @@ class TestClassicalQueryAgreement:
         ch = RandomChooser(3)
         for _ in range(6):
             sp.classical_query(2, ch)
-        assert sp.max_key_len() <= 1
+        assert max(len(db) for _, db in sp.amps) <= 1
         assert sp.support() <= 2**3 + 1
 
     def test_budget_exhaustion(self):
