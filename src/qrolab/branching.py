@@ -2,7 +2,9 @@
 
 Every probabilistic choice in an experiment goes through a chooser object, so
 the same experiment function can be run once with a seeded RNG or enumerated
-exhaustively over all measurement outcomes.
+exhaustively over all measurement outcomes.  enumerate_paths replays a whole
+closure per leaf; branch extends a tree of forkable states by one step,
+replaying only that step.
 """
 
 from __future__ import annotations
@@ -154,6 +156,23 @@ def enumerate_paths(run) -> list[tuple[float, object]]:
             for b in range(len(probs_i)):
                 if b != ch.taken[i] and probs_i[b] > PROB_FLOOR:
                     pending.append(prefix + (b,))
+    return out
+
+
+def branch(leaves, step) -> list[tuple[float, object, tuple]]:
+    """Extend every (prob, state, outcomes) leaf by one step(state) call.
+
+    Each decision of the step runs on state.fork(chooser), so the leaf's own
+    state is never mutated and the prefix that built it is never replayed.
+    Returns the children (prob * q, child, outcomes + (step's result,)).
+    """
+    out = []
+    for prob, state, outcomes in leaves:
+        kids = enumerate_paths(lambda ch: (c := state.fork(ch), step(c)))
+        mass = prob * sum(q for q, _ in kids)
+        if abs(mass - prob) > ATOL:
+            raise ValueError(f"children carry mass {mass!r} of a leaf of mass {prob!r}")
+        out.extend((prob * q, child, outcomes + (res,)) for q, (child, res) in kids)
     return out
 
 

@@ -350,19 +350,22 @@ def run_sigma_battery(seed: int = 0, trials: int = 1000,
     gen = xor_instance_gen(share_bits)
     honest = lambda s, i, w, r: HonestProver(s, i, w, r, share_bits=share_bits)
 
-    def exact(name, value, expected):
-        return Report(name, {}, float(value), float(expected),
-                      satisfied=value == expected, stats=dict(p_triv=str(value)))
+    def exact(name, value_ms, expected):
+        value, ms = value_ms
+        return Report(name, {}, float(value), float(expected), satisfied=value == expected,
+                      stats=dict(p_triv=str(value)), runtime_ms=ms)
 
     from .fixtures import load  # importlib.resources is slow to import
 
-    pt = p_trivial(spec, access)
+    pt, pt_ms = timed(lambda: p_trivial(spec, access))
     pairs_spec = load("sigma-2of10-pairs")
     t2_10 = threshold_structure(2, len(pairs_spec.challenges))
     reports = [
-        exact("sigma-p-trivial", pt, Fraction(1, 3)),
-        exact("sigma-p-trivial-2of10", p_trivial(pairs_spec, t2_10), Fraction(1, 10)),
-        exact("sigma-p-trivial-parallel-r2", p_trivial_parallel(spec, access, 2), pt**2),
+        exact("sigma-p-trivial", (pt, pt_ms), Fraction(1, 3)),
+        exact("sigma-p-trivial-2of10", timed(lambda: p_trivial(pairs_spec, t2_10)),
+              Fraction(1, 10)),
+        exact("sigma-p-trivial-parallel-r2",
+              timed(lambda: p_trivial_parallel(spec, access, 2)), pt**2),
     ]
 
     rep16 = run_sigma_experiment(honest, spec, access, hook, gen,
@@ -405,22 +408,25 @@ def run_sigma_battery(seed: int = 0, trials: int = 1000,
 def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[Report]:
     """Exact correctness and spreadness values, the backend-agreement trees,
     and the two guessing games; each row supplies its own verdict."""
+    def spread(pke):
+        return gamma_spread_estimate(pke, "strict"), gamma_spread_estimate(pke, "weak")
+
     pke = toy_pke(3, 2, seed=5)
-    delta = delta_correctness_estimate(pke)
-    g_strict = gamma_spread_estimate(pke, "strict")
-    g_weak = gamma_spread_estimate(pke, "weak")
-    faulty = toy_pke(3, 2, seed=5, faulty_cells=1)
-    delta_f = delta_correctness_estimate(faulty)
-    constct = toy_pke(3, 2, seed=5, num_keys=4, constant_ct_message=True)
-    gs = gamma_spread_estimate(constct, "strict")
-    gw = gamma_spread_estimate(constct, "weak")
+    delta, ms_delta = timed(lambda: delta_correctness_estimate(pke))
+    (g_strict, g_weak), ms_gamma = timed(lambda: spread(pke))
+    delta_f, ms_faulty = timed(lambda: delta_correctness_estimate(
+        toy_pke(3, 2, seed=5, faulty_cells=1)))
+    (gs, gw), ms_gap = timed(lambda: spread(
+        toy_pke(3, 2, seed=5, num_keys=4, constant_ct_message=True)))
     reports = [
-        Report("fo-delta-honest", {}, float(delta), 0.0, satisfied=delta == 0),
+        Report("fo-delta-honest", {}, float(delta), 0.0, satisfied=delta == 0,
+               runtime_ms=ms_delta),
         Report("fo-gamma-honest", {}, g_strict, float(pke.randomness_bits),
-               satisfied=g_strict == pke.randomness_bits == g_weak),
+               satisfied=g_strict == pke.randomness_bits == g_weak, runtime_ms=ms_gamma),
         Report("fo-delta-faulty", {}, float(delta_f), 1 / 4,
-               satisfied=delta_f == 1 / 4, stats=dict(analytic="1/4")),
-        Report("fo-gamma-gap", {}, gs, gw, satisfied=gs == 0.0 and gw > 0.0),
+               satisfied=delta_f == 1 / 4, stats=dict(analytic="1/4"), runtime_ms=ms_faulty),
+        Report("fo-gamma-gap", {}, gs, gw, satisfied=gs == 0.0 and gw > 0.0,
+               runtime_ms=ms_gap),
     ]
 
     pke22 = toy_pke(2, 2, seed=5)
@@ -439,30 +445,30 @@ def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[Report]:
 
     # coin-guessing adversary: win rate 1/2 within 3 sigma over seeded trials
     rng = np.random.default_rng(seed)
-    wins = 0
-    for _ in range(trials):
-        wins += indcca_game(pke22, coin_guess_adversary, "real-decaps",
-                            RandomChooser(rng), key_bits=1)
+    wins, ms = timed(lambda: sum(
+        indcca_game(pke22, coin_guess_adversary, "real-decaps", RandomChooser(rng),
+                    key_bits=1) for _ in range(trials)))
     rate = wins / trials
     slack = 3.0 * np.sqrt(0.25 / trials)
     reports.append(Report("fo-coin-guess-rate", dict(trials=trials), rate,
-                          0.5 + slack, satisfied=abs(rate - 0.5) <= slack))
+                          0.5 + slack, satisfied=abs(rate - 0.5) <= slack, runtime_ms=ms))
 
     # OW-CPA guessing adversary: exact win probability 1/|M|
-    paths = enumerate_paths(
+    paths, ms = timed(lambda: enumerate_paths(
         lambda ch: ow_cpa_game(pke, guessing_ow_adversary, ch)
-    )
+    ))
     p_win = sum(p for p, win in paths if win)
     reports.append(Report("fo-owcpa-guess", {}, float(p_win), 1 / 3,
-                          satisfied=abs(p_win - 1 / 3) <= ATOL))
+                          satisfied=abs(p_win - 1 / 3) <= ATOL, runtime_ms=ms))
 
     # FO theorem advantage inequality: vacuous at desk scale (bound >= 1), so
     # it is reported with its numeric bound and nothing is measured
     q = 6
-    adv_bound = (2 * q * np.sqrt(1 / 3) + 24 * q**2 * np.sqrt(float(delta))
-                 + 24 * q * np.sqrt(q * 2) * 2.0 ** (-pke.randomness_bits / 4))
+    adv_bound, ms = timed(lambda: (
+        2 * q * np.sqrt(1 / 3) + 24 * q**2 * np.sqrt(float(delta))
+        + 24 * q * np.sqrt(q * 2) * 2.0 ** (-pke.randomness_bits / 4)))
     reports.append(Report("fo-theorem-advantage", {}, 0.0, float(adv_bound),
-                          vacuous=adv_bound >= 1.0))
+                          vacuous=adv_bound >= 1.0, runtime_ms=ms))
     return reports
 
 

@@ -5,6 +5,12 @@ commutation and almost-commutation of interfaces, idempotence, and the two
 classical consistency probabilities), each returning a Report.  The
 suite runner sweeps the standard grid n in {1,2}, m in {2,3} with the three
 bundled commit functions.
+
+The tree checks (2.c, 3 and 4) walk each preparation's tree once per report
+and extend its (prob, simulator, outcomes) leaves with branching.branch,
+through S.RO and S.E, for every x and t: only the new step runs per leaf,
+never the preparation.  tests/properties_reference.py keeps the replay
+versions as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Report, timed
-from .branching import enumerate_paths
+from .branching import branch, enumerate_paths
 from .linalg import apply_on_axes, density_from_branches, operator_norm, \
     pure_trace_distance, trace_distance
 from .oracle import OracleConfig, build_o_small
@@ -135,18 +141,23 @@ def property_2b_report(f: CommitFunction) -> Report:
 # -- property 2.c: RO and E queries almost commute -------------------------------------
 
 
-def _prep_branches(f: CommitFunction, prep):
-    """Enumerate (prob, dense D vector) after a classical-query preparation."""
-    vecs = []
+def _prepared(f: CommitFunction, prep, chooser) -> SimulatorS:
+    sim = SimulatorS(f, backend="dense", chooser=chooser)
+    for x in prep:
+        sim.ro_classical(x)
+    return sim
 
-    def run(ch):
-        sim = SimulatorS(f, backend="dense", chooser=ch)
-        for x in prep:
-            sim.ro_classical(x)
-        vecs.append(sim.backend.d_vector())
-        return len(vecs) - 1
 
-    return [(p, vecs[i]) for p, i in enumerate_paths(run)]
+def _prep_leaves(f: CommitFunction):
+    """The (prob, simulator, ()) leaves of each preparation in _preps_for:
+    each tree is walked once per report and branched by every check."""
+    return [[(p, sim, ()) for p, sim in enumerate_paths(lambda ch: _prepared(f, prep, ch))]
+            for prep in _preps_for(f.m)]
+
+
+def _then(leaves, step_for):
+    """Branch each leaf by the step that its last outcome selects."""
+    return [kid for leaf in leaves for kid in branch([leaf], step_for(leaf[2][-1]))]
 
 
 def _xy_states(config: OracleConfig, seed: int = 31):
@@ -184,10 +195,11 @@ def roe_almost_commutation(f: CommitFunction) -> float:
     worst = 0.0
     xy_states = _xy_states(config)
     dests = {t: purified_m_permutation(f.relation_for(t), config) for t in f.t_values}
-    for prep in _preps_for(f.m):
-        for p, d_vec in _prep_branches(f, prep):
+    for leaves in _prep_leaves(f):
+        for p, sim, _ in leaves:
             if p <= 1e-12:
                 continue
+            d_vec = sim.backend.d_vector()
             for t in f.t_values:
                 for xy in xy_states:
                     joint = np.multiply.outer(
@@ -221,33 +233,18 @@ def property_2c_report(f: CommitFunction) -> Report:
 # -- properties 3.a / 3.b: idempotence ---------------------------------------------------
 
 
-def _density_after(f: CommitFunction, prep, steps) -> np.ndarray:
-    """Density operator on D after prep + the given interface calls."""
-    branches = []
-
-    def run(ch):
-        sim = SimulatorS(f, backend="dense", chooser=ch)
-        for x in prep:
-            sim.ro_classical(x)
-        for kind, arg in steps:
-            if kind == "ro":
-                sim.ro_classical(arg)
-            else:
-                sim.e_query(arg)
-        branches.append(sim.backend.d_vector())
-        return len(branches) - 1
-
-    paths = enumerate_paths(run)
-    return density_from_branches((p, branches[i]) for p, i in paths)
+def _density(leaves) -> np.ndarray:
+    """Density operator on D of a tree's leaves."""
+    return density_from_branches((p, sim.backend.d_vector()) for p, sim, _ in leaves)
 
 
 def ro_idempotence(f: CommitFunction) -> float:
     worst = 0.0
-    for prep in _preps_for(f.m):
+    for base in _prep_leaves(f):
         for x in range(f.m):
-            rho1 = _density_after(f, prep, [("ro", x)])
-            rho2 = _density_after(f, prep, [("ro", x), ("ro", x)])
-            worst = max(worst, trace_distance(rho1, rho2))
+            step = lambda sim: sim.ro_classical(x)
+            once = branch(base, step)
+            worst = max(worst, trace_distance(_density(once), _density(branch(once, step))))
     return worst
 
 
@@ -255,21 +252,13 @@ def e_idempotence(f: CommitFunction) -> tuple[float, float]:
     """(max trace distance, max repeat-outcome disagreement probability)."""
     worst_td = 0.0
     worst_outcome = 0.0
-    for prep in _preps_for(f.m):
+    for base in _prep_leaves(f):
         for t in f.t_values:
-            rho1 = _density_after(f, prep, [("e", t)])
-            rho2 = _density_after(f, prep, [("e", t), ("e", t)])
-            worst_td = max(worst_td, trace_distance(rho1, rho2))
-
-            def run(ch):
-                sim = SimulatorS(f, backend="dense", chooser=ch)
-                for x in prep:
-                    sim.ro_classical(x)
-                a = sim.e_query(t)
-                b = sim.e_query(t)
-                return a.value != b.value
-
-            disagree = sum(p for p, bad in enumerate_paths(run) if bad)
+            step = lambda sim: sim.e_query(t).value
+            once = branch(base, step)
+            twice = branch(once, step)
+            worst_td = max(worst_td, trace_distance(_density(once), _density(twice)))
+            disagree = sum(p for p, _, (a, b) in twice if a != b)
             worst_outcome = max(worst_outcome, disagree)
     return worst_td, worst_outcome
 
@@ -293,20 +282,12 @@ def property_3b_report(f: CommitFunction) -> Report:
 def prop_4a_worst(f: CommitFunction) -> float:
     """max over preps and t of Pr[f(x_hat, h_hat) != t and x_hat != empty]."""
     worst = 0.0
-    for prep in _preps_for(f.m):
+    for base in _prep_leaves(f):
         for t in f.t_values:
-
-            def run(ch):
-                sim = SimulatorS(f, backend="dense", chooser=ch)
-                for x in prep:
-                    sim.ro_classical(x)
-                x_hat = sim.e_query(t)
-                if x_hat.is_empty:
-                    return False
-                h_hat = sim.ro_classical(x_hat.value)
-                return f(x_hat.value, h_hat) != t
-
-            bad = sum(p for p, hit in enumerate_paths(run) if hit)
+            found = [leaf for leaf in branch(base, lambda sim: sim.e_query(t).value)
+                     if leaf[2][-1] is not None]
+            checked = _then(found, lambda x_hat: lambda sim: sim.ro_classical(x_hat))
+            bad = sum(p for p, _, (x_hat, h_hat) in checked if f(x_hat, h_hat) != t)
             worst = max(worst, bad)
     return worst
 
@@ -314,17 +295,11 @@ def prop_4a_worst(f: CommitFunction) -> float:
 def prop_4b_worst(f: CommitFunction) -> float:
     """max over preps (no prior extraction) and x of Pr[S.E(f(x, h)) = empty]."""
     worst = 0.0
-    for prep in _preps_for(f.m):
+    for base in _prep_leaves(f):
         for x in range(f.m):
-
-            def run(ch):
-                sim = SimulatorS(f, backend="dense", chooser=ch)
-                for xx in prep:
-                    sim.ro_classical(xx)
-                h = sim.ro_classical(x)
-                return sim.e_query(f(x, h)).is_empty
-
-            bad = sum(p for p, hit in enumerate_paths(run) if hit)
+            queried = branch(base, lambda sim: sim.ro_classical(x))
+            checked = _then(queried, lambda h: lambda sim: sim.e_query(f(x, h)).is_empty)
+            bad = sum(p for p, _, (_, empty) in checked if empty)
             worst = max(worst, bad)
     return worst
 

@@ -10,6 +10,7 @@ Extraction queries are classical: S.E measures and returns an outcome.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -60,6 +61,14 @@ class SimulatorS:
             self.backend = ProductState(commit.n, commit.m)
         else:
             raise ValueError(f"unknown backend {backend!r}")
+
+    def fork(self, chooser) -> "SimulatorS":
+        """An independent copy bound to chooser: its own backend and log."""
+        out = copy.copy(self)
+        out.chooser = chooser
+        out.backend = self.backend.copy()
+        out.log = list(self.log)
+        return out
 
     # -- logging ---------------------------------------------------------------
 

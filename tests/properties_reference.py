@@ -1,0 +1,122 @@
+"""Replay-based Theorem 2 property checks: the test oracle for properties.py.
+
+Every leaf of every tree is rebuilt from a fresh SimulatorS: the preparation
+prefix is replayed for each x and t, and enumerate_paths replays it again for
+each leaf.  properties.py walks each preparation tree once and forks the
+simulator at every decision instead; tests/test_property_trees.py checks
+that both give the same numbers.
+"""
+
+from __future__ import annotations
+
+from qrolab.branching import enumerate_paths
+from qrolab.linalg import density_from_branches, trace_distance
+from qrolab.properties import _preps_for
+from qrolab.relations import CommitFunction
+from qrolab.simulator import SimulatorS
+
+
+def _prep_branches(f: CommitFunction, prep):
+    """Enumerate (prob, dense D vector) after a classical-query preparation."""
+    vecs = []
+
+    def run(ch):
+        sim = SimulatorS(f, backend="dense", chooser=ch)
+        for x in prep:
+            sim.ro_classical(x)
+        vecs.append(sim.backend.d_vector())
+        return len(vecs) - 1
+
+    return [(p, vecs[i]) for p, i in enumerate_paths(run)]
+
+
+def _density_after(f: CommitFunction, prep, steps):
+    """Density operator on D after prep + the given interface calls."""
+    branches = []
+
+    def run(ch):
+        sim = SimulatorS(f, backend="dense", chooser=ch)
+        for x in prep:
+            sim.ro_classical(x)
+        for kind, arg in steps:
+            if kind == "ro":
+                sim.ro_classical(arg)
+            else:
+                sim.e_query(arg)
+        branches.append(sim.backend.d_vector())
+        return len(branches) - 1
+
+    paths = enumerate_paths(run)
+    return density_from_branches((p, branches[i]) for p, i in paths)
+
+
+def ro_idempotence(f: CommitFunction) -> float:
+    worst = 0.0
+    for prep in _preps_for(f.m):
+        for x in range(f.m):
+            rho1 = _density_after(f, prep, [("ro", x)])
+            rho2 = _density_after(f, prep, [("ro", x), ("ro", x)])
+            worst = max(worst, trace_distance(rho1, rho2))
+    return worst
+
+
+def e_idempotence(f: CommitFunction) -> tuple[float, float]:
+    """(max trace distance, max repeat-outcome disagreement probability)."""
+    worst_td = 0.0
+    worst_outcome = 0.0
+    for prep in _preps_for(f.m):
+        for t in f.t_values:
+            rho1 = _density_after(f, prep, [("e", t)])
+            rho2 = _density_after(f, prep, [("e", t), ("e", t)])
+            worst_td = max(worst_td, trace_distance(rho1, rho2))
+
+            def run(ch):
+                sim = SimulatorS(f, backend="dense", chooser=ch)
+                for x in prep:
+                    sim.ro_classical(x)
+                a = sim.e_query(t)
+                b = sim.e_query(t)
+                return a.value != b.value
+
+            disagree = sum(p for p, bad in enumerate_paths(run) if bad)
+            worst_outcome = max(worst_outcome, disagree)
+    return worst_td, worst_outcome
+
+
+def prop_4a_worst(f: CommitFunction) -> float:
+    """max over preps and t of Pr[f(x_hat, h_hat) != t and x_hat != empty]."""
+    worst = 0.0
+    for prep in _preps_for(f.m):
+        for t in f.t_values:
+
+            def run(ch):
+                sim = SimulatorS(f, backend="dense", chooser=ch)
+                for x in prep:
+                    sim.ro_classical(x)
+                x_hat = sim.e_query(t)
+                if x_hat.is_empty:
+                    return False
+                h_hat = sim.ro_classical(x_hat.value)
+                return f(x_hat.value, h_hat) != t
+
+            bad = sum(p for p, hit in enumerate_paths(run) if hit)
+            worst = max(worst, bad)
+    return worst
+
+
+def prop_4b_worst(f: CommitFunction) -> float:
+    """max over preps (no prior extraction) and x of Pr[S.E(f(x, h)) = empty]."""
+    worst = 0.0
+    for prep in _preps_for(f.m):
+        for x in range(f.m):
+
+            def run(ch):
+                sim = SimulatorS(f, backend="dense", chooser=ch)
+                for xx in prep:
+                    sim.ro_classical(xx)
+                h = sim.ro_classical(x)
+                return sim.e_query(f(x, h)).is_empty
+
+            bad = sum(p for p, hit in enumerate_paths(run) if hit)
+            worst = max(worst, bad)
+    return worst

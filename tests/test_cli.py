@@ -70,7 +70,8 @@ class TestCommands:
     @pytest.mark.parametrize("args,hash_seeds", [
         (["fo", "--trials", "50"], ("1", "2")),
         (["verify-commutator", "--relations", "4"], ("0", "0")),
-    ], ids=["fo", "verify-commutator"])
+        (["verify-theorem2"], ("1", "2")),
+    ], ids=["fo", "verify-commutator", "verify-theorem2"])
     def test_fresh_processes_write_identical_results(self, tmp_path, args, hash_seeds):
         # total_variation once followed the set's hash order, and Lanczos
         # its own unseeded start vector: both change between processes
@@ -97,6 +98,7 @@ class TestCommands:
         assert records
         for rec in records:
             assert all(rec[k] != "" for k in ("measured", "bound", "satisfied")), rec
+            assert float(rec["runtime_ms"]) > 0, rec
         rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         assert len({frozenset(r) for r in rows}) == 1
 

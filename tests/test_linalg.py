@@ -108,6 +108,25 @@ class TestDimCap:
             ProductState(10, 3).to_dense_vector()
 
 
+class TestBasisStateTolerance:
+    # a register is in a basis state, or unentangled, only within ATOL
+    @staticmethod
+    def leaky(mass):
+        state = RegisterState([("a", 2), ("b", 2)])
+        state.set_vector([np.sqrt(1.0 - mass), 0.0, 0.0, np.sqrt(mass)])
+        return state
+
+    def test_remove_register_rejects_mass_above_atol(self):
+        with pytest.raises(LayoutError):
+            self.leaky(1e-8).remove_register("a")
+        assert self.leaky(ATOL / 10).remove_register("a") == 0
+
+    def test_subvector_rejects_entanglement_above_atol(self):
+        with pytest.raises(LayoutError):
+            self.leaky(1e-8).subvector(["b"])
+        assert abs(self.leaky(ATOL / 10).subvector(["b"])[0]) > 1.0 - ATOL
+
+
 class TestOperatorNorm:
     def test_identity_is_one(self):
         assert abs(operator_norm(np.eye(4)) - 1.0) <= ATOL
