@@ -15,6 +15,15 @@ A circuit is a JSON-able dict:
 Named gates: hadamard (2^k dims), fourier (any dim), flip (cyclic +1),
 controlled-flip (|a,b> -> |a, b+a mod d>), phase (diag(1,-1,1,...), or
 diag(e^{i angle j}) when "angle" is given).
+
+The reference oracle is a purified table register.  A uniformly random
+H: [m] -> {0,1}^n is one of T = 2^{n·m} tables t.  A register _H starts in
+T^{-1/2} sum_t |t>, a query applies U_t: |x, y> -> |x, y xor table_t[x]>
+controlled on |t>, and gates and projectors act as 1_H (x) A.  Along any run
+of outcomes, with K_t its product of gates, projectors and U_t, the branch
+is T^{-1/2} sum_t |t> (x) K_t |psi_0>.  The |t> are orthonormal, so its
+squared norm is (1/T) sum_t ||K_t psi_0||^2, the table average of
+Pr[run | table_t], for every prefix: one tree covers all T tables exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import math
 
 import numpy as np
 
-from .branching import enumerate_distribution
+from .branching import _check_mass, enumerate_distribution
 from .config import ATOL
 from .engine import RegisterState
 from .linalg import total_variation
@@ -149,25 +158,27 @@ def run_circuit_compressed(circ: dict, chooser, backend: str = "dense") -> tuple
     return _finish(results, measure, circ.get("output", []))
 
 
-def run_circuit_reference(circ: dict, chooser, table) -> tuple:
-    """Execute against a plain random oracle given by an explicit table."""
+def run_circuit_reference(circ: dict, chooser) -> tuple:
+    """Execute against a uniformly random oracle: a table register _H in
+    T^{-1/2} sum_t |t>, queried as |t, x, y> -> |t, x, y xor table_t[x]> with
+    table_t[x] digit x of t in base 2^n.  _H is never measured, so each run's
+    probability is its table average (derivation in the module docstring)."""
     mats = validate_circuit(circ)
     config = OracleConfig(circ["n"], circ["m"])
-    regs = circuit_registers(circ)
-    state = RegisterState(regs)
-    big_n = config.big_n
-    # U_H: |x>|y> -> |x>|y xor H(x)> as a permutation on X (x) Y
-    uh = np.zeros((config.m * big_n, config.m * big_n))
-    for x in range(config.m):
-        for y in range(big_n):
-            uh[x * big_n + (y ^ table[x]), x * big_n + y] = 1.0
+    big_n, m = config.big_n, config.m
+    n_tables = big_n**m
+    state = RegisterState([("_H", n_tables)] + circuit_registers(circ))
+    state.tensor[(slice(None),) + (0,) * (state.tensor.ndim - 1)] = n_tables**-0.5
+    # axes 0, 1, 2 are _H, X, Y: the query reads amplitude (t, x, y xor table_t[x])
+    t, x, y = np.ogrid[:n_tables, :m, :big_n]
+    query = (t, x, y ^ ((t // big_n**x) % big_n))
 
     results: list[int] = []
     for step, mat in zip(circ["steps"], mats):
         if step["op"] == "unitary":
             state.apply(mat, step["targets"])
         elif step["op"] == "query":
-            state.apply(uh, ["X", "Y"])
+            state.tensor = state.tensor[query]
         else:
             results.extend(state.measure(step["targets"], chooser))
     return _finish(
@@ -181,29 +192,17 @@ def compressed_distribution(circ: dict, backend: str = "dense") -> dict:
 
 
 def reference_distribution(circ: dict) -> dict:
-    """Exact output distribution under a uniformly random oracle table."""
-    config = OracleConfig(circ["n"], circ["m"])
-    n_tables = config.big_n**config.m
-    acc: dict = {}
-    for code in range(n_tables):
-        rem = code
-        table = []
-        for _ in range(config.m):
-            rem, v = divmod(rem, config.big_n)
-            table.append(v)
-        dist = enumerate_distribution(
-            lambda ch: run_circuit_reference(circ, ch, table)
-        )
-        for k, p in dist.items():
-            acc[k] = acc.get(k, 0.0) + p / n_tables
-    return acc
+    """Exact output distribution under a uniformly random oracle."""
+    return enumerate_distribution(lambda ch: run_circuit_reference(circ, ch))
 
 
 def indistinguishability_gap(circ: dict, backend: str = "dense") -> float:
-    """Total variation between compressed-oracle and reference-RO outputs."""
-    return total_variation(
-        compressed_distribution(circ, backend), reference_distribution(circ)
-    )
+    """Total variation between compressed-oracle and reference-RO outputs;
+    raises ValueError if either mass is off 1 by more than ATOL (lost leaves)."""
+    dists = compressed_distribution(circ, backend), reference_distribution(circ)
+    for dist in dists:
+        _check_mass(math.fsum(dist.values()))
+    return total_variation(*dists)
 
 
 # -- bundled circuit families ------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qrolab import circuits
 from qrolab.circuits import (
     compressed_distribution,
     equivalence_suite,
@@ -75,6 +76,17 @@ class TestNamedCircuits:
         circ = named_circuits(1, 2)[0]
         for dist in (compressed_distribution(circ), reference_distribution(circ)):
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("side", ["compressed_distribution", "reference_distribution"])
+    def test_gap_refuses_a_tree_with_a_leaf_dropped(self, monkeypatch, side):
+        full = getattr(circuits, side)
+
+        def one_leaf_short(circ, *args):
+            return dict(list(full(circ, *args).items())[1:])
+
+        monkeypatch.setattr(circuits, side, one_leaf_short)
+        with pytest.raises(ValueError, match="outcome mass"):
+            indistinguishability_gap(named_circuits(1, 2)[0])
 
 
 class TestRandomCircuits:
