@@ -440,6 +440,10 @@ def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[Report]:
         backend_agreement_experiment(
             pke22, garbage_decaps_adversary(first_non_image_ciphertext(pke22)),
             keep_ro_query=True, key_bits=1),
+        # one Decaps and no RO query after it: no swap term, so the budget
+        # 4/2^n = 0.5 binds at n = 3
+        backend_agreement_experiment(toy_pke(2, 3, seed=5), key_checking_adversary((0,), 1),
+                                     key_bits=1),
     ]
     reports.extend(replace(rep, experiment="fo-backend-agreement") for rep in agreements)
 

@@ -2,9 +2,9 @@
 
 Two representations share one interface:
 
-* SparseState: an associative map from canonical databases (sorted (x, cell)
-  pairs; absent registers are |bot>) to complex amplitudes, with optional
-  prefix registers so adversary/X/Y coordinates can evolve jointly with the
+* SparseState: a flat map from canonical databases (sorted (x, cell) pairs;
+  absent registers are |bot>) to complex amplitudes, with optional prefix
+  registers so adversary/X/Y coordinates can evolve jointly with the
   database.  Handles quantum queries via the Hadamard-frame permutation.
 * ProductState: one independent cell column per queried register.  Classical
   queries and extraction measurements keep product form exactly, so this
@@ -14,12 +14,15 @@ Two representations share one interface:
 Cells are stored in the computational basis at rest; quantum queries switch
 to the Hadamard frame transiently.
 
-SparseState's one representation is `amps`, a dict from (prefix tuple, db
-tuple) to a complex amplitude.  Each operation reads it into arrays once (an
-E x L matrix of prefix values, the distinct db tuples with a db id per entry,
-the amplitudes), groups entries by integer codes with `np.unique`, works in
-numpy (one block product per prefix unitary or register column, one
-`np.where` permutation per quantum query) and builds the dict once.
+SparseState holds its E entries as arrays, the one representation: an E x L
+matrix of prefix values, E x W matrices of register ids and cells (each row
+sorted by register and padded with register m, cell 0; W is the longest db
+present) and the E amplitudes.  Every operation groups entries by integer
+codes with `np.unique` and works in numpy (one block product per prefix
+unitary or register column, one `np.where` permutation per quantum query).
+Operations build new arrays and never write into the ones they were given, so
+`copy` shares them.  `amps`, the dict from (prefix tuple, db tuple) to
+amplitude, is derived on each read.
 
 Both backends take `measure_relation(member, chooser, satisfying=None)`;
 `satisfying(x)` lists register x's cells in the relation, replacing the
@@ -38,10 +41,8 @@ the representation.  ProductState's docstring gives the update formulas.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from collections import defaultdict
-from itertools import chain, compress, repeat
-from operator import itemgetter
+import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,20 +93,32 @@ def _normalized(amp: np.ndarray) -> np.ndarray:
     return amp / nrm if abs(nrm - 1.0) > 1e-15 else amp
 
 
-def _ids(items, count: int):
-    """The distinct items in first-seen order, and each item's index among them."""
-    index: dict = defaultdict()
-    index.default_factory = index.__len__  # a new item gets the next index
-    ids = np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=count)
-    return list(index), ids
+def _groups(cols, dims, count: int):
+    """Group rows by their values in the integer columns cols (column i below
+    dims[i]): each group's first row and each row's group, groups in
+    lexicographic order.  Rows are compared as one int64 code each, or as
+    matrix rows where the codes would overflow."""
+    if not cols:
+        return np.zeros(min(count, 1), dtype=np.int64), np.zeros(count, dtype=np.int64)
+    if math.prod(dims) <= np.iinfo(np.int64).max:
+        keys = np.ravel_multi_index(tuple(cols), dims)
+    else:
+        keys = np.stack(cols, axis=1)
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, group.reshape(-1)
 
 
-def _split(db: tuple, x: int):
-    """(cell of register x or BOT, pairs below x, pairs above x) of a sorted db."""
-    i = bisect_left(db, (x,))
-    if i < len(db) and db[i][0] == x:
-        return db[i][1], db[:i], db[i + 1:]
-    return BOT, db[:i], db[i:]
+def _sorted_rows(reg, cell):
+    """reg and cell with each row sorted by register, so padding goes last."""
+    order = np.argsort(reg, axis=1, kind="stable")
+    rows = np.arange(len(reg))[:, None]
+    return reg[rows, order], cell[rows, order]
+
+
+def _trimmed(reg, cell, m: int):
+    """Sorted reg and cell rows cut to the longest db among them."""
+    width = int((reg < m).sum(axis=1).max(initial=0))
+    return reg[:, :width], cell[:, :width]
 
 
 class SparseState:
@@ -115,8 +128,9 @@ class SparseState:
         self.q_cap = q_cap
         self.basis = COMPUTATIONAL
         self.prefix = tuple((str(lab), int(d)) for lab, d in prefix)
-        start = (0,) * len(self.prefix)
-        self.amps: dict = {(start, ()): 1.0 + 0.0j}
+        empty = np.zeros((1, 0), dtype=np.int64)
+        self._set(np.zeros((1, len(self.prefix)), dtype=np.int64), empty, empty,
+                  np.ones(1, dtype=complex))
 
     @property
     def big_n(self) -> int:
@@ -129,77 +143,95 @@ class SparseState:
         raise KeyError(f"unknown prefix register {label!r}")
 
     def copy(self) -> "SparseState":
+        """A copy that shares the arrays, which no operation writes into."""
         out = type(self).__new__(type(self))
-        out.n, out.m, out.q_cap = self.n, self.m, self.q_cap
-        out.basis = self.basis
-        out.prefix = self.prefix
-        out.amps = dict(self.amps)
+        out.__dict__.update(self.__dict__)
         return out
 
-    def _amp_array(self) -> np.ndarray:
-        return np.fromiter(self.amps.values(), dtype=complex, count=len(self.amps))
+    @property
+    def amps(self):
+        """The state as a read-only map from (prefix tuple, db tuple) to
+        amplitude, derived from the arrays on each read."""
+        lens = (self.reg < self.m).sum(axis=1).tolist()
+        dbs = (tuple(zip(r[:k], c[:k]))
+               for r, c, k in zip(self.reg.tolist(), self.cell.tolist(), lens))
+        keys = zip(map(tuple, self.pre.tolist()), dbs)
+        return MappingProxyType(dict(zip(keys, self.amp.tolist())))
+
+    @amps.setter
+    def amps(self, mapping) -> None:
+        """Load the whole state from a map (prefix tuple, db tuple) -> amplitude."""
+        keys = list(mapping)
+        reg = np.full((len(keys), max((len(db) for _, db in keys), default=0)), self.m,
+                      dtype=np.int64)
+        cell = np.zeros_like(reg)
+        for i, (_, db) in enumerate(keys):
+            for j, (x, c) in enumerate(db):
+                if not 0 <= x < self.m:  # register m pads the rows
+                    raise ValueError(f"db register {x} out of domain range")
+                reg[i, j], cell[i, j] = x, c
+        pre = np.array([p for p, _ in keys], dtype=np.int64).reshape(len(keys), len(self.prefix))
+        amp = np.fromiter(mapping.values(), dtype=complex, count=len(keys))
+        self._set(pre, *_sorted_rows(reg, cell), amp)
 
     def norm_sq(self) -> float:
-        amp = self._amp_array()
-        return float(np.vdot(amp, amp).real)
+        return float(np.vdot(self.amp, self.amp).real)
 
     def renormalize(self) -> None:
-        amp = self._amp_array()
-        out = _normalized(amp)
-        if out is not amp:
-            self.amps = dict(zip(self.amps, out.tolist()))
+        self.amp = _normalized(self.amp)
 
     def prune(self, eps: float = PRUNE_EPS) -> None:
-        keep = np.abs(self._amp_array()) > eps
+        keep = np.abs(self.amp) > eps
         if not keep.all():
-            self.amps = dict(compress(self.amps.items(), keep.tolist()))
+            self._set(self.pre[keep], self.reg[keep], self.cell[keep], self.amp[keep])
 
     def support(self) -> int:
-        return len(self.amps)
+        return len(self.amp)
 
     # -- array form ----------------------------------------------------------------
 
-    def _to_arrays(self):
-        """The map as arrays: an E x L matrix of prefix values, the distinct
-        database tuples with a db id per entry, and the amplitudes."""
-        keys = list(self.amps)
-        count, width = len(keys), len(self.prefix)
-        pre = np.fromiter(chain.from_iterable(map(itemgetter(0), keys)), dtype=np.int64,
-                          count=count * width).reshape(count, width)
-        dbs, db_id = _ids(map(itemgetter(1), keys), count)
-        return pre, dbs, db_id, self._amp_array()
+    def _set(self, pre, reg, cell, amp) -> None:
+        """Hold new arrays, W cut to the longest db present."""
+        self.pre, (self.reg, self.cell), self.amp = pre, _trimmed(reg, cell, self.m), amp
 
-    def _codes(self, pre, axes, ids, n_ids: int) -> np.ndarray:
-        """One integer per entry for its prefix values on axes and its id."""
-        return np.ravel_multi_index(tuple(pre[:, axes].T) + (ids,),
-                                    [self.prefix[a][1] for a in axes] + [n_ids])
-
-    def _set_arrays(self, pre, dbs, db_id, amp) -> None:
-        """Rebuild the map from arrays whose (prefix, db) keys are distinct."""
-        pres = zip(*pre.T.tolist()) if len(self.prefix) else repeat((), len(pre))
-        keys = zip(pres, map(dbs.__getitem__, db_id.tolist()))
-        self.amps = dict(zip(keys, amp.tolist()))
-
-    def _collapse(self, keep, amp) -> None:
+    def _collapse(self, keep) -> None:
         """Keep the entries where keep holds, renormalized."""
-        self.amps = dict(zip(compress(self.amps, keep.tolist()),
-                             _normalized(amp[keep]).tolist()))
+        self._set(self.pre[keep], self.reg[keep], self.cell[keep], _normalized(self.amp[keep]))
+
+    def _group(self, pre, axes, reg, cell):
+        """Group entries by their prefix values on axes and their db."""
+        width = reg.shape[1]
+        dims = [self.prefix[a][1] for a in axes] + [self.m + 1] * width + [self.big_n] * width
+        return _groups([pre[:, a] for a in axes] + list(reg.T) + list(cell.T), dims, len(pre))
+
+    def _padded(self, reg, cell, width: int):
+        """reg and cell padded to width columns."""
+        extra = (len(reg), width - reg.shape[1])
+        return (np.concatenate([reg, np.full(extra, self.m)], axis=1),
+                np.concatenate([cell, np.zeros(extra, dtype=np.int64)], axis=1))
 
     def _columns(self, x: int):
-        """Entries as columns of register x: per context (a prefix value and
-        the db without x) its (prefix, pairs below x, pairs above x); per
-        entry its context, cell (BOT where x is absent) and amplitude."""
+        """Entries as columns of register x.  Per entry: its context (prefix
+        values and db without x) and its cell of x (BOT where absent).  Per
+        context: its first entry, and its db without x as reg and cell rows."""
         if not 0 <= x < self.m:
             raise ValueError(f"x={x} out of domain range")
-        pre, dbs, db_id, amp = self._to_arrays()
-        split = [_split(db, x) for db in dbs]
-        rests, rest = _ids((below + above for _, below, above in split), len(dbs))
-        cell = np.fromiter((c for c, _, _ in split), dtype=np.int64, count=len(dbs))[db_id]
-        code = self._codes(pre, range(len(self.prefix)), rest[db_id], len(rests))
-        _, first, ctx = np.unique(code, return_index=True, return_inverse=True)
-        heads = [(p, split[i][1], split[i][2])
-                 for p, i in zip(map(tuple, pre[first].tolist()), db_id[first].tolist())]
-        return heads, ctx, cell, amp
+        rows, pos = np.nonzero(self.reg == x)
+        cell = np.full(len(self.amp), BOT)
+        cell[rows] = self.cell[rows, pos]
+        reg, rest = self.reg.copy(), self.cell.copy()
+        reg[rows, pos], rest[rows, pos] = self.m, 0
+        reg, rest = _trimmed(*_sorted_rows(reg, rest), self.m)
+        first, ctx = self._group(self.pre, range(len(self.prefix)), reg, rest)
+        return ctx, cell, first, reg[first], rest[first]
+
+    def _insert(self, reg, cell, x: int):
+        """Rows of reg and cell (dbs without x) with register x added at cell
+        0, and x's column in each."""
+        reg, cell = self._padded(reg, cell, reg.shape[1] + 1)
+        reg[:, -1] = x
+        reg, cell = _sorted_rows(reg, cell)
+        return reg, cell, (reg == x).argmax(axis=1)
 
     # -- classical query -------------------------------------------------------
 
@@ -209,22 +241,21 @@ class SparseState:
         if self.basis != target:
             self.basis_switch()
 
-    def _block(self, cols):
+    def _block(self, ctx, cell, n_ctx: int):
         """Columns as a (contexts x 2^n) block, and each context's bot amplitude."""
-        heads, ctx, cell, amp = cols
         at_bot = cell == BOT
-        bots = np.zeros(len(heads), dtype=complex)
-        bots[ctx[at_bot]] = amp[at_bot]
-        block = np.zeros((len(heads), self.big_n), dtype=complex)
-        block[ctx[~at_bot], cell[~at_bot]] = amp[~at_bot]
+        bots = np.zeros(n_ctx, dtype=complex)
+        bots[ctx[at_bot]] = self.amp[at_bot]
+        block = np.zeros((n_ctx, self.big_n), dtype=complex)
+        block[ctx[~at_bot], cell[~at_bot]] = self.amp[~at_bot]
         return block, bots
 
-    def _response(self, cols):
+    def _response(self, ctx, cell, n_ctx: int):
         """The columns' computational block, Kraus coefficients b and c0, and
         the response distribution |v[h] + c0|^2 (+ |b|^2 at h = 0).  In the
         Hadamard frame b = w[0] and the block is one transform away."""
         root = np.sqrt(self.big_n)
-        block, bots = self._block(cols)
+        block, bots = self._block(ctx, cell, n_ctx)
         if self.basis == COMPUTATIONAL:
             b = block.sum(axis=1) / root
         else:
@@ -237,35 +268,35 @@ class SparseState:
 
     def classical_query_probs(self, x: int) -> np.ndarray:
         """Response distribution of a classical query, without performing it."""
-        return self._response(self._columns(x))[3]
+        ctx, cell, first, _, _ = self._columns(x)
+        return self._response(ctx, cell, len(first))[3]
 
     def classical_query(self, x: int, chooser) -> int:
         """Classical RO-query via the Kraus form K_h = F(|h><h| + d_h0 |bot><bot|)F."""
         self.ensure_basis(COMPUTATIONAL)
-        cols = self._columns(x)
-        heads, ctx, cell, _ = cols
-        rest_len = np.array([len(below) + len(above) for _, below, above in heads])
-        cells_held = np.bincount(ctx[cell != BOT], minlength=len(heads))
+        ctx, cell, first, rest_reg, rest_cell = self._columns(x)
+        n_ctx = len(first)
+        rest_len = (rest_reg < self.m).sum(axis=1)
+        cells_held = np.bincount(ctx[cell != BOT], minlength=n_ctx)
         if np.any((rest_len >= self.q_cap) & (cells_held == 0)):  # x would add a cell
             raise QCapError("query budget exhausted: key would exceed q_cap")
-        block, b, c0, probs = self._response(cols)
+        block, b, c0, probs = self._response(ctx, cell, n_ctx)
         h = int(chooser.choose(probs))
         big_n = self.big_n
         root = np.sqrt(big_n)
         alpha = block[:, h] + c0
         gamma = ((b if h == 0 else 0.0) - alpha / root) / root
-        cells = np.full((len(heads), big_n + 1), gamma[:, None])
+        cells = np.full((n_ctx, big_n + 1), gamma[:, None])
         cells[:, h] += alpha
         cells[:, big_n] = alpha / root
-        pairs = list(zip(repeat(int(x)), range(big_n)))
-        new: dict = {}
-        for (p, below, above), row in zip(heads, _normalized(cells).tolist()):
-            dbs = map(below.__add__, zip(pairs))  # below + ((x, y),), built in C
-            if above:
-                dbs = map(tuple.__add__, dbs, repeat(above))
-            new.update(zip(zip(repeat(p), dbs), row))
-            new[(p, below + above)] = row[big_n]
-        self.amps = new
+        # per context: x holding each cell y < 2^n, then x absent
+        reg, col, at = self._insert(rest_reg, rest_cell, x)
+        reg = np.repeat(reg[:, None], big_n + 1, axis=1)
+        col = np.repeat(col[:, None], big_n + 1, axis=1)
+        col[np.arange(n_ctx)[:, None], np.arange(big_n), at[:, None]] = np.arange(big_n)
+        reg[:, big_n], col[:, big_n] = self._padded(rest_reg, rest_cell, reg.shape[2])
+        self._set(np.repeat(self.pre[first], big_n + 1, axis=0), reg.reshape(-1, reg.shape[2]),
+                  col.reshape(-1, reg.shape[2]), _normalized(cells).reshape(-1))
         self.prune()
         return h
 
@@ -273,17 +304,18 @@ class SparseState:
 
     def basis_switch(self) -> None:
         """Toggle between computational and Hadamard cell bases (involutive)."""
-        regs = sorted({x for db in {db for _, db in self.amps} for x, _ in db})
-        for x in regs:
-            heads, ctx, cell, amp = cols = self._columns(x)
-            block = fwht(self._block(cols)[0].T).T
+        for x in np.unique(self.reg[self.reg < self.m]).tolist():
+            ctx, cell, first, rest_reg, rest_cell = self._columns(x)
+            block = fwht(self._block(ctx, cell, len(first))[0].T).T
             rows, cells = np.nonzero(block)
-            bot = np.flatnonzero((cell == BOT) & (amp != 0))
-            keys = [(p, below + ((x, c),) + above) for (p, below, above), c in
-                    zip(map(heads.__getitem__, rows.tolist()), cells.tolist())]
-            keys += [(p, below + above) for p, below, above in map(heads.__getitem__,
-                                                                   ctx[bot].tolist())]
-            self.amps = dict(zip(keys, block[rows, cells].tolist() + amp[bot].tolist()))
+            bot = np.flatnonzero((cell == BOT) & (self.amp != 0))
+            reg, col, at = self._insert(rest_reg, rest_cell, x)
+            reg, col = reg[rows], col[rows]
+            col[np.arange(len(rows)), at[rows]] = cells
+            bot_reg, bot_cell = self._padded(self.reg[bot], self.cell[bot], reg.shape[1])
+            self._set(np.concatenate([self.pre[first[rows]], self.pre[bot]]),
+                      np.concatenate([reg, bot_reg]), np.concatenate([col, bot_cell]),
+                      np.concatenate([block[rows, cells], self.amp[bot]]))
         self.basis = HADAMARD if self.basis == COMPUTATIONAL else COMPUTATIONAL
         self.prune()
 
@@ -299,27 +331,24 @@ class SparseState:
         dims = [self.prefix[a][1] for a in axes]
         rest = [i for i in range(len(self.prefix)) if i not in axes]
         mat = np.asarray(matrix, dtype=complex)
-        pre, dbs, db_id, amp = self._to_arrays()
-        flat = np.ravel_multi_index(tuple(pre[:, axes].T), dims)
-        _, first, group = np.unique(self._codes(pre, rest, db_id, len(dbs)),
-                                    return_index=True, return_inverse=True)
+        flat = np.ravel_multi_index(tuple(self.pre[:, axes].T), dims)
+        first, group = self._group(self.pre, rest, self.reg, self.cell)
         block = np.zeros((len(first), mat.shape[1]), dtype=complex)
-        block[group, flat] = amp
+        block[group, flat] = self.amp
         block = block @ mat.T
         rows, flats = np.nonzero(block)
         src = first[rows]
-        new_pre = pre[src]
-        new_pre[:, axes] = np.stack(np.unravel_index(flats, dims), axis=1)
-        self._set_arrays(new_pre, dbs, db_id[src], block[rows, flats])
+        pre = self.pre[src]
+        pre[:, axes] = np.stack(np.unravel_index(flats, dims), axis=1)
+        self._set(pre, self.reg[src], self.cell[src], block[rows, flats])
         self.prune()
 
     def measure_prefix(self, label: str, chooser) -> int:
         ax = self.prefix_axis(label)
-        pre, dbs, db_id, amp = self._to_arrays()
-        probs = np.bincount(pre[:, ax], weights=np.abs(amp) ** 2,
+        probs = np.bincount(self.pre[:, ax], weights=np.abs(self.amp) ** 2,
                             minlength=self.prefix[ax][1])
         v = int(chooser.choose(probs))
-        self._collapse(pre[:, ax] == v, amp)
+        self._collapse(self.pre[:, ax] == v)
         return v
 
     def quantum_query(self, x_label: str, y_label: str) -> None:
@@ -332,40 +361,33 @@ class SparseState:
         """
         x_ax = self.prefix_axis(x_label)
         y_ax = self.prefix_axis(y_label)
-        big_n = self.big_n
-        if self.prefix[y_ax][1] != big_n:
+        if self.prefix[y_ax][1] != self.big_n:
             raise ValueError("Y register dimension must be 2^n")
+        if self.prefix[x_ax][1] > self.m:  # register m pads the db rows
+            raise ValueError("X register dimension must be at most m")
         from .oracle import walsh
 
         self.ensure_basis(HADAMARD)
         self.apply_prefix_unitary(y_label, walsh(self.n))
-        pre, dbs, db_id, amp = self._to_arrays()
-        # register x's cell, once per distinct (db, x)
-        shape = (len(dbs), self.m)
-        pairs, pair_of = np.unique(np.ravel_multi_index((db_id, pre[:, x_ax]), shape),
-                                   return_inverse=True)
-        pair_db, pair_x = (a.tolist() for a in np.unravel_index(pairs, shape))
-        split = [_split(dbs[d], x) for d, x in zip(pair_db, pair_x)]
-        cell = np.fromiter((c for c, _, _ in split), dtype=np.int64, count=len(split))[pair_of]
-        eta = pre[:, y_ax]
-        out = np.where(eta == 0, cell, np.where(
-            cell == BOT, eta, np.where(cell == 0, 0, np.where(cell == eta, BOT, cell ^ eta))))
-        lens = np.fromiter(map(len, dbs), dtype=np.int64, count=len(dbs))
-        if np.any((cell == BOT) & (out != BOT) & (lens[db_id] + 1 > self.q_cap)):
+        xs, eta = self.pre[:, x_ax], self.pre[:, y_ax]
+        reg, cell = self._padded(self.reg, self.cell, self.reg.shape[1] + 1)
+        at = reg == xs[:, None]
+        has = at.any(axis=1)
+        # register x's column; an absent x takes the new padding column
+        pos = np.where(has, at.argmax(axis=1), self.reg.shape[1])
+        rows = np.arange(len(self.amp))
+        old = np.where(has, cell[rows, pos], BOT)
+        out = np.where(eta == 0, old, np.where(
+            old == BOT, eta, np.where(old == 0, 0, np.where(old == eta, BOT, old ^ eta))))
+        lens = (self.reg < self.m).sum(axis=1)
+        if np.any((old == BOT) & (out != BOT) & (lens + 1 > self.q_cap)):
             raise QCapError("query budget exhausted: key would exceed q_cap")
-        # the new db tuple, once per distinct (db, x, out cell)
-        shape = (len(pairs), big_n + 1)
-        trips, trip_of = np.unique(np.ravel_multi_index((pair_of, out + 1), shape),
-                                   return_inverse=True)
-        new = [split[p][1] + split[p][2] if c == 0 else
-               split[p][1] + ((pair_x[p], c - 1),) + split[p][2]
-               for p, c in zip(*(a.tolist() for a in np.unravel_index(trips, shape)))]
-        new_dbs, new_db = _ids(new, len(new))
-        new_db = new_db[trip_of]
-        code = self._codes(pre, range(len(self.prefix)), new_db, len(new_dbs))
-        if len(np.unique(code)) != len(code):
+        reg[rows, pos] = np.where(out == BOT, self.m, xs)
+        cell[rows, pos] = np.where(out == BOT, 0, out)
+        reg, cell = _trimmed(*_sorted_rows(reg, cell), self.m)
+        if len(self._group(self.pre, range(len(self.prefix)), reg, cell)[0]) != len(rows):
             raise RuntimeError("quantum query mapped two keys to one")
-        self._set_arrays(pre, new_dbs, new_db, amp)
+        self._set(self.pre, reg, cell, self.amp)
         self.apply_prefix_unitary(y_label, walsh(self.n))
 
     # -- extraction measurement --------------------------------------------------
@@ -379,28 +401,23 @@ class SparseState:
         the registers actually present in keys.
         """
         self.ensure_basis(COMPUTATIONAL)
-        pre, dbs, db_id, amp = self._to_arrays()
-        lens = np.fromiter(map(len, dbs), dtype=np.int64, count=len(dbs))
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(dbs)), dtype=np.int64,
-                            count=2 * int(lens.sum())).reshape(-1, 2)
-        xs, cells = pairs[:, 0], pairs[:, 1]
+        held = self.reg < self.m
+        hits = np.zeros_like(held)
         if satisfying is None:
-            hit = np.fromiter(map(member, xs.tolist(), cells.tolist()), dtype=bool,
-                              count=len(xs))
+            hits[held] = np.fromiter(map(member, self.reg[held].tolist(),
+                                         self.cell[held].tolist()), dtype=bool)
         else:
-            hit = np.zeros(len(xs), dtype=bool)
-            for x in np.unique(xs).tolist():
-                at = xs == x
-                hit[at] = np.isin(cells[at], np.fromiter(satisfying(x), dtype=np.int64))
-        first = np.full(len(dbs), self.m, dtype=np.int64)  # m encodes the empty outcome
-        np.minimum.at(first, np.repeat(np.arange(len(dbs)), lens)[hit], xs[hit])
-        outcome = first[db_id]
+            for x in np.unique(self.reg[held]).tolist():
+                sat = np.fromiter(satisfying(x), dtype=np.int64)
+                hits |= (self.reg == x) & np.isin(self.cell, sat)
+        # m encodes the empty outcome
+        outcome = np.where(hits, self.reg, self.m).min(axis=1, initial=self.m)
         values, which = np.unique(outcome, return_inverse=True)
-        mass = np.bincount(which, weights=np.abs(amp) ** 2, minlength=len(values))
+        mass = np.bincount(which, weights=np.abs(self.amp) ** 2, minlength=len(values))
         if values[-1] != self.m:
             values, mass = np.append(values, self.m), np.append(mass, 0.0)
         pick = int(values[int(chooser.choose(mass))])
-        self._collapse(outcome == pick, amp)
+        self._collapse(outcome == pick)
         self.prune()
         return None if pick == self.m else pick
 
@@ -409,64 +426,40 @@ class SparseState:
     def to_dense_vector(self) -> np.ndarray:
         """Decode into a dense vector over prefix (x) D (row-major, bot = 2^n)."""
         self.ensure_basis(COMPUTATIONAL)
-        cd = self.big_n + 1
-        d_dim = cd**self.m
-        total = d_dim
-        for _, d in self.prefix:
-            total *= d
+        dims = [d for _, d in self.prefix] + [self.big_n + 1] * self.m
+        total = math.prod(dims)
         if total > DIM_CAP:
             raise MemoryError(f"densification dimension {total} exceeds cap {DIM_CAP}")
-        pre_dims = [d for _, d in self.prefix]
+        cells = np.full((len(self.amp), self.m), self.big_n)
+        held = self.reg < self.m
+        cells[np.nonzero(held)[0], self.reg[held]] = self.cell[held]
         vec = np.zeros(total, dtype=complex)
-        for (pre, db), amp in self.amps.items():
-            d_idx = 0
-            cells = dict(db)
-            for x in range(self.m):
-                d_idx = d_idx * cd + cells.get(x, self.big_n)
-            flat = 0
-            for v, d in zip(pre, pre_dims):
-                flat = flat * d + v
-            vec[flat * d_dim + d_idx] = amp
+        vec[np.ravel_multi_index(tuple(self.pre.T) + tuple(cells.T), dims)] = self.amp
         return vec
 
     @classmethod
     def from_dense_vector(cls, vec, n: int, m: int, q_cap: int, prefix=(),
                           tol: float = 0.0) -> "SparseState":
         out = cls(n, m, q_cap, prefix=prefix)
-        cd = 2**n + 1
-        pre_dims = [d for _, d in out.prefix]
-        d_dim = cd**m
-        out.amps = {}
+        width = len(out.prefix)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
-        for flat in np.nonzero(np.abs(vec) > tol)[0]:
-            pre_flat, d_idx = divmod(int(flat), d_dim)
-            pre = []
-            for d in reversed(pre_dims):
-                pre_flat, v = divmod(pre_flat, d)
-                pre.append(v)
-            pre = tuple(reversed(pre))
-            db = []
-            rem = d_idx
-            for x in reversed(range(m)):
-                rem, cell = divmod(rem, cd)
-                if cell != 2**n:
-                    db.append((x, cell))
-            db = tuple(sorted(db))
+        flat = np.flatnonzero(np.abs(vec) > tol)
+        index = np.unravel_index(flat, [d for _, d in out.prefix] + [2**n + 1] * m)
+        amps = {}
+        for f, key in zip(flat.tolist(), zip(*(a.tolist() for a in index))):
+            db = tuple((x, c) for x, c in enumerate(key[width:]) if c != 2**n)
             if len(db) > q_cap:
                 raise QCapError(f"dense support needs {len(db)} cells > q_cap={q_cap}")
-            out.amps[(pre, db)] = complex(vec[flat])
+            amps[(key[:width], db)] = complex(vec[f])
+        out.amps = amps
         return out
 
     def inner(self, other: "SparseState") -> complex:
         """<self|other> over shared keys."""
         if self.basis != other.basis:
             raise BasisError("inner product requires a common basis")
-        acc = 0.0 + 0.0j
-        for k, a in self.amps.items():
-            b = other.amps.get(k)
-            if b is not None:
-                acc += np.conj(a) * b
-        return complex(acc)
+        theirs = other.amps
+        return complex(sum(np.conj(a) * theirs[k] for k, a in self.amps.items() if k in theirs))
 
     def dump_json_lines(self) -> str:
         lines = []
@@ -482,13 +475,9 @@ class SparseState:
     @classmethod
     def load_json_lines(cls, text: str, n: int, m: int, q_cap: int, prefix=()) -> "SparseState":
         out = cls(n, m, q_cap, prefix=prefix)
-        out.amps = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            key = (tuple(rec["prefix"]), tuple((x, c) for x, c in rec["db"]))
-            out.amps[key] = complex(rec["re"], rec["im"])
+        recs = [json.loads(line) for line in text.splitlines() if line.strip()]
+        out.amps = {(tuple(rec["prefix"]), tuple(map(tuple, rec["db"]))):
+                    complex(rec["re"], rec["im"]) for rec in recs}
         return out
 
 

@@ -72,7 +72,8 @@ class TestCommands:
         (["verify-commutator", "--relations", "4"], ("0", "0")),
         (["verify-theorem2"], ("1", "2")),
         (["equivalence"], ("1", "2")),
-    ], ids=["fo", "verify-commutator", "verify-theorem2", "equivalence"])
+        (["equivalence", "--backend", "sparse"], ("1", "2")),
+    ], ids=["fo", "verify-commutator", "verify-theorem2", "equivalence", "equivalence-sparse"])
     def test_fresh_processes_write_identical_results(self, tmp_path, args, hash_seeds):
         # total_variation once followed the set's hash order, and Lanczos
         # its own unseeded start vector: both change between processes

@@ -179,12 +179,13 @@ def _dense_with_xy(config, xy):
 def _sparse_with_xy(config, xy, q_cap=4):
     sp = SparseState(config.n, config.m, q_cap=q_cap,
                      prefix=(("X", config.m), ("Y", config.big_n)))
-    sp.amps = {}
+    amps = {}
     for x in range(config.m):
         for y in range(config.big_n):
             amp = xy[x * config.big_n + y]
             if amp != 0:
-                sp.amps[((x, y), ())] = complex(amp)
+                amps[((x, y), ())] = complex(amp)
+    sp.amps = amps
     return sp
 
 

@@ -6,6 +6,10 @@ classical queries, prefix measurements and extraction measurements (with
 give the same amplitude map after every step, the same branch probabilities
 and outcome distribution, and the same seeded draws as
 `ReferenceSparseState`.  The q_cap checks must fire at the same key length.
+The `amps` map is derived from SparseState's arrays, so every step also
+checks that it has one key per entry: a derived dict silently merges
+duplicate keys.  Operations on a copy must leave the original unchanged,
+since copies share their arrays.
 """
 
 import numpy as np
@@ -82,6 +86,7 @@ def play(state, ops, pairs, chooser, snapshots=True):
             outcomes.append(state.measure_relation(member, chooser, satisfying=satisfying))
         else:
             outcomes.append(state.measure_relation(member, chooser))
+        assert len(state.amps) == state.support()
         if snapshots:
             maps.append((state.basis, dict(state.amps)))
     return tuple(outcomes), maps
@@ -98,7 +103,8 @@ def assert_same_map(fast, slow):
 # Re-queries after an extraction miss, where a column's uniform part b is
 # nonzero and a response of 0 adds it back, a register with two cells in the
 # relation, and a second quantum query meeting the cell the first one wrote:
-# rare among random programs.
+# rare among random programs.  At m = 2^40, a db of two cells makes the
+# grouping codes overflow int64, so entries are grouped as matrix rows.
 @settings(max_examples=60, deadline=None)
 @given(programs())
 @example((1, 2, regs_of(1, 2), frozenset(),
@@ -111,6 +117,10 @@ def assert_same_map(fast, slow):
 @example((2, 2, regs_of(2, 2), frozenset({(0, 1), (1, 2)}),
           (("unitary", (["X"], random_unitary(2, 3, "dense"))), ("quantum", None),
            ("classical", 0), ("relation", True), ("classical", 0))))
+@example((2, 2**40, (("X", 2), ("Y", 4), ("W", W_DIM)), frozenset({(0, 1), (1, 2)}),
+          (("unitary", (["X", "W"], random_unitary(4, 6, "dense"))), ("quantum", None),
+           ("unitary", (["X", "Y"], random_unitary(8, 5, "dense"))), ("quantum", None),
+           ("classical", 1), ("relation", True))))
 def test_array_passes_match_reference(program):
     n, m, regs, pairs, ops = program
     q_cap = sum(kind in ("quantum", "classical") for kind, _ in ops)
@@ -197,3 +207,45 @@ def test_quantum_query_refuses_colliding_keys():
     state.amps = {((0, 0), ()): 0.6 + 0j, ((0, 0), ((0, 1), (0, 1))): 0.8 + 0j}
     with pytest.raises(RuntimeError, match="two keys"):
         state.quantum_query("X", "Y")
+
+
+def test_registers_beyond_the_domain_are_refused():
+    # register m pads the db rows, so a register m would vanish into them
+    state = SparseState(1, 2, 3, prefix=(("X", 3), ("Y", 2)))
+    with pytest.raises(ValueError, match="at most m"):
+        state.quantum_query("X", "Y")
+    with pytest.raises(ValueError, match="out of domain range"):
+        state.amps = {((0, 0), ((2, 1),)): 1.0 + 0j}
+
+
+FORK_OPS = {
+    "unitary": lambda s, ch: s.apply_prefix_unitary(["Y", "X"], random_unitary(8, 4, "dense")),
+    "quantum": lambda s, ch: s.quantum_query("X", "Y"),
+    "classical": lambda s, ch: s.classical_query(2, ch),
+    "requery": lambda s, ch: s.classical_query(0, ch),
+    "basis": lambda s, ch: s.basis_switch(),
+    "prefix": lambda s, ch: s.measure_prefix("X", ch),
+    "relation": lambda s, ch: s.measure_relation(lambda x, c: c == 1, ch),
+    "satisfying": lambda s, ch: s.measure_relation(None, ch, satisfying=lambda x: [0]),
+    "probs": lambda s, ch: s.classical_query_probs(1),
+    "prune": lambda s, ch: s.prune(0.3),
+    "renormalize": lambda s, ch: (s.prune(0.3), s.renormalize()),
+    "dense": lambda s, ch: s.to_dense_vector(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(FORK_OPS))
+def test_ops_on_a_copy_leave_the_original_unchanged(op):
+    """SimulatorS.fork and grover_experiment run ops on copy()s, which share
+    the original's arrays."""
+    state = SparseState(1, 4, 4, prefix=(("X", 4), ("Y", 2)))
+    state.apply_prefix_unitary("X", np.fft.fft(np.eye(4)) / 2)
+    state.quantum_query("X", "Y")
+    state.quantum_query("X", "Y")
+    state.classical_query(0, RandomChooser(3))
+    state.quantum_query("X", "Y")
+    before = (state.basis, dict(state.amps))
+    assert state.basis == "hadamard" and max(len(db) for _, db in before[1]) == 2
+    for seed in range(4):
+        FORK_OPS[op](state.copy(), RandomChooser(seed))
+        assert (state.basis, dict(state.amps)) == before
