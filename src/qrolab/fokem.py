@@ -9,6 +9,13 @@ constant-ciphertext variants.
 
 H and G are realized as two independent oracle instances with disjoint
 seeds; only H is ever extracted.
+
+backend_agreement_experiment walks each IND-CCA game tree once.  A node is
+one oracle call (a coin, S.RO, S.E, or a fresh G value, drawn as a coin) and
+holds the simulator its path built.  indcca_game re-runs against the node's
+transcript of answers, with no dense work, up to the first call past it;
+that call runs once per outcome through branching.branch on SimulatorS.fork
+copies, so dense operations run once per tree edge, not per leaf and depth.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import Report
-from .branching import enumerate_paths
+from .branching import _check_mass, branch, distribution
+from .branching import enumerate_paths  # noqa: F401  (a binding perfbench wraps)
 from .linalg import total_variation
 from .oracle import LazyRandomOracle
 from .relations import CommitFunction
@@ -249,11 +257,9 @@ def indcca_game(pke: PKESpec, adversary, backend: str, chooser,
     if backend not in ("real-decaps", "simulated-decaps"):
         raise ValueError(f"unknown backend {backend!r}")
     sk, pk = pke.gen(key_index)
-    commit = CommitFunction(
-        pke.randomness_bits, pke.num_messages, lambda m, r: pk[m][r],
-        t_values=pke.ciphertext_space, name="enc",
-    )
-    sim = SimulatorS(commit, backend="dense", chooser=chooser)
+    # a tree-walk re-run answers S from its node's transcript
+    sim = chooser if isinstance(chooser, _Replay) else SimulatorS(
+        pke.enc_commit(pk), backend="dense", chooser=chooser)
     g_oracle = LazyRandomOracle(key_bits, chooser)
     b = chooser.choose_uniform(2)
     k0, c_star, _ = fo_encaps(pke, pk, sim.ro_classical, g_oracle.query, chooser)
@@ -304,6 +310,52 @@ def ow_cpa_game(pke: PKESpec, adversary, chooser, key_index: int = 0) -> bool:
 # -- backend agreement --------------------------------------------------------------
 
 
+class _Pending(BaseException):
+    """A re-run reached the first call past its transcript; args[0] is that
+    call as a step on a simulator.  Not an Exception, so that an adversary's
+    `except Exception` cannot swallow it."""
+
+
+class _Replay:
+    """Chooser and S of a game re-run against a tree node's transcript: coins
+    and S calls return its answers in order.  G draws fresh values through
+    these coins, so each re-run rebuilds G's table from the transcript."""
+
+    def __init__(self, log: list, answers: tuple):
+        self.log, self.answers, self.pos = log, answers, 0
+
+    def _answer(self, step):
+        if self.pos == len(self.answers):
+            raise _Pending(step)
+        self.pos += 1
+        return self.answers[self.pos - 1]
+
+    def choose_uniform(self, count: int):
+        return self._answer(lambda s: s.chooser.choose_uniform(count))
+
+    def ro_classical(self, x: int):
+        return self._answer(lambda s: s.ro_classical(x))
+
+    def e_query(self, t):
+        return self._answer(lambda s: s.e_query(t))
+
+
+def _walk_tree(run, root) -> tuple[list, int]:
+    """(prob, result) leaves of run(chooser) over the game tree grown from
+    the simulator root, and the number of oracle calls run on forks."""
+    leaves, steps, nodes = [], 0, [(1.0, root, ())]
+    while nodes:
+        prob, sim, answers = nodes.pop()
+        try:
+            leaves.append((prob, run(_Replay(sim.log, answers))))
+        except _Pending as call:
+            kids = branch([(prob, sim, answers)], call.args[0])
+            steps += len(kids)
+            nodes.extend(kids)
+    _check_mass(sum(p for p, _ in leaves))
+    return leaves, steps
+
+
 def backend_agreement_experiment(pke: PKESpec, adversary,
                                  keep_ro_query: bool = True,
                                  key_bits: int = 2) -> Report:
@@ -313,14 +365,18 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
     the per-decaps disagreement terms (2 2^-n Gamma(f) + 2 2^-n) and one
     almost-commutation term 8 sqrt(2 Gamma(f)/2^n) per extraction query that
     precedes a later RO query in the run.  The report measures the TV
-    against the budget; stats hold q_d (Decaps queries) and swaps (E-before-RO
-    pairs).
+    against the budget; stats hold q_d (Decaps queries), swaps (E-before-RO
+    pairs), and, summed over both backends, leaves (terminal games) and
+    steps (oracle calls run on forks).  Each tree is walked once, forking the
+    game's simulator per oracle call (see the module docstring); its leaves
+    must carry mass 1 within ATOL.
     """
     start = time.perf_counter()
+    _, pk = pke.gen(0)
+    f = pke.enc_commit(pk)
     dists = {}
-    stats = {"q_d": 0, "swaps": 0}
+    stats = {"q_d": 0, "swaps": 0, "leaves": 0, "steps": 0}
     for backend in ("real-decaps", "simulated-decaps"):
-        rows: dict = {}
 
         def run(ch):
             seen = {}
@@ -340,12 +396,11 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
                         keep_ro_query=keep_ro_query, collect=collect)
             return seen["row"]
 
-        for p, row in enumerate_paths(run):
-            rows[row] = rows.get(row, 0.0) + p
-        dists[backend] = rows
+        leaves, steps = _walk_tree(run, SimulatorS(f, backend="dense"))
+        stats["leaves"] += len(leaves)
+        stats["steps"] += steps
+        dists[backend] = distribution(leaves)
     tv = total_variation(dists["real-decaps"], dists["simulated-decaps"])
-    _, pk = pke.gen(0)
-    f = pke.enc_commit(pk)
     n = pke.randomness_bits
     per_decaps = 2.0 * f.gamma / 2.0**n + 2.0 / 2.0**n
     budget = stats["q_d"] * per_decaps + stats["swaps"] * 8.0 * np.sqrt(
@@ -391,12 +446,13 @@ def key_checking_adversary(probe_messages=(0, 1), q_d: int = 2):
 
 
 def garbage_decaps_adversary(invalid_c: int):
+    """Decapsulates one ciphertext outside pk's image; raises ValueError if
+    invalid_c is a valid encryption (c_star always is, so never queried)."""
+
     def adversary(pk, c_star, k_b, decaps, ro_h, ro_g, chooser):
-        c = invalid_c
-        if c == c_star:
-            c += 1
-        out = decaps(c)
-        return 1 if out is None else 0
+        if any(invalid_c in row for row in pk):
+            raise ValueError(f"ciphertext {invalid_c} is in the image of pk")
+        return 1 if decaps(invalid_c) is None else 0
 
     return adversary
 

@@ -1,0 +1,127 @@
+"""The FO game-tree walk against the replay oracle in fokem_reference.py.
+
+fokem.backend_agreement_experiment walks each game tree once and forks the
+simulator at every oracle call; the reference re-runs the whole game per
+leaf.  Both must give the same TV, budget, stats and verdict, reach the same
+leaves, and the Monte-Carlo game must draw in the same order as before.
+"""
+
+import pytest
+
+import fokem_reference as ref
+from qrolab import fokem
+from qrolab.branching import RandomChooser, branch, enumerate_paths
+from qrolab.fokem import (
+    coin_guess_adversary,
+    first_non_image_ciphertext,
+    garbage_decaps_adversary,
+    key_checking_adversary,
+    toy_pke,
+    wrong_randomness_adversary,
+)
+from qrolab.simulator import SimulatorS
+
+PKE22 = toy_pke(2, 2, seed=5)
+BACKENDS = ("real-decaps", "simulated-decaps")
+
+# the five agreement trees of experiments.run_fo_battery: (pke, adversary, keep_ro_query)
+BATTERY = {
+    "key-check-01": (PKE22, key_checking_adversary((0, 1), 2), True),
+    "wrong-r-keep": (PKE22, wrong_randomness_adversary((0, 1)), True),
+    "wrong-r-nokeep": (PKE22, wrong_randomness_adversary((0, 1)), False),
+    "garbage": (PKE22, garbage_decaps_adversary(first_non_image_ciphertext(PKE22)), True),
+    "key-check-0-n3": (toy_pke(2, 3, seed=5), key_checking_adversary((0,), 1), True),
+}
+
+
+def _bundled(pke):
+    return [coin_guess_adversary, key_checking_adversary(), wrong_randomness_adversary(),
+            garbage_decaps_adversary(first_non_image_ciphertext(pke))]
+
+
+def _reference(pke, adversary, keep):
+    """The reference report and its leaf count over both backends."""
+    counts = []
+
+    def counting(run):
+        leaves = enumerate_paths(run)
+        counts.append(len(leaves))
+        return leaves
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ref, "enumerate_paths", counting)
+        rep = ref.backend_agreement_experiment(pke, adversary, keep_ro_query=keep,
+                                               key_bits=1)
+    return rep, sum(counts)
+
+
+def _assert_same(pke, adversary, keep):
+    new = fokem.backend_agreement_experiment(pke, adversary, keep_ro_query=keep,
+                                             key_bits=1)
+    old, leaves = _reference(pke, adversary, keep)
+    assert abs(new.measured - old.measured) <= 1e-15, (new.measured, old.measured)
+    assert abs(new.bound - old.bound) <= 1e-15, (new.bound, old.bound)
+    assert new.satisfied == old.satisfied
+    assert new.params == old.params
+    assert {k: new.stats[k] for k in ("q_d", "swaps")} == old.stats
+    assert new.stats["leaves"] == leaves
+    assert new.stats["steps"] >= leaves
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_battery_trees_match_reference(name):
+    _assert_same(*BATTERY[name])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_toy_pkes_match_reference(seed):
+    pke = toy_pke(2, 2, seed=seed)
+    for adversary in _bundled(pke):
+        _assert_same(pke, adversary, keep=seed % 2 == 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("adversary", [wrong_randomness_adversary((0, 1)),
+                                       coin_guess_adversary],
+                         ids=["wrong-r", "coin-guess"])
+def test_monte_carlo_draw_order(backend, keep, adversary):
+    for seed in range(5):
+        new_ch, old_ch = RandomChooser(seed), RandomChooser(seed)
+        new_trace, old_trace = [], []
+        new = fokem.indcca_game(PKE22, adversary, backend, new_ch, key_bits=1,
+                                keep_ro_query=keep, trace=new_trace)
+        old = ref.indcca_game(PKE22, adversary, backend, old_ch, key_bits=1,
+                              keep_ro_query=keep, trace=old_trace)
+        assert new == old
+        assert new_ch.log == old_ch.log
+        assert new_trace == old_trace
+
+
+def test_each_step_runs_on_one_fork(monkeypatch):
+    forks = []
+    original = SimulatorS.fork
+
+    def counting(self, chooser):
+        forks.append(1)
+        return original(self, chooser)
+
+    monkeypatch.setattr(SimulatorS, "fork", counting)
+    rep = fokem.backend_agreement_experiment(PKE22, wrong_randomness_adversary((0, 1)),
+                                             key_bits=1)
+    assert len(forks) == rep.stats["steps"]
+
+
+def test_dropped_child_raises(monkeypatch):
+    dropped = []
+
+    def lossy(leaves, step):
+        kids = branch(leaves, step)
+        if len(kids) > 1 and not dropped:
+            dropped.append(kids.pop())
+        return kids
+
+    monkeypatch.setattr(fokem, "branch", lossy)
+    with pytest.raises(ValueError, match="mass"):
+        fokem.backend_agreement_experiment(PKE22, key_checking_adversary(), key_bits=1)
+    assert dropped

@@ -200,6 +200,12 @@ class TestGames:
                           keep_ro_query=False, key_bits=1)
         assert isinstance(win, (bool, np.bool_))
 
+    def test_garbage_adversary_rejects_a_valid_ciphertext(self):
+        _, pk = PKE22.gen(0)
+        with pytest.raises(ValueError, match="image"):
+            indcca_game(PKE22, garbage_decaps_adversary(pk[1][2]), "real-decaps",
+                        RandomChooser(0), key_bits=1)
+
     def test_tripwire_trips(self):
         with pytest.raises(AssertionError):
             Tripwire()["anything"]
