@@ -2,12 +2,24 @@
 
 Every probabilistic choice in an experiment goes through a chooser object, so
 the same experiment function can be run once with a seeded RNG or enumerated
-exhaustively over all measurement outcomes.  enumerate_paths replays a whole
-closure per leaf; branch extends a tree of forkable states by one step,
-replaying only that step.
+exhaustively over all measurement outcomes.
+
+Two tree forms:
+  enumerate_paths  replays a whole closure run(chooser) once per leaf;
+  branch           grows a tree of (prob, state, outcomes) leaves one step at
+                   a time, with a *split*: a function state -> [(q, child,
+                   result)] that returns every outcome of the step at once.
+
+A split may be native (SimulatorS.ro_branches evolves an S.RO query once and
+slices its responses), shared (uniform: a coin that never touches the state
+gives every child the parent's state), or replayed (replayed(step) runs step
+on one fork per outcome through enumerate_paths, for any step).  Leaf states
+are never mutated after they are made, which is what makes sharing safe.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,21 +171,42 @@ def enumerate_paths(run) -> list[tuple[float, object]]:
     return out
 
 
-def branch(leaves, step) -> list[tuple[float, object, tuple]]:
-    """Extend every (prob, state, outcomes) leaf by one step(state) call.
+def branch(leaves, split) -> list[tuple[float, object, tuple]]:
+    """Extend every (prob, state, outcomes) leaf by one split(state) call.
 
-    Each decision of the step runs on state.fork(chooser), so the leaf's own
-    state is never mutated and the prefix that built it is never replayed.
-    Returns the children (prob * q, child, outcomes + (step's result,)).
+    A split returns [(q, child, result)]: every outcome of one step on the
+    state, with its probability and the state after it.  The leaf's own state
+    is never mutated and the prefix that built it is never replayed.  Returns
+    the children (prob * q, child, outcomes + (result,)); the q of each leaf
+    must sum to 1 within ATOL.
     """
     out = []
     for prob, state, outcomes in leaves:
-        kids = enumerate_paths(lambda ch: (c := state.fork(ch), step(c)))
-        mass = prob * sum(q for q, _ in kids)
+        kids = split(state)
+        mass = prob * sum(q for q, _, _ in kids)
         if abs(mass - prob) > ATOL:
             raise ValueError(f"children carry mass {mass!r} of a leaf of mass {prob!r}")
-        out.extend((prob * q, child, outcomes + (res,)) for q, (child, res) in kids)
+        out.extend((prob * q, child, outcomes + (res,)) for q, child, res in kids)
     return out
+
+
+def replayed(step):
+    """The split that runs step(state) once per outcome, each time on
+    state.fork(chooser) under enumerate_paths: any step of a forkable state."""
+    def split(state):
+        kids = enumerate_paths(lambda ch: (c := state.fork(ch), step(c)))
+        return [(q, child, res) for q, (child, res) in kids]
+    return split
+
+
+@lru_cache(maxsize=None)
+def uniform(count: int):
+    """The split of a uniform draw from range(count) that does not touch the
+    state: every child is the state itself, shared, so a state must not be
+    mutated once it is a leaf.  One split per count, made once."""
+    probs = _clean_probs(np.full(count, 1.0 / count))
+    kids = [(float(probs[i]), i) for i in np.nonzero(probs > PROB_FLOOR)[0]]
+    return lambda state: [(q, state, int(i)) for q, i in kids]
 
 
 def distribution(paths) -> dict:

@@ -112,9 +112,12 @@ def _finish(results: list, state_measure, outputs) -> tuple:
     return tuple(results)
 
 
-def run_circuit_compressed(circ: dict, chooser, backend: str = "dense") -> tuple:
-    """Execute against the compressed oracle; returns all measured values."""
-    mats = validate_circuit(circ)
+def run_circuit_compressed(circ: dict, chooser, backend: str = "dense",
+                           mats: list | None = None) -> tuple:
+    """Execute against the compressed oracle; returns all measured values.
+    mats is validate_circuit(circ), computed here when not given."""
+    if mats is None:
+        mats = validate_circuit(circ)
     config = OracleConfig(circ["n"], circ["m"])
     regs = circuit_registers(circ)
     if backend == "dense":
@@ -158,12 +161,14 @@ def run_circuit_compressed(circ: dict, chooser, backend: str = "dense") -> tuple
     return _finish(results, measure, circ.get("output", []))
 
 
-def run_circuit_reference(circ: dict, chooser) -> tuple:
+def run_circuit_reference(circ: dict, chooser, mats: list | None = None) -> tuple:
     """Execute against a uniformly random oracle: a table register _H in
     T^{-1/2} sum_t |t>, queried as |t, x, y> -> |t, x, y xor table_t[x]> with
     table_t[x] digit x of t in base 2^n.  _H is never measured, so each run's
-    probability is its table average (derivation in the module docstring)."""
-    mats = validate_circuit(circ)
+    probability is its table average (derivation in the module docstring).
+    mats is validate_circuit(circ), computed here when not given."""
+    if mats is None:
+        mats = validate_circuit(circ)
     config = OracleConfig(circ["n"], circ["m"])
     big_n, m = config.big_n, config.m
     n_tables = big_n**m
@@ -187,19 +192,29 @@ def run_circuit_reference(circ: dict, chooser) -> tuple:
     )
 
 
-def compressed_distribution(circ: dict, backend: str = "dense") -> dict:
-    return enumerate_distribution(lambda ch: run_circuit_compressed(circ, ch, backend))
+def compressed_distribution(circ: dict, backend: str = "dense",
+                            mats: list | None = None) -> dict:
+    """Exact output distribution under the compressed oracle; the circuit is
+    validated once (unless mats is given) and every leaf runs on mats."""
+    if mats is None:
+        mats = validate_circuit(circ)
+    return enumerate_distribution(
+        lambda ch: run_circuit_compressed(circ, ch, backend, mats))
 
 
-def reference_distribution(circ: dict) -> dict:
-    """Exact output distribution under a uniformly random oracle."""
-    return enumerate_distribution(lambda ch: run_circuit_reference(circ, ch))
+def reference_distribution(circ: dict, mats: list | None = None) -> dict:
+    """Exact output distribution under a uniformly random oracle; the circuit
+    is validated once (unless mats is given) and every leaf runs on mats."""
+    if mats is None:
+        mats = validate_circuit(circ)
+    return enumerate_distribution(lambda ch: run_circuit_reference(circ, ch, mats))
 
 
 def indistinguishability_gap(circ: dict, backend: str = "dense") -> float:
     """Total variation between compressed-oracle and reference-RO outputs;
     raises ValueError if either mass is off 1 by more than ATOL (lost leaves)."""
-    dists = compressed_distribution(circ, backend), reference_distribution(circ)
+    mats = validate_circuit(circ)
+    dists = compressed_distribution(circ, backend, mats), reference_distribution(circ, mats)
     for dist in dists:
         _check_mass(math.fsum(dist.values()))
     return total_variation(*dists)

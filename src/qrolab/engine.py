@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .branching import PROB_FLOOR, _clean_probs
 from .config import ATOL, DIM_CAP
 from .linalg import LayoutError, apply_on_axes
 
@@ -128,24 +129,43 @@ class RegisterState:
         flat = moved.reshape(int(np.prod([self._dims[a] for a in axes], initial=1)), -1)
         return np.sum(np.abs(flat) ** 2, axis=1)
 
-    def measure(self, labels, chooser) -> tuple[int, ...]:
-        """Projective measurement of the named registers; collapses in place."""
+    def _collapsed(self, labels, flat_outcome: int) -> tuple[tuple, tuple[int, ...], np.ndarray]:
+        """(index, outcome, amplitudes) of one outcome of the named registers:
+        the tensor sliced at that outcome, renormalized, as a new array."""
         axes = [self.axis(lab) for lab in labels]
-        probs = self.born_probs(labels)
-        flat_outcome = chooser.choose(probs)
-        sub_dims = [self._dims[a] for a in axes]
-        outcome = np.unravel_index(flat_outcome, sub_dims)
+        outcome = np.unravel_index(flat_outcome, [self._dims[a] for a in axes])
         idx: list = [slice(None)] * self.tensor.ndim
         for a, v in zip(axes, outcome):
             idx[a] = int(v)
         kept = self.tensor[tuple(idx)]
-        new = np.zeros_like(self.tensor)
-        new[tuple(idx)] = kept
-        nrm = np.linalg.norm(new)
+        nrm = np.linalg.norm(kept)
         if nrm <= 0.0:
             raise ValueError("collapse onto zero-probability outcome")
-        self.tensor = new / nrm
-        return tuple(int(v) for v in outcome)
+        return tuple(idx), tuple(int(v) for v in outcome), kept / nrm
+
+    def measure(self, labels, chooser) -> tuple[int, ...]:
+        """Projective measurement of the named registers; collapses in place."""
+        idx, outcome, kept = self._collapsed(labels, chooser.choose(self.born_probs(labels)))
+        self.tensor = np.zeros_like(self.tensor)
+        self.tensor[idx] = kept
+        return outcome
+
+    def measured_branches(self, labels) -> list[tuple[float, "RegisterState", tuple[int, ...]]]:
+        """(probability, post-measurement state, outcome) for every outcome of
+        the named registers above PROB_FLOOR, those registers removed: the
+        collapses that measure_and_remove makes, on new states.  The
+        probabilities go through the same mass check as a chooser's."""
+        probs = _clean_probs(self.born_probs(labels))
+        keep = [a for a, lab in enumerate(self._labels) if lab not in labels]
+        out = []
+        for flat in np.nonzero(probs > PROB_FLOOR)[0]:
+            _, outcome, kept = self._collapsed(labels, int(flat))
+            child = RegisterState.__new__(RegisterState)
+            child._labels = [self._labels[a] for a in keep]
+            child._dims = [self._dims[a] for a in keep]
+            child.tensor = kept
+            out.append((float(probs[flat]), child, outcome))
+        return out
 
     def measure_and_remove(self, labels, chooser) -> tuple[int, ...]:
         outcome = self.measure(labels, chooser)

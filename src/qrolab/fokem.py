@@ -14,8 +14,12 @@ backend_agreement_experiment walks each IND-CCA game tree once.  A node is
 one oracle call (a coin, S.RO, S.E, or a fresh G value, drawn as a coin) and
 holds the simulator its path built.  indcca_game re-runs against the node's
 transcript of answers, with no dense work, up to the first call past it;
-that call runs once per outcome through branching.branch on SimulatorS.fork
-copies, so dense operations run once per tree edge, not per leaf and depth.
+that call becomes a split (see branching) that branching.branch applies to
+the node.  A coin's children share the node's simulator, which is never
+mutated once made; an S.RO query is evolved once and sliced per response
+(SimulatorS.ro_branches); an S.E query runs once per outcome on a
+SimulatorS.fork copy (branching.replayed).  So dense operations run at most
+once per tree edge, never per leaf and depth.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import Report
-from .branching import _check_mass, branch, distribution
+from .branching import _check_mass, branch, distribution, replayed, uniform
 from .branching import enumerate_paths  # noqa: F401  (a binding perfbench wraps)
 from .linalg import total_variation
 from .oracle import LazyRandomOracle
@@ -312,8 +316,8 @@ def ow_cpa_game(pke: PKESpec, adversary, chooser, key_index: int = 0) -> bool:
 
 class _Pending(BaseException):
     """A re-run reached the first call past its transcript; args[0] is that
-    call as a step on a simulator.  Not an Exception, so that an adversary's
-    `except Exception` cannot swallow it."""
+    call as a split of a simulator (see branching).  Not an Exception, so that
+    an adversary's `except Exception` cannot swallow it."""
 
 
 class _Replay:
@@ -324,25 +328,25 @@ class _Replay:
     def __init__(self, log: list, answers: tuple):
         self.log, self.answers, self.pos = log, answers, 0
 
-    def _answer(self, step):
+    def _answer(self, split):
         if self.pos == len(self.answers):
-            raise _Pending(step)
+            raise _Pending(split)
         self.pos += 1
         return self.answers[self.pos - 1]
 
     def choose_uniform(self, count: int):
-        return self._answer(lambda s: s.chooser.choose_uniform(count))
+        return self._answer(uniform(count))
 
     def ro_classical(self, x: int):
-        return self._answer(lambda s: s.ro_classical(x))
+        return self._answer(lambda s: s.ro_branches(x))
 
     def e_query(self, t):
-        return self._answer(lambda s: s.e_query(t))
+        return self._answer(replayed(lambda s: s.e_query(t)))
 
 
 def _walk_tree(run, root) -> tuple[list, int]:
     """(prob, result) leaves of run(chooser) over the game tree grown from
-    the simulator root, and the number of oracle calls run on forks."""
+    the simulator root, and the number of oracle-call outcomes (tree edges)."""
     leaves, steps, nodes = [], 0, [(1.0, root, ())]
     while nodes:
         prob, sim, answers = nodes.pop()
@@ -367,9 +371,9 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
     precedes a later RO query in the run.  The report measures the TV
     against the budget; stats hold q_d (Decaps queries), swaps (E-before-RO
     pairs), and, summed over both backends, leaves (terminal games) and
-    steps (oracle calls run on forks).  Each tree is walked once, forking the
-    game's simulator per oracle call (see the module docstring); its leaves
-    must carry mass 1 within ATOL.
+    steps (oracle-call outcomes, the tree's edges).  Each tree is walked once,
+    splitting the game's simulator per oracle call (see the module
+    docstring); its leaves must carry mass 1 within ATOL.
     """
     start = time.perf_counter()
     _, pk = pke.gen(0)

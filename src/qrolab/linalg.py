@@ -114,13 +114,11 @@ def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
 
 
 def density_from_branches(branches) -> np.ndarray:
-    """Density operator sum_k p_k |psi_k><psi_k| from (prob, vector) pairs."""
-    rho = None
-    for p, vec in branches:
-        v = np.asarray(vec).reshape(-1)
-        term = p * np.outer(v, v.conj())
-        rho = term if rho is None else rho + term
-    return rho
+    """Density operator sum_k p_k |psi_k><psi_k| from (prob, vector) pairs,
+    as one product (V^T diag(p)) conj(V) over the rows psi_k of V."""
+    probs, vecs = zip(*((p, np.asarray(vec).reshape(-1)) for p, vec in branches))
+    v = np.array(vecs)
+    return (v.T * np.array(probs)) @ v.conj()
 
 
 def total_variation(p: dict, q: dict) -> float:

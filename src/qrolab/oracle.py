@@ -122,21 +122,31 @@ class DenseOracleState:
             tensor = np.multiply.outer(tensor, vec)
         self.state.tensor = tensor.reshape(self.state.dims)
 
-    def classical_query(self, x: int, chooser) -> int:
-        """Classical RO query: prepare |x>|0>, apply O, measure Y, collapse."""
+    def _queried(self, state: RegisterState, x: int) -> RegisterState:
+        """state with a response register _qY attached in |0> and O^x applied
+        on (_qY, D_x): a classical query at x before its measurement."""
         if not 0 <= x < self.config.m:
             raise ValueError(f"x={x} out of domain range")
-        self.state.add_register("_qY", self.config.big_n, value=0)
-        self.state.apply(build_o_small(self.config.n), ["_qY", d_label(x)])
-        (h,) = self.state.measure_and_remove(["_qY"], chooser)
+        state.add_register("_qY", self.config.big_n, value=0)
+        state.apply(build_o_small(self.config.n), ["_qY", d_label(x)])
+        return state
+
+    def classical_query(self, x: int, chooser) -> int:
+        """Classical RO query: prepare |x>|0>, apply O, measure Y, collapse."""
+        (h,) = self._queried(self.state, x).measure_and_remove(["_qY"], chooser)
         return h
 
     def classical_query_probs(self, x: int) -> np.ndarray:
         """Response distribution of a classical query, without performing it."""
-        tmp = self.copy()
-        tmp.state.add_register("_qY", self.config.big_n, value=0)
-        tmp.state.apply(build_o_small(self.config.n), ["_qY", d_label(x)])
-        return tmp.state.born_probs(["_qY"])
+        return self._queried(self.state.copy(), x).born_probs(["_qY"])
+
+    def classical_query_branches(self, x: int) -> list[tuple[float, "DenseOracleState", int]]:
+        """(probability, post-query state, h) for every response h above
+        PROB_FLOOR of a classical query at x.  O^x is applied once; each child
+        is the _qY = h slice of that state, renormalized.  This state is left
+        as it was."""
+        return [(q, self._with_state(child), h) for q, child, (h,)
+                in self._queried(self.state.copy(), x).measured_branches(["_qY"])]
 
     def quantum_query(self, x_label: str, y_label: str) -> None:
         """Apply O_XYD jointly on caller-attached X, Y registers and D."""
@@ -160,11 +170,14 @@ class DenseOracleState:
         rows = np.transpose(state.tensor, order).reshape(self.config.d_dim(), -1)
         return rows, order
 
-    def copy(self) -> "DenseOracleState":
+    def _with_state(self, state: RegisterState) -> "DenseOracleState":
         out = DenseOracleState.__new__(DenseOracleState)
         out.config = self.config
-        out.state = self.state.copy()
+        out.state = state
         return out
+
+    def copy(self) -> "DenseOracleState":
+        return self._with_state(self.state.copy())
 
 
 class LazyRandomOracle:

@@ -7,10 +7,13 @@ suite runner sweeps the standard grid n in {1,2}, m in {2,3} with the three
 bundled commit functions.
 
 The tree checks (2.c, 3 and 4) walk each preparation's tree once per report
-and extend its (prob, simulator, outcomes) leaves with branching.branch,
-through S.RO and S.E, for every x and t: only the new step runs per leaf,
-never the preparation.  tests/properties_reference.py keeps the replay
-versions as the oracle.
+(enumerate_paths) and extend its (prob, simulator, outcomes) leaves with
+branching.branch, for every x and t: only the new step runs per leaf, never
+the preparation.  An S.RO step is the native split SimulatorS.ro_branches,
+which evolves the query once and slices it per response; an S.E step is
+branching.replayed, one fork per outcome.  2.c applies O_XYD once per leaf
+to a tensor that holds all its query states, and reuses it for every t.
+tests/properties_reference.py keeps the replay versions as the oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Report, timed
-from .branching import branch, enumerate_paths
+from .branching import branch, enumerate_paths, replayed
 from .linalg import apply_on_axes, density_from_branches, operator_norm, \
     pure_trace_distance, trace_distance
 from .oracle import OracleConfig, build_o_small
@@ -155,9 +158,9 @@ def _prep_leaves(f: CommitFunction):
             for prep in _preps_for(f.m)]
 
 
-def _then(leaves, step_for):
-    """Branch each leaf by the step that its last outcome selects."""
-    return [kid for leaf in leaves for kid in branch([leaf], step_for(leaf[2][-1]))]
+def _then(leaves, split_for):
+    """Branch each leaf by the split that its last outcome selects."""
+    return [kid for leaf in leaves for kid in branch([leaf], split_for(leaf[2][-1]))]
 
 
 def _xy_states(config: OracleConfig, seed: int = 31):
@@ -172,7 +175,7 @@ def _xy_states(config: OracleConfig, seed: int = 31):
 
 
 def _apply_o_full(config: OracleConfig, tensor: np.ndarray) -> np.ndarray:
-    """O_XYD on a tensor with axes (X, Y, D_0..D_{m-1}, P)."""
+    """O_XYD on a tensor with axes (X, Y, D_0..D_{m-1}, P, ...)."""
     o_small = build_o_small(config.n)
     out = np.empty_like(tensor)
     for x in range(config.m):
@@ -181,37 +184,43 @@ def _apply_o_full(config: OracleConfig, tensor: np.ndarray) -> np.ndarray:
 
 
 def _apply_m_full(config: OracleConfig, dest: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """M_DP on the same tensor layout (P is the last axis)."""
+    """M_DP on the same tensor layout (P follows the D axes; trailing axes
+    after P ride along)."""
     shape = tensor.shape
-    flat = tensor.reshape(config.m * config.big_n, -1)
+    flat = tensor.reshape(config.m * config.big_n, dest.size, -1)
     out = np.empty_like(flat)
     out[:, dest] = flat
     return out.reshape(shape)
 
 
 def roe_almost_commutation(f: CommitFunction) -> float:
-    """max trace distance between the two orders of one S.E and one S.RO query."""
+    """max trace distance between the two orders of one S.E and one S.RO query.
+
+    Per preparation leaf, one joint tensor with axes (X, Y, D_0..D_{m-1}, P, K)
+    holds the K query states of _xy_states side by side, so O_XYD is applied
+    to it once and reused for every t.
+    """
     config = OracleConfig(f.n, f.m)
-    worst = 0.0
     xy_states = _xy_states(config)
+    xys = np.stack(xy_states, axis=-1).reshape(
+        (config.m, config.big_n) + (1,) * (config.m + 1) + (len(xy_states),))
     dests = {t: purified_m_permutation(f.relation_for(t), config) for t in f.t_values}
+    worst = 0.0
     for leaves in _prep_leaves(f):
         for p, sim, _ in leaves:
             if p <= 1e-12:
                 continue
-            d_vec = sim.backend.d_vector()
+            dp = np.multiply.outer(
+                sim.backend.d_vector().reshape([config.cell_dim] * config.m),
+                _p_zero(config),
+            )
+            joint = xys * dp[..., None]
+            o_first = _apply_o_full(config, joint)
             for t in f.t_values:
-                for xy in xy_states:
-                    joint = np.multiply.outer(
-                        xy.reshape(config.m, config.big_n),
-                        np.multiply.outer(
-                            d_vec.reshape([config.cell_dim] * config.m),
-                            _p_zero(config),
-                        ),
-                    )
-                    a = _apply_m_full(config, dests[t], _apply_o_full(config, joint))
-                    b = _apply_o_full(config, _apply_m_full(config, dests[t], joint))
-                    worst = max(worst, pure_trace_distance(a.reshape(-1), b.reshape(-1)))
+                a = _apply_m_full(config, dests[t], o_first)
+                b = _apply_o_full(config, _apply_m_full(config, dests[t], joint))
+                for k in range(len(xy_states)):
+                    worst = max(worst, pure_trace_distance(a[..., k], b[..., k]))
     return worst
 
 
@@ -242,9 +251,9 @@ def ro_idempotence(f: CommitFunction) -> float:
     worst = 0.0
     for base in _prep_leaves(f):
         for x in range(f.m):
-            step = lambda sim: sim.ro_classical(x)
-            once = branch(base, step)
-            worst = max(worst, trace_distance(_density(once), _density(branch(once, step))))
+            split = lambda sim: sim.ro_branches(x)
+            once = branch(base, split)
+            worst = max(worst, trace_distance(_density(once), _density(branch(once, split))))
     return worst
 
 
@@ -254,9 +263,9 @@ def e_idempotence(f: CommitFunction) -> tuple[float, float]:
     worst_outcome = 0.0
     for base in _prep_leaves(f):
         for t in f.t_values:
-            step = lambda sim: sim.e_query(t).value
-            once = branch(base, step)
-            twice = branch(once, step)
+            split = replayed(lambda sim: sim.e_query(t).value)
+            once = branch(base, split)
+            twice = branch(once, split)
             worst_td = max(worst_td, trace_distance(_density(once), _density(twice)))
             disagree = sum(p for p, _, (a, b) in twice if a != b)
             worst_outcome = max(worst_outcome, disagree)
@@ -284,9 +293,9 @@ def prop_4a_worst(f: CommitFunction) -> float:
     worst = 0.0
     for base in _prep_leaves(f):
         for t in f.t_values:
-            found = [leaf for leaf in branch(base, lambda sim: sim.e_query(t).value)
+            found = [leaf for leaf in branch(base, replayed(lambda sim: sim.e_query(t).value))
                      if leaf[2][-1] is not None]
-            checked = _then(found, lambda x_hat: lambda sim: sim.ro_classical(x_hat))
+            checked = _then(found, lambda x_hat: lambda sim: sim.ro_branches(x_hat))
             bad = sum(p for p, _, (x_hat, h_hat) in checked if f(x_hat, h_hat) != t)
             worst = max(worst, bad)
     return worst
@@ -297,8 +306,8 @@ def prop_4b_worst(f: CommitFunction) -> float:
     worst = 0.0
     for base in _prep_leaves(f):
         for x in range(f.m):
-            queried = branch(base, lambda sim: sim.ro_classical(x))
-            checked = _then(queried, lambda h: lambda sim: sim.e_query(f(x, h)).is_empty)
+            queried = branch(base, lambda sim: sim.ro_branches(x))
+            checked = _then(queried, lambda h: replayed(lambda sim: sim.e_query(f(x, h)).is_empty))
             bad = sum(p for p, _, (_, empty) in checked if empty)
             worst = max(worst, bad)
     return worst

@@ -42,6 +42,7 @@ class Relation:
             pairs = frozenset((int(x), int(y)) for x, y in member)
             self._member = lambda x, y: (x, y) in pairs
         self._ysets: dict[int, tuple[int, ...]] = {}
+        self._outcomes: dict[tuple[int, int], np.ndarray] = {}  # see outcome_array
 
     @classmethod
     def from_pairs(cls, n: int, m: int, pairs) -> "Relation":
@@ -128,6 +129,7 @@ class CommitFunction:
             gamma_prime = gamma_prime_of_f(fn, range(m), n)
         self.gamma = int(gamma)
         self.gamma_prime = int(gamma_prime)
+        self._relations: dict = {}
 
     @classmethod
     def from_table(cls, table, t_values=None, name="table") -> "CommitFunction":
@@ -144,7 +146,10 @@ class CommitFunction:
         return self.fn(x, y)
 
     def relation_for(self, t) -> Relation:
-        return Relation(self.n, self.m, lambda x, y: self.fn(x, y) == t)
+        """The relation f(x, y) = t, made once per t so its memos are kept."""
+        if t not in self._relations:
+            self._relations[t] = Relation(self.n, self.m, lambda x, y: self.fn(x, y) == t)
+        return self._relations[t]
 
     def preimages(self, x: int, t) -> tuple[int, ...]:
         if self._preimage_fn is not None:
@@ -187,8 +192,12 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
     """For every database basis index, the measurement outcome.
 
     Entry value x in 0..m-1 means D_x is the first register holding a value
-    in the relation; value m encodes the empty outcome.
+    in the relation; value m encodes the empty outcome.  Built once per
+    (relation, n, m) and returned read-only.
     """
+    key = (config.n, config.m)
+    if key in rel._outcomes:
+        return rel._outcomes[key]
     cd = config.cell_dim
     out = np.full(config.d_dim(), config.m, dtype=np.int64)
     # iterate x from the largest down so smaller x overwrite: smallest index wins
@@ -200,6 +209,8 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
         post = cd ** (config.m - 1 - x)
         mask = np.tile(np.repeat(hit, post), pre)
         out[mask] = x
+    out.flags.writeable = False
+    rel._outcomes[key] = out
     return out
 
 

@@ -64,9 +64,12 @@ class SimulatorS:
 
     def fork(self, chooser) -> "SimulatorS":
         """An independent copy bound to chooser: its own backend and log."""
+        return self._child(self.backend.copy(), chooser)
+
+    def _child(self, backend, chooser) -> "SimulatorS":
         out = copy.copy(self)
         out.chooser = chooser
-        out.backend = self.backend.copy()
+        out.backend = backend
         out.log = list(self.log)
         return out
 
@@ -86,6 +89,19 @@ class SimulatorS:
         h = self.backend.classical_query(x, self.chooser)
         self._record(interface="RO", mode="classical", x=int(x), h=int(h))
         return h
+
+    def ro_branches(self, x: int) -> list[tuple[float, "SimulatorS", int]]:
+        """The split of one classical S.RO query at x (dense backend):
+        (probability, child, h) per response h, each child this simulator after
+        the query with its own backend and log.  O^x is applied once for all
+        responses; this simulator is left as it was.  A child has no chooser,
+        so its log entry carries the rng field a replayed query's does."""
+        kids = []
+        for q, backend, h in self.backend.classical_query_branches(x):
+            child = self._child(backend, None)
+            child._record(interface="RO", mode="classical", x=int(x), h=int(h))
+            kids.append((q, child, h))
+        return kids
 
     def ro_quantum(self, x_label: str = "X", y_label: str = "Y") -> None:
         """Apply O_XYD on caller-attached query registers (dense/sparse only)."""

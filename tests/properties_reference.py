@@ -2,17 +2,28 @@
 
 Every leaf of every tree is rebuilt from a fresh SimulatorS: the preparation
 prefix is replayed for each x and t, and enumerate_paths replays it again for
-each leaf.  properties.py walks each preparation tree once and forks the
+each leaf.  properties.py walks each preparation tree once and splits the
 simulator at every decision instead; tests/test_property_trees.py checks
-that both give the same numbers.
+that both give the same numbers.  roe_almost_commutation applies O_XYD per
+(leaf, xy state, t), where properties.py applies it once per leaf.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from qrolab.branching import enumerate_paths
-from qrolab.linalg import density_from_branches, trace_distance
-from qrolab.properties import _preps_for
-from qrolab.relations import CommitFunction
+from qrolab.linalg import density_from_branches, pure_trace_distance, trace_distance
+from qrolab.oracle import OracleConfig
+from qrolab.properties import (
+    _apply_m_full,
+    _apply_o_full,
+    _p_zero,
+    _prep_leaves,
+    _preps_for,
+    _xy_states,
+)
+from qrolab.relations import CommitFunction, purified_m_permutation
 from qrolab.simulator import SimulatorS
 
 
@@ -119,4 +130,30 @@ def prop_4b_worst(f: CommitFunction) -> float:
 
             bad = sum(p for p, hit in enumerate_paths(run) if hit)
             worst = max(worst, bad)
+    return worst
+
+
+def roe_almost_commutation(f: CommitFunction) -> float:
+    """max trace distance between the two orders of one S.E and one S.RO query."""
+    config = OracleConfig(f.n, f.m)
+    worst = 0.0
+    xy_states = _xy_states(config)
+    dests = {t: purified_m_permutation(f.relation_for(t), config) for t in f.t_values}
+    for leaves in _prep_leaves(f):
+        for p, sim, _ in leaves:
+            if p <= 1e-12:
+                continue
+            d_vec = sim.backend.d_vector()
+            for t in f.t_values:
+                for xy in xy_states:
+                    joint = np.multiply.outer(
+                        xy.reshape(config.m, config.big_n),
+                        np.multiply.outer(
+                            d_vec.reshape([config.cell_dim] * config.m),
+                            _p_zero(config),
+                        ),
+                    )
+                    a = _apply_m_full(config, dests[t], _apply_o_full(config, joint))
+                    b = _apply_o_full(config, _apply_m_full(config, dests[t], joint))
+                    worst = max(worst, pure_trace_distance(a.reshape(-1), b.reshape(-1)))
     return worst

@@ -1,6 +1,6 @@
 """The FO game-tree walk against the replay oracle in fokem_reference.py.
 
-fokem.backend_agreement_experiment walks each game tree once and forks the
+fokem.backend_agreement_experiment walks each game tree once and splits the
 simulator at every oracle call; the reference re-runs the whole game per
 leaf.  Both must give the same TV, budget, stats and verdict, reach the same
 leaves, and the Monte-Carlo game must draw in the same order as before.
@@ -98,25 +98,44 @@ def test_monte_carlo_draw_order(backend, keep, adversary):
         assert new_trace == old_trace
 
 
-def test_each_step_runs_on_one_fork(monkeypatch):
+def test_only_extraction_children_fork(monkeypatch):
+    """Each S.E child is made by one fork; a coin child is its node's
+    simulator, shared, and an S.RO child is a slice with no fork."""
     forks = []
-    original = SimulatorS.fork
+    original_fork, original_branch = SimulatorS.fork, fokem.branch
+    kinds = {"coin": 0, "RO": 0, "E": 0}
 
-    def counting(self, chooser):
+    def counting_fork(self, chooser):
         forks.append(1)
-        return original(self, chooser)
+        return original_fork(self, chooser)
 
-    monkeypatch.setattr(SimulatorS, "fork", counting)
+    def classifying_branch(leaves, split):
+        (_, sim, _), = leaves
+        before = len(forks)
+        kids = original_branch(leaves, split)
+        if all(child is sim for _, child, _ in kids):
+            kind = "coin"
+        else:
+            (kind,) = {child.log[-1]["interface"] for _, child, _ in kids}
+            assert all(len(child.log) == len(sim.log) + 1 for _, child, _ in kids)
+        kinds[kind] += len(kids)
+        assert len(forks) - before == (len(kids) if kind == "E" else 0), kind
+        return kids
+
+    monkeypatch.setattr(SimulatorS, "fork", counting_fork)
+    monkeypatch.setattr(fokem, "branch", classifying_branch)
     rep = fokem.backend_agreement_experiment(PKE22, wrong_randomness_adversary((0, 1)),
                                              key_bits=1)
-    assert len(forks) == rep.stats["steps"]
+    assert all(kinds.values()), kinds
+    assert len(forks) == kinds["E"]
+    assert sum(kinds.values()) == rep.stats["steps"]
 
 
 def test_dropped_child_raises(monkeypatch):
     dropped = []
 
-    def lossy(leaves, step):
-        kids = branch(leaves, step)
+    def lossy(leaves, split):
+        kids = branch(leaves, split)
         if len(kids) > 1 and not dropped:
             dropped.append(kids.pop())
         return kids

@@ -1,7 +1,7 @@
 """Forked property trees against the replay oracle in properties_reference.py.
 
 properties.py walks each preparation tree once and branches its leaves with
-branching.branch, which forks the simulator at every decision; the reference
+branching.branch, splitting the simulator at every decision; the reference
 rebuilds every leaf from a fresh simulator.  Both must give the same numbers,
 branch must give the distribution enumerate_paths gives, and a branched leaf
 must come out untouched.
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import properties_reference as ref
 from qrolab import properties
-from qrolab.branching import ReplayChooser, branch, distribution, enumerate_paths
+from qrolab.branching import ReplayChooser, branch, distribution, enumerate_paths, replayed
 from qrolab.config import ATOL
 from qrolab.linalg import density_from_branches, total_variation, trace_distance
 from qrolab.simulator import SimulatorS
@@ -63,13 +63,15 @@ def test_branch_matches_enumerate_paths(case):
         vecs.append(sim.backend.d_vector())
         return outs, len(vecs) - 1
 
-    replayed = enumerate_paths(run)
+    paths = enumerate_paths(run)
     leaves = [(1.0, SimulatorS(f, backend="dense", chooser=ReplayChooser(())), ())]
     for kind, arg in steps:
-        leaves = branch(leaves, lambda sim: _run_step(sim, kind, arg))
-    assert total_variation(distribution((p, outs) for p, (outs, _) in replayed),
+        split = ((lambda sim: sim.ro_branches(arg)) if kind == "ro"
+                 else replayed(lambda sim: _run_step(sim, kind, arg)))
+        leaves = branch(leaves, split)
+    assert total_variation(distribution((p, outs) for p, (outs, _) in paths),
                            distribution((p, outs) for p, _, outs in leaves)) <= ATOL
-    rho_replayed = density_from_branches((p, vecs[i]) for p, (_, i) in replayed)
+    rho_replayed = density_from_branches((p, vecs[i]) for p, (_, i) in paths)
     rho_forked = density_from_branches((p, sim.backend.d_vector()) for p, sim, _ in leaves)
     assert trace_distance(rho_replayed, rho_forked) <= ATOL
 
@@ -79,8 +81,8 @@ def test_branch_leaves_parent_untouched():
     base = properties._prep_leaves(f)[properties._preps_for(3).index((0, 1))]
     before = [(p, sim.backend.state.tensor.copy(), list(sim.log), sim.chooser, outs)
               for p, sim, outs in base]
-    kids = branch(branch(base, lambda sim: sim.e_query(3).value),
-                  lambda sim: sim.ro_classical(2))
+    kids = branch(branch(base, replayed(lambda sim: sim.e_query(3).value)),
+                  lambda sim: sim.ro_branches(2))
     assert len(kids) > len(base)
     for (p, sim, outs), (p0, tensor, log, chooser, outs0) in zip(base, before):
         assert (p, outs, sim.log, sim.chooser) == (p0, outs0, log, chooser)
@@ -103,4 +105,4 @@ def test_branch_refuses_lost_mass():
     probs = np.full(count, tiny)
     probs[0] = 1.0 - tiny * (count - 1)
     with pytest.raises(ValueError, match="children carry"):
-        branch([(0.5, _Stub(), ())], lambda s: s.chooser.choose(probs))
+        branch([(0.5, _Stub(), ())], replayed(lambda s: s.chooser.choose(probs)))

@@ -1,0 +1,70 @@
+"""Native splits against the replay oracle.
+
+SimulatorS.ro_branches evolves an S.RO query once and slices its responses;
+replayed(ro_classical) runs the query once per response on a fork.  Both
+must give the same children.  The shared coin split must give each child
+prob / count and the parent's own state, and the batched 2c check must match
+the per-(leaf, xy state, t) one in properties_reference.py.
+"""
+
+import numpy as np
+import pytest
+
+import properties_reference as ref
+from qrolab import properties
+from qrolab.branching import branch, enumerate_paths, replayed, uniform
+
+GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
+
+
+def _tensor(sim):
+    return sim.backend.state.tensor
+
+
+@pytest.mark.parametrize("n,m", GRID)
+def test_ro_branches_match_replay(n, m):
+    for f in properties.bundled_commits(n, m):
+        for leaves in properties._prep_leaves(f):
+            for _, sim, _ in leaves:
+                before, log, labels = _tensor(sim).copy(), list(sim.log), sim.backend.state.labels
+                for x in range(m):
+                    native = sim.ro_branches(x)
+                    replay = {h: (q, kid) for q, kid, h
+                              in replayed(lambda s: s.ro_classical(x))(sim)}
+                    assert sorted(h for _, _, h in native) == sorted(replay)
+                    for q, kid, h in native:
+                        q0, kid0 = replay[h]
+                        assert abs(q - q0) <= 1e-15, (f.name, x, h, q, q0)
+                        assert kid.log == kid0.log
+                        assert kid.backend.state.labels == kid0.backend.state.labels
+                        diff = np.abs(kid.backend.d_vector() - kid0.backend.d_vector()).max()
+                        assert diff <= 1e-15, (f.name, x, h, diff)
+                    tensors = [_tensor(sim)] + [_tensor(kid) for _, kid, _ in native]
+                    assert not any(np.shares_memory(a, b) for i, a in enumerate(tensors)
+                                   for b in tensors[i + 1:])
+                assert np.array_equal(_tensor(sim), before)
+                assert sim.log == log and sim.backend.state.labels == labels
+
+
+def test_ro_branches_refuse_an_out_of_range_query():
+    sim = properties._prep_leaves(properties.bundled_commits(1, 2)[0])[0][0][1]
+    with pytest.raises(ValueError, match="out of domain"):
+        sim.ro_branches(2)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
+def test_uniform_children_share_the_state(count):
+    state = object()
+    kids = branch([(0.5, state, ("a",))], uniform(count))
+    replay = enumerate_paths(lambda ch: ch.choose_uniform(count))
+    assert sorted((0.5 * q, ("a", i)) for q, i in replay) == \
+        [(p, outs) for p, _, outs in kids]
+    assert all(abs(p - 0.5 / count) <= 1e-16 for p, _, _ in kids)
+    assert all(child is state for _, child, _ in kids)
+
+
+@pytest.mark.parametrize("n,m", GRID)
+def test_batched_2c_matches_reference(n, m):
+    for f in properties.bundled_commits(n, m):
+        new, old = properties.roe_almost_commutation(f), ref.roe_almost_commutation(f)
+        assert abs(new - old) <= 1e-15, (f.name, new, old)
