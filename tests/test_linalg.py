@@ -8,6 +8,7 @@ from qrolab.engine import RegisterState
 from qrolab.linalg import (
     LayoutError,
     apply_on_axes,
+    density_from_branches,
     operator_norm,
     pure_trace_distance,
     trace_distance,
@@ -230,3 +231,19 @@ class TestTraceDistance:
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             trace_distance(bad, np.eye(2, dtype=complex) / 2)
+
+
+def test_density_from_branches_matches_sum_of_outer_products():
+    """The one-product density against the loop of weighted outer products it
+    replaced; the summation order differs, so equal within 1e-15."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        d, k = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        vecs = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        probs = rng.random(k)
+        probs /= probs.sum()
+        want = sum(p * np.outer(v, v.conj()) for p, v in zip(probs, vecs))
+        got = density_from_branches(zip(probs, vecs.reshape(k, d, 1)))
+        assert got.shape == (d, d)
+        assert np.abs(got - want).max() <= 1e-15

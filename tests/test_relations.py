@@ -212,3 +212,18 @@ class TestGammas:
             sum(1 for y in range(4) if rel.member(x, y)) for x in range(3)
         )
         assert rel.gamma == want
+
+    def test_relation_and_outcome_array_memos(self):
+        """relation_for keeps one Relation per t, and outcome_array one
+        read-only array per (relation, n, m), equal to a fresh build."""
+        f = identity_commit(2, 3)
+        config = OracleConfig(2, 3)
+        rel = f.relation_for(1)
+        assert f.relation_for(1) is rel and f.relation_for(2) is not rel
+        arr = outcome_array(rel, config)
+        assert outcome_array(rel, config) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+        fresh = outcome_array(Relation(2, 3, lambda x, y: y == 1), config)
+        assert np.array_equal(arr, fresh)
