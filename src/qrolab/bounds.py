@@ -330,8 +330,7 @@ class RoOnly:
 
 
 def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
-                                   r_prime=None, ell: int = 1,
-                                   in_run_ro: bool = False) -> Report:
+                                   r_prime=None, in_run_ro: bool = False) -> Report:
     """Hard-property / hard-collision propositions, exactly enumerated.
 
     hard-property: adversary (S.RO only) emits t in T^ell; success if some
@@ -396,13 +395,12 @@ def early_extraction_experiment(adversary, f: CommitFunction,
     with None entries for refused openings (RO(None) = None and the mismatch
     event never fires on them).  Outputs are classical, so the joint
     [t, x, h, W] states are diagonal and the trace distance is the total
-    variation of the outcome tuples.
+    variation of the outcome tuples.  q, q2 and ell are each the largest
+    count over the real game's leaves.
     """
     from .linalg import total_variation
     from .oracle import LazyRandomOracle
     from .simulator import SimulatorS
-
-    counter = {}
 
     def run_real(ch):
         ro = LazyRandomOracle(f.n, ch)
@@ -417,10 +415,7 @@ def early_extraction_experiment(adversary, f: CommitFunction,
 
         xs, w = adversary.run(query, ts.append)
         hs = tuple(None if x is None else ro.query(x) for x in xs)
-        counter["q"] = queries[0]
-        counter["q2"] = queries[1]
-        counter["ell"] = len(ts)
-        return (tuple(ts), tuple(xs), hs, w)
+        return (tuple(ts), tuple(xs), hs, w), (*queries, len(ts))
 
     def run_sim(ch):
         sim = SimulatorS(f, backend="dense", chooser=ch)
@@ -441,11 +436,11 @@ def early_extraction_experiment(adversary, f: CommitFunction,
 
     real_paths, ms_real = timed(lambda: enumerate_paths(run_real))
     sim_paths, ms_sim = timed(lambda: enumerate_paths(run_sim))
-    real = distribution(real_paths)
+    real = distribution((p, out) for p, (out, _) in real_paths)
     sim_dist = distribution((p, out) for p, (out, _) in sim_paths)
     mismatch_prob = sum(p for p, (_, bad) in sim_paths if bad)
 
-    q, q2, ell = counter["q"], counter["q2"], counter["ell"]
+    q, q2, ell = (max(counts) for counts in zip(*(c for _, (_, c) in real_paths)))
     root = np.sqrt(2.0 * f.gamma / 2.0**f.n)
     if multi:
         td_bound = 8.0 * ell * (q + ell) * root

@@ -288,14 +288,14 @@ def named_circuits(n: int, m: int) -> list[dict]:
     return circs
 
 
-def random_circuit(n: int, m: int, rng: np.random.Generator, max_queries: int = 3) -> dict:
-    """Seeded random circuit: Haar unitaries interleaved with oracle queries."""
+def random_circuit(n: int, m: int, rng: np.random.Generator) -> dict:
+    """Seeded random circuit: Haar unitaries interleaved with 1-3 oracle queries."""
     big_n = 2**n
     regs = [["W", 2]] if rng.random() < 0.5 else []
     labels = ["X", "Y"] + [lab for lab, _ in regs]
     dims = {"X": m, "Y": big_n, "W": 2}
     steps: list[dict] = []
-    n_queries = int(rng.integers(1, max_queries + 1))
+    n_queries = int(rng.integers(1, 4))
     for q in range(n_queries):
         for _ in range(int(rng.integers(1, 3))):
             k = 1 if len(labels) == 2 or rng.random() < 0.6 else 2
@@ -316,18 +316,17 @@ def random_circuit(n: int, m: int, rng: np.random.Generator, max_queries: int = 
             "output": labels}
 
 
-def equivalence_suite(max_n: int = 2, max_m: int = 3, n_random: int = 36,
-                      seed: int = 2024) -> list[dict]:
-    """The bundled adversary-circuit suite for RO-indistinguishability checks."""
-    rng = np.random.default_rng(seed)
+def equivalence_suite() -> list[dict]:
+    """The bundled adversary-circuit suite for RO-indistinguishability checks:
+    the named circuits and 36 seeded random ones over n in {1,2}, m in {2,3}."""
+    rng = np.random.default_rng(2024)
+    configs = [(n, m) for n in (1, 2) for m in (2, 3)]
     suite: list[dict] = []
-    for n in range(1, max_n + 1):
-        for m in range(2, max_m + 1):
-            for circ in named_circuits(n, m):
-                circ["name"] = f"{circ['name']}-n{n}m{m}"
-                suite.append(circ)
-    configs = [(n, m) for n in range(1, max_n + 1) for m in range(2, max_m + 1)]
-    for i in range(n_random):
+    for n, m in configs:
+        for circ in named_circuits(n, m):
+            circ["name"] = f"{circ['name']}-n{n}m{m}"
+            suite.append(circ)
+    for i in range(36):
         n, m = configs[i % len(configs)]
         circ = random_circuit(n, m, rng)
         circ["name"] = f"random-{i:03d}-n{n}m{m}"

@@ -5,7 +5,11 @@ the same config and seed), a summary.csv with the fixed column set, and a
 metadata.json holding timestamps and per-row runtimes (excluded from the
 determinism contract).
 
-Exit codes: 0 all asserted bounds satisfied, 1 any violation, 2 config error.
+Each battery subcommand accepts `--config`, `--out` and only the settings
+its runner reads, on the command line and in a config alike.
+
+Exit codes: 0 all asserted bounds satisfied, 1 any violation, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .experiments import (
     run_sigma_battery,
     run_sweep,
 )
+from .properties import theorem2_property_suite
 
 
 class ConfigError(ValueError):
@@ -67,24 +72,28 @@ def write_outputs(rows, runtimes, out_dir: Path, meta: dict) -> None:
         json.dump(meta, fh, indent=1, sort_keys=True, default=_json_default)
 
 
-BATTERIES = {
-    "verify-commutator": lambda a: run_commutator_battery(
-        seed=a.seed, random_count=a.relations, bound_scale=a.bound_scale),
-    "verify-theorem2": lambda a: _theorem2(a),
-    "grover": lambda a: run_grover_battery(),
-    "collision": lambda a: run_collision_battery(),
-    "interfaces": lambda a: run_interfaces_battery() + run_early_extraction_battery(),
-    "sigma": lambda a: run_sigma_battery(seed=a.seed, trials=a.trials),
-    "fo": lambda a: run_fo_battery(seed=a.seed, trials=a.trials),
-    "equivalence": lambda a: run_equivalence_battery(backend=a.backend),
-    "sweep": lambda a: run_sweep(seed=a.seed),
+# Every battery setting with its one default.
+SETTINGS = {
+    "seed": dict(type=int, default=0),
+    "relations": dict(type=int, default=40,
+                      help="random relations in the commutator sweep"),
+    "trials": dict(type=int, default=1000),
+    "backend": dict(type=str, choices=["dense", "sparse"], default="dense"),
 }
 
-
-def _theorem2(args):
-    from .properties import theorem2_property_suite
-
-    return theorem2_property_suite()
+# subcommand -> (the settings its runner reads, the runner, called with them)
+BATTERIES = {
+    "verify-commutator": (("seed", "relations"), lambda seed, relations:
+                          run_commutator_battery(seed, relations)),
+    "verify-theorem2": ((), theorem2_property_suite),
+    "grover": ((), run_grover_battery),
+    "collision": ((), run_collision_battery),
+    "interfaces": ((), lambda: run_interfaces_battery() + run_early_extraction_battery()),
+    "sigma": (("seed", "trials"), run_sigma_battery),
+    "fo": (("seed", "trials"), run_fo_battery),
+    "equivalence": (("backend",), run_equivalence_battery),
+    "sweep": (("seed",), run_sweep),
+}
 
 
 def list_fixtures_command(args) -> int:
@@ -96,7 +105,10 @@ def list_fixtures_command(args) -> int:
     return 0
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: str) -> dict:
+    """The settings a config file gives battery `command`, checked: `out`,
+    and only settings the battery reads, at the top level or under `params`
+    (the top level wins)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -104,16 +116,32 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict) or "experiment" not in cfg:
         raise ConfigError("config must be an object with an 'experiment' field")
-    if cfg["experiment"] not in BATTERIES:
-        raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
-    if not isinstance(cfg.get("params", {}), dict):
+    if cfg["experiment"] != command:
+        raise ConfigError(f"config names experiment {cfg['experiment']!r}, "
+                          f"not {command!r}")
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
         raise ConfigError("config 'params' must be an object")
-    for name in cfg.get("fixtures", []):
-        from .fixtures import fixture_names
+    top = {k: v for k, v in cfg.items() if k not in ("experiment", "out", "params")}
+    reads = BATTERIES[command][0]
+    for key in [*top, *params]:
+        if key not in reads:
+            raise ConfigError(f"{command} reads no setting {key!r}")
+    settings = {name: _checked(name, val) for name, val in {**params, **top}.items()}
+    if "out" in cfg:
+        if not isinstance(cfg["out"], str):
+            raise ConfigError("config 'out' must be a string")
+        settings["out"] = cfg["out"]
+    return settings
 
-        if name not in fixture_names():
-            raise ConfigError(f"config references missing fixture {name!r}")
-    return cfg
+
+def _checked(name: str, value):
+    spec = SETTINGS[name]
+    if type(value) is not spec["type"]:
+        raise ConfigError(f"{name} must be a JSON {spec['type'].__name__}, not {value!r}")
+    if "choices" in spec and value not in spec["choices"]:
+        raise ConfigError(f"{name} must be one of {spec['choices']}, not {value!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,21 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="compressed-oracle extraction: bound verification and games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (reads, _) in BATTERIES.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file overriding flags")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend", choices=["dense", "sparse"], default="dense")
         p.add_argument("--out", default="qrolab-out")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--relations", type=int, default=40,
-                       help="random relations in the commutator sweep")
-        p.add_argument("--bound-scale", type=float, default=1.0,
-                       help="test hook: scales every bound (wrong constants "
-                            "must fail)")
-
-    for name in BATTERIES:
-        common(sub.add_parser(name))
+        for setting in reads:
+            p.add_argument(f"--{setting}", **SETTINGS[setting])
     lf = sub.add_parser("list-fixtures")
     lf.add_argument("--kind", default=None,
                     help="filter by fixture type (relation, commit, sigma, "
@@ -149,32 +168,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list-fixtures":
         return list_fixtures_command(args)
-    try:
-        if args.config:
-            cfg = load_config(args.config)
-            args.command = cfg["experiment"]
-            for key, val in cfg.get("params", {}).items():
-                attr = key.replace("-", "_")
-                if attr in ("command", "config") or not hasattr(args, attr):
-                    raise ConfigError(f"unknown param {key!r}")
-                setattr(args, attr, val)
-            if "seed" in cfg:
-                args.seed = int(cfg["seed"])
-            if "backend" in cfg:
-                args.backend = cfg["backend"]
-            if "out" in cfg:
-                args.out = cfg["out"]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if args.config:
+        try:
+            for key, val in load_config(args.config, args.command).items():
+                setattr(args, key, val)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+    reads, runner = BATTERIES[args.command]
+    settings = {name: getattr(args, name) for name in reads}
     start = time.time()
-    reports = BATTERIES[args.command](args)
+    reports = runner(**settings)
     rows = [rep.row() for rep in reports]
     runtimes = [float(rep.runtime_ms) for rep in reports]
     n_bad = sum(not rep.satisfied for rep in reports)
     meta = {
         "command": args.command,
-        "seed": args.seed,
+        **settings,
         "started_unix": start,
         "elapsed_s": round(time.time() - start, 3),
     }

@@ -194,8 +194,3 @@ class RegisterState:
             return vecs[:, -1] * np.sqrt(vals[-1])
         axes = [self.axis(lab) for lab in labels]
         return np.transpose(self.tensor, axes).reshape(-1)
-
-    def renormalize(self) -> None:
-        nrm = self.norm()
-        if abs(nrm - 1.0) > ATOL:
-            self.tensor = self.tensor / nrm

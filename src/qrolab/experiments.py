@@ -84,24 +84,21 @@ def random_relations(n: int, m: int, count: int, rng) -> list[Relation]:
 # -- commutator battery (acceptance 2 + 3) ----------------------------------------
 
 
-def commutator_relation_reports(n: int, m: int, rel: Relation,
-                                bound_scale: float = 1.0) -> list[Report]:
+def commutator_relation_reports(n: int, m: int, rel: Relation) -> list[Report]:
     """Theorem, local, and lifting reports for one relation.
 
     The per-x commutator norms are computed once and shared between the
-    theorem report and the lifting inequality.  Every bound is multiplied
-    by bound_scale before its verdict is taken.
+    theorem report and the lifting inequality.
     """
     config = OracleConfig(n, m)
     per_x = [timed(lambda: OxMCommutator(rel, config, x).norm()) for x in range(m)]
     reps = [Report(
         "commutator-theorem", dict(n=n, M=m, gamma=rel.gamma),
-        max(norm for norm, _ in per_x), bound_scale * theorem_bound(n, rel.gamma),
+        max(norm for norm, _ in per_x), theorem_bound(n, rel.gamma),
         runtime_ms=sum(ms for _, ms in per_x),
     )]
     local_reps = verify_local_bounds(n, rel)
-    reps.extend(replace(r, bound=bound_scale * r.bound, satisfied=None)
-                for r in local_reps)
+    reps.extend(local_reps)
     by_x: dict[int, dict[str, float]] = {}
     for rep in local_reps:
         by_x.setdefault(rep.params["x"], {})[rep.experiment] = rep.measured
@@ -109,13 +106,12 @@ def commutator_relation_reports(n: int, m: int, rel: Relation,
         rhs = 3 * by_x[x]["local-O-Pi"] + by_x[x]["local-O-PiEmpty"]
         reps.append(Report(
             "lifting-inequality", dict(n=n, M=m, x=x, gamma=rel.gamma_x(x)),
-            norm, bound_scale * rhs, runtime_ms=ms,
+            norm, rhs, runtime_ms=ms,
         ))
     return reps
 
 
-def run_commutator_battery(seed: int = 0, random_count: int = 200,
-                           bound_scale: float = 1.0) -> list[Report]:
+def run_commutator_battery(seed: int, random_count: int) -> list[Report]:
     """Exhaustive n=1 sweeps (m=2 and m=3) plus random relations at n=2,
     then two checks at n=1, m=2: the block reduction against the direct
     dense build, and the monotonicity probe."""
@@ -123,12 +119,12 @@ def run_commutator_battery(seed: int = 0, random_count: int = 200,
     reports: list[Report] = []
     for m in (2, 3):
         for rel in all_relations(1, m):
-            reports.extend(commutator_relation_reports(1, m, rel, bound_scale))
+            reports.extend(commutator_relation_reports(1, m, rel))
     grid = [(2, 2), (2, 3)]
     per = random_count // len(grid)
     for n, m in grid:
         for rel in random_relations(n, m, per, rng):
-            reports.extend(commutator_relation_reports(n, m, rel, bound_scale))
+            reports.extend(commutator_relation_reports(n, m, rel))
     rel = Relation.from_pairs(1, 2, [(0, 0)])
     config = OracleConfig(1, 2)
     gap, ms = timed(lambda: abs(full_commutator_norm_direct(rel, config)
@@ -150,7 +146,7 @@ def run_commutator_battery(seed: int = 0, random_count: int = 200,
 # -- RO-indistinguishability battery (acceptance 1) ---------------------------------
 
 
-def run_equivalence_battery(backend: str = "dense") -> list[Report]:
+def run_equivalence_battery(backend: str) -> list[Report]:
     suite = equivalence_suite()
     reports = []
     for circ in suite:
@@ -283,24 +279,22 @@ def run_interfaces_battery() -> list[Report]:
 
 
 class HonestCommitter:
-    """One commitment, opened immediately; no extra second-round queries."""
+    """One commitment to x = 0, opened immediately; no extra second-round queries."""
 
-    def __init__(self, f: CommitFunction, x0: int = 0):
+    def __init__(self, f: CommitFunction):
         self.f = f
-        self.x0 = x0
 
     def run(self, ro, announce):
-        h = ro(self.x0)
-        announce(self.f(self.x0, h))
-        return [self.x0], ()
+        h = ro(0)
+        announce(self.f(0, h))
+        return [0], ()
 
 
 class RefusingCommitter:
     """Announces a commitment but refuses to open (outputs None)."""
 
-    def __init__(self, f: CommitFunction, t0=None):
-        self.f = f
-        self.t0 = t0 if t0 is not None else next(iter(f.t_values))
+    def __init__(self, f: CommitFunction):
+        self.t0 = next(iter(f.t_values))
 
     def run(self, ro, announce):
         announce(self.t0)
@@ -338,8 +332,7 @@ def run_early_extraction_battery() -> list[Report]:
 # -- sigma battery (acceptance 7) ---------------------------------------------------------
 
 
-def run_sigma_battery(seed: int = 0, trials: int = 1000,
-                      inequality_n: int = 32,
+def run_sigma_battery(seed: int, trials: int,
                       inequality_trials: int = 300) -> list[Report]:
     """Trivial-attack probabilities, which must equal their exact values, and
     four extraction experiments, each with its own verdict."""
@@ -375,10 +368,10 @@ def run_sigma_battery(seed: int = 0, trials: int = 1000,
                            satisfied=rep16.measured >= 0.99))
 
     rep_ineq = run_sigma_experiment(honest, spec, access, hook, gen,
-                                    xor_witness_checker, n=inequality_n,
+                                    xor_witness_checker, n=32,
                                     backend="product",
                                     trials=inequality_trials, seed=seed + 1)
-    reports.append(replace(rep_ineq, experiment=f"sigma-inequality-n{inequality_n}",
+    reports.append(replace(rep_ineq, experiment="sigma-inequality-n32",
                            satisfied=(not rep_ineq.vacuous) and rep_ineq.satisfied))
 
     trivial = lambda s, i, w, r: TrivialAttackProver(s, i, w, r,
@@ -405,7 +398,7 @@ def run_sigma_battery(seed: int = 0, trials: int = 1000,
 # -- FO battery (acceptance 8) --------------------------------------------------------------
 
 
-def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[Report]:
+def run_fo_battery(seed: int, trials: int) -> list[Report]:
     """Exact correctness and spreadness values, the backend-agreement trees,
     and the two guessing games; each row supplies its own verdict."""
     def spread(pke):
@@ -479,9 +472,9 @@ def run_fo_battery(seed: int = 0, trials: int = 2000) -> list[Report]:
 # -- sweep ------------------------------------------------------------------------------
 
 
-def run_sweep(seed: int = 0) -> list[Report]:
+def run_sweep(seed: int) -> list[Report]:
     return [
-        *run_equivalence_battery(),
+        *run_equivalence_battery(backend="dense"),
         *run_commutator_battery(seed, random_count=40),
         *theorem2_property_suite(ns=(1,), ms=(2,)),
         *run_grover_battery(),

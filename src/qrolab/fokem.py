@@ -25,6 +25,7 @@ once per tree edge, never per leaf and depth.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,11 +99,10 @@ class PKESpec:
 
 def toy_pke(num_messages: int, randomness_bits: int, seed: int = 0,
             num_keys: int = 1, faulty_cells: int = 0,
-            constant_ct_message: bool = False, ct_space_factor: int = 2,
-            name: str | None = None) -> PKESpec:
+            constant_ct_message: bool = False) -> PKESpec:
     """Random injective tables; optional planted faults on key 0.
 
-    The ciphertext space is ct_space_factor times the table size, so garbage
+    The ciphertext space is twice the table size, so garbage
     ciphertexts outside the image exist.  faulty_cells > 0 copies that many
     ciphertexts from message 0 into message 1 cells (collisions => decryption
     errors, Gamma' > 0).  constant_ct_message makes message 0 of key 0
@@ -110,7 +110,7 @@ def toy_pke(num_messages: int, randomness_bits: int, seed: int = 0,
     """
     nr = 2**randomness_bits
     size = num_messages * nr
-    ct_space = ct_space_factor * size
+    ct_space = 2 * size
     tables = []
     for k in range(num_keys):
         rng = np.random.default_rng([seed, k])
@@ -127,15 +127,16 @@ def toy_pke(num_messages: int, randomness_bits: int, seed: int = 0,
         tables.append(table)
     return PKESpec(
         num_messages, randomness_bits, num_keys,
-        name or f"toy-m{num_messages}-n{randomness_bits}-s{seed}"
-               + ("-faulty" if faulty_cells else "")
-               + ("-constct" if constant_ct_message else ""),
+        f"toy-m{num_messages}-n{randomness_bits}-s{seed}"
+        + ("-faulty" if faulty_cells else "")
+        + ("-constct" if constant_ct_message else ""),
         tables, ct_space,
     )
 
 
-def first_non_image_ciphertext(pke: PKESpec, key_index: int = 0) -> int:
-    _, pk = pke.gen(key_index)
+def first_non_image_ciphertext(pke: PKESpec) -> int:
+    """The smallest ciphertext that key 0 never produces."""
+    _, pk = pke.gen(0)
     image = {c for row in pk for c in row}
     for c in pke.ciphertext_space:
         if c not in image:
@@ -184,29 +185,13 @@ def gamma_spread_estimate(pke: PKESpec, mode: str = "strict") -> float:
     """Ciphertext min-entropy: worst-case, or averaged inside the log."""
     if mode not in ("strict", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "strict":
-        worst = 0.0
-        for k in range(pke.num_keys):
-            _, pk = pke.gen(k)
-            for m in range(pke.num_messages):
-                counts: dict[int, int] = {}
-                for r in range(pke.num_random):
-                    c = pke.enc(pk, m, r)
-                    counts[c] = counts.get(c, 0) + 1
-                worst = max(worst, max(counts.values()) / pke.num_random)
-        return float(-np.log2(worst))
-    acc = 0.0
+    worst = []  # per key: the largest probability of one ciphertext of one message
     for k in range(pke.num_keys):
         _, pk = pke.gen(k)
-        best = 0
-        for m in range(pke.num_messages):
-            counts = {}
-            for r in range(pke.num_random):
-                c = pke.enc(pk, m, r)
-                counts[c] = counts.get(c, 0) + 1
-            best = max(best, max(counts.values()))
-        acc += best / pke.num_random
-    return float(-np.log2(acc / pke.num_keys))
+        worst.append(max(
+            max(Counter(pke.enc(pk, m, r) for r in range(pke.num_random)).values())
+            for m in range(pke.num_messages)) / pke.num_random)
+    return float(-np.log2(max(worst) if mode == "strict" else sum(worst) / pke.num_keys))
 
 
 # -- the KEM ---------------------------------------------------------------------
@@ -247,11 +232,11 @@ def game_trace_jsonl(trace: list) -> str:
     return "\n".join(json.dumps(e, sort_keys=True, default=str) for e in trace)
 
 
-def indcca_game(pke: PKESpec, adversary, backend: str, chooser,
-                key_index: int = 0, key_bits: int = 2,
+def indcca_game(pke: PKESpec, adversary, backend: str, chooser, key_bits: int = 2,
                 keep_ro_query: bool = True, collect=None,
                 trace: list | None = None) -> bool:
-    """One IND-CCA-KEM run; backend selects real or extraction decapsulation.
+    """One IND-CCA-KEM run under key 0; backend selects real or extraction
+    decapsulation.
 
     With backend='simulated-decaps' and keep_ro_query=False the decapsulation
     closure receives a Tripwire in place of the secret key.  When a trace
@@ -260,7 +245,7 @@ def indcca_game(pke: PKESpec, adversary, backend: str, chooser,
     """
     if backend not in ("real-decaps", "simulated-decaps"):
         raise ValueError(f"unknown backend {backend!r}")
-    sk, pk = pke.gen(key_index)
+    sk, pk = pke.gen(0)
     # a tree-walk re-run answers S from its node's transcript
     sim = chooser if isinstance(chooser, _Replay) else SimulatorS(
         pke.enc_commit(pk), backend="dense", chooser=chooser)
@@ -302,9 +287,9 @@ def indcca_game(pke: PKESpec, adversary, backend: str, chooser,
     return b_prime == b
 
 
-def ow_cpa_game(pke: PKESpec, adversary, chooser, key_index: int = 0) -> bool:
-    """One OW-CPA run: random message, honestly randomized encryption."""
-    _, pk = pke.gen(key_index)
+def ow_cpa_game(pke: PKESpec, adversary, chooser) -> bool:
+    """One OW-CPA run under key 0: random message, honestly randomized encryption."""
+    _, pk = pke.gen(0)
     m_star = chooser.choose_uniform(pke.num_messages)
     r = chooser.choose_uniform(pke.num_random)
     c_star = pke.enc(pk, m_star, r)

@@ -56,11 +56,10 @@ def _preps_for(m: int):
 # -- property 1: perfect RO-simulation ------------------------------------------------
 
 
-def property_1_report(n: int, m: int, suite=None) -> Report:
+def property_1_report(n: int, m: int) -> Report:
     from .circuits import equivalence_suite, indistinguishability_gap
 
-    if suite is None:
-        suite = [c for c in equivalence_suite() if c["n"] == n and c["m"] == m]
+    suite = [c for c in equivalence_suite() if c["n"] == n and c["m"] == m]
     (gap, ms) = timed(lambda: max(indistinguishability_gap(c) for c in suite))
     return Report(
         "theorem2-1-ro-indistinguishable",
@@ -330,12 +329,12 @@ def property_4b_report(f: CommitFunction) -> Report:
 # -- the suite -----------------------------------------------------------------------------
 
 
-def theorem2_property_suite(ns=(1, 2), ms=(2, 3), suite=None) -> list[Report]:
+def theorem2_property_suite(ns=(1, 2), ms=(2, 3)) -> list[Report]:
     """One report per property per grid point (property 1/2.a per oracle shape)."""
     reports: list[Report] = []
     for n in ns:
         for m in ms:
-            reports.append(property_1_report(n, m, suite=suite))
+            reports.append(property_1_report(n, m))
             reports.append(property_2a_report(n, m))
             for f in bundled_commits(n, m):
                 reports.append(property_2b_report(f))

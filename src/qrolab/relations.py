@@ -132,7 +132,7 @@ class CommitFunction:
         self._relations: dict = {}
 
     @classmethod
-    def from_table(cls, table, t_values=None, name="table") -> "CommitFunction":
+    def from_table(cls, table, name="table") -> "CommitFunction":
         """table[x][y] -> t for x in range(m), y in range(2^n)."""
         m = len(table)
         big_n = len(table[0])
@@ -140,7 +140,7 @@ class CommitFunction:
         if 2**n != big_n:
             raise ValueError("table rows must have length 2^n")
         rows = [list(row) for row in table]
-        return cls(n, m, lambda x, y: rows[x][y], t_values=t_values, name=name)
+        return cls(n, m, lambda x, y: rows[x][y], name=name)
 
     def __call__(self, x: int, y: int):
         return self.fn(x, y)
@@ -165,11 +165,11 @@ def identity_commit(n: int, m: int) -> CommitFunction:
     )
 
 
-def constant_commit(n: int, m: int, t0=0) -> CommitFunction:
-    """f(x, y) = t0; every y collides. Gamma = Gamma' = 2^n."""
+def constant_commit(n: int, m: int) -> CommitFunction:
+    """f(x, y) = 0; every y collides. Gamma = Gamma' = 2^n."""
     return CommitFunction(
-        n, m, lambda x, y: t0, t_values=(t0,), gamma=2**n, gamma_prime=2**n,
-        preimage_fn=lambda x, t: tuple(range(2**n)) if t == t0 else (), name="constant",
+        n, m, lambda x, y: 0, t_values=(0,), gamma=2**n, gamma_prime=2**n,
+        preimage_fn=lambda x, t: tuple(range(2**n)) if t == 0 else (), name="constant",
     )
 
 

@@ -222,12 +222,11 @@ class HonestProver:
 
 
 class TrivialAttackProver:
-    """Answers exactly one target challenge; garbage in the remaining slot."""
+    """Answers exactly the first challenge; garbage in the remaining slot."""
 
     def __init__(self, spec: SigmaSpec, instance, witness_shares, rng,
-                 share_bits: int, target: int = 0):
-        self.spec = spec
-        self.target = spec.challenges[target]
+                 share_bits: int):
+        target = spec.challenges[0]
         s = list(witness_shares)
         good = {
             i: (s[i] << share_bits) | s[(i + 1) % 3] for i in range(3)
@@ -235,7 +234,7 @@ class TrivialAttackProver:
         self.slots = []
         for i in range(3):
             msg = good[i]
-            if i not in self.target:
+            if i not in target:
                 msg = (msg + 1) % spec.slot_space  # break both other challenges
             self.slots.append(
                 spec.encode(msg, int(rng.integers(2**spec.randomness_bits)))
@@ -324,9 +323,10 @@ def epsilon_simplified(ell: int, q: int, n: int) -> float:
     return 34.0 * ell * q / np.sqrt(2.0**n) + 2365.0 * q**3 / 2.0**n
 
 
-def epsilon_exact(ell: int, q: int, n: int, gamma_prime: int = 1) -> float:
+def epsilon_exact(ell: int, q: int, n: int) -> float:
+    """The extraction error for the identity commitment, whose Gamma' is 1."""
     return (8.0 * np.sqrt(2.0) * ell * (2 * q + ell + 1) / np.sqrt(2.0**n)
-            + (40.0 * np.e**2 * (q + ell + 1) ** 3 * gamma_prime + 2.0) / 2.0**n)
+            + (40.0 * np.e**2 * (q + ell + 1) ** 3 + 2.0) / 2.0**n)
 
 
 def run_sigma_experiment(prover_factory, spec: SigmaSpec, access: AccessStructure,

@@ -41,11 +41,9 @@ class SimulatorS:
                  seed=None, chooser=None, q_cap: int | None = None, prefix=()):
         self.commit = commit
         self.config = OracleConfig(commit.n, commit.m)
-        self.backend_name = backend
         if chooser is None:
             chooser = RandomChooser(np.random.default_rng(seed))
         self.chooser = chooser
-        self.seed = seed
         self._seed_repr = _short_seed_repr(seed)
         self.log: list[dict] = []
         if backend == "dense":
@@ -110,10 +108,6 @@ class SimulatorS:
 
     # -- S.E ----------------------------------------------------------------------
 
-    def _relation_member(self, t):
-        fn = self.commit.fn
-        return lambda x, cell: fn(x, cell) == t
-
     def e_query(self, t) -> ExtractionOutcome:
         if not self._t_plausible(t):
             raise ValueError(f"t={t!r} not in T")
@@ -122,9 +116,7 @@ class SimulatorS:
             out = measure_extraction_dense(self.backend, rel, self.chooser)
         else:
             pick = self.backend.measure_relation(
-                self._relation_member(t), self.chooser,
-                satisfying=lambda x: self.commit.preimages(x, t),
-            )
+                lambda x: self.commit.preimages(x, t), self.chooser)
             out = ExtractionOutcome(pick, self.config.m)
         self._record(interface="E", mode="classical", t=t,
                      outcome=None if out.is_empty else int(out.value))

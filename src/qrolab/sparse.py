@@ -24,9 +24,8 @@ Operations build new arrays and never write into the ones they were given, so
 `copy` shares them.  `amps`, the dict from (prefix tuple, db tuple) to
 amplitude, is derived on each read.
 
-Both backends take `measure_relation(member, chooser, satisfying=None)`;
-`satisfying(x)` lists register x's cells in the relation, replacing the
-per-cell `member(x, cell)` calls.
+Both backends take `measure_relation(satisfying, chooser)`, where
+`satisfying(x)` lists register x's cells in the relation.
 
 ProductState columns are never dense.  After q classical queries a cell
 carries O(q) structure (Zhandry's compressed oracle), so every column stays in
@@ -392,24 +391,19 @@ class SparseState:
 
     # -- extraction measurement --------------------------------------------------
 
-    def measure_relation(self, member, chooser, satisfying=None):
-        """First-hit measurement for the relation predicate member(x, cell).
+    def measure_relation(self, satisfying, chooser):
+        """First-hit measurement for the relation whose cells in register x
+        are listed by satisfying(x).
 
-        satisfying(x), when given, lists the cells of register x in the
-        relation and replaces the per-pair member calls.  Returns the chosen
-        x or None (empty); collapses in place.  Candidate x values are only
-        the registers actually present in keys.
+        Returns the chosen x or None (empty); collapses in place.  Candidate
+        x values are only the registers actually present in keys.
         """
         self.ensure_basis(COMPUTATIONAL)
         held = self.reg < self.m
         hits = np.zeros_like(held)
-        if satisfying is None:
-            hits[held] = np.fromiter(map(member, self.reg[held].tolist(),
-                                         self.cell[held].tolist()), dtype=bool)
-        else:
-            for x in np.unique(self.reg[held]).tolist():
-                sat = np.fromiter(satisfying(x), dtype=np.int64)
-                hits |= (self.reg == x) & np.isin(self.cell, sat)
+        for x in np.unique(self.reg[held]).tolist():
+            sat = np.fromiter(satisfying(x), dtype=np.int64)
+            hits |= (self.reg == x) & np.isin(self.cell, sat)
         # m encodes the empty outcome
         outcome = np.where(hits, self.reg, self.m).min(axis=1, initial=self.m)
         values, which = np.unique(outcome, return_inverse=True)
@@ -438,12 +432,11 @@ class SparseState:
         return vec
 
     @classmethod
-    def from_dense_vector(cls, vec, n: int, m: int, q_cap: int, prefix=(),
-                          tol: float = 0.0) -> "SparseState":
+    def from_dense_vector(cls, vec, n: int, m: int, q_cap: int, prefix=()) -> "SparseState":
         out = cls(n, m, q_cap, prefix=prefix)
         width = len(out.prefix)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
-        flat = np.flatnonzero(np.abs(vec) > tol)
+        flat = np.flatnonzero(vec)
         index = np.unravel_index(flat, [d for _, d in out.prefix] + [2**n + 1] * m)
         amps = {}
         for f, key in zip(flat.tolist(), zip(*(a.tolist() for a in index))):
@@ -613,16 +606,14 @@ class ProductState:
     def quantum_query(self, *_args, **_kw):
         raise NotImplementedError("ProductState supports classical queries only")
 
-    def measure_relation(self, member, chooser, satisfying=None):
-        """First-hit measurement; satisfying(x) may supply the cell list directly."""
+    def measure_relation(self, satisfying, chooser):
+        """First-hit measurement; satisfying(x) lists register x's cells in
+        the relation."""
         big_n = self.big_n
         hits = {}
         for x in sorted(self.columns):
             col = self.columns[x]
-            if satisfying is not None:
-                cells = dict.fromkeys(c for c in satisfying(x) if 0 <= c < big_n)
-            else:
-                cells = [c for c in range(big_n) if member(x, c)]
+            cells = dict.fromkeys(c for c in satisfying(x) if 0 <= c < big_n)
             p = float(sum(abs(col.amp(c)) ** 2 for c in cells))
             hits[x] = (p, cells)
         candidates = sorted(hits) + [None]

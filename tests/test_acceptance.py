@@ -305,7 +305,7 @@ def test_criterion_9_determinism(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert main(["interfaces", "--seed", "31", "--out", str(out)]) == 0
+        assert main(["interfaces", "--out", str(out)]) == 0
         outs.append((out / "results.jsonl").read_bytes())
     ok = outs[0] == outs[1]
     announce("9", ok, f"results.jsonl byte-identical across reruns "

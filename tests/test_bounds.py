@@ -236,6 +236,24 @@ class TestEarlyExtraction:
         assert td.params["q"] == 2
         assert td.satisfied and mm.satisfied
 
+    @pytest.mark.parametrize("requery_parity", [1, 0], ids=["odd", "even"])
+    def test_counts_are_the_largest_over_leaves(self, requery_parity):
+        # H(1) is queried on half of the leaves: the bound must not depend on
+        # whether the last leaf enumerated is one of them
+        f = identity_commit(1, 2)
+
+        class Committer:
+            def run(self, ro, announce):
+                h0 = ro(0)
+                announce(f(0, h0))
+                if h0 % 2 == requery_parity:
+                    ro(1)
+                return [0], ()
+
+        td, _ = early_extraction_experiment(Committer(), f)
+        assert (td.params["q"], td.params["q2"], td.params["ell"]) == (2, 1, 1)
+        assert td.bound == 16.0
+
 
 class TestMonteCarloCrossCheck:
     def test_mc_agrees_with_exact_within_three_sigma(self):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,31 @@ from pathlib import Path
 import pytest
 
 import qrolab
+from qrolab import experiments
 from qrolab.cli import main
 from qrolab.fixtures import list_fixtures, load, parse_fixture
 
 
 def run_cli(args):
     return main(list(args))
+
+
+# The settings each battery's runner reads, besides --config and --out.
+READS = {
+    "verify-commutator": {"seed", "relations"},
+    "verify-theorem2": set(),
+    "grover": set(),
+    "collision": set(),
+    "interfaces": set(),
+    "sigma": {"seed", "trials"},
+    "fo": {"seed", "trials"},
+    "equivalence": {"backend"},
+    "sweep": {"seed"},
+}
+FLAG_VALUES = {"seed": "1", "relations": "2", "trials": "5", "backend": "sparse",
+               "bound-scale": "1e-6"}
+UNREAD_FLAGS = [(battery, flag) for battery in READS for flag in FLAG_VALUES
+                if flag not in READS[battery]]
 
 
 class TestFixtures:
@@ -50,6 +70,7 @@ class TestCommands:
             "experiment,n,M,gamma,q,measured,bound,satisfied,runtime_ms"
         meta = json.loads((out / "metadata.json").read_text())
         assert "elapsed_s" in meta and len(meta["runtimes_ms"]) == 3
+        assert "seed" not in meta  # collision reads no setting
 
     def test_list_fixtures_command(self, capsys):
         assert run_cli(["list-fixtures"]) == 0
@@ -62,14 +83,13 @@ class TestCommands:
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert run_cli(["interfaces", "--seed", "9",
-                            "--out", str(out)]) == 0
+            assert run_cli(["interfaces", "--out", str(out)]) == 0
         assert (out1 / "results.jsonl").read_bytes() == \
             (out2 / "results.jsonl").read_bytes()
 
     @pytest.mark.parametrize("args,hash_seeds", [
-        (["fo", "--trials", "50"], ("1", "2")),
-        (["verify-commutator", "--relations", "4"], ("0", "0")),
+        (["fo", "--trials", "50", "--seed", "0"], ("1", "2")),
+        (["verify-commutator", "--relations", "4", "--seed", "0"], ("0", "0")),
         (["verify-theorem2"], ("1", "2")),
         (["equivalence"], ("1", "2")),
         (["equivalence", "--backend", "sparse"], ("1", "2")),
@@ -84,7 +104,7 @@ class TestCommands:
             env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             proc = subprocess.run(
-                [sys.executable, "-m", "qrolab.cli", *args, "--seed", "0", "--out", str(out)],
+                [sys.executable, "-m", "qrolab.cli", *args, "--out", str(out)],
                 capture_output=True, text=True, env=env,
             )
             assert proc.returncode == 0, proc.stderr
@@ -104,27 +124,31 @@ class TestCommands:
         rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         assert len({frozenset(r) for r in rows}) == 1
 
-    def test_wrong_constant_fails(self, tmp_path):
+    def test_wrong_constant_fails(self, tmp_path, monkeypatch):
+        theorem_bound = experiments.theorem_bound
+        monkeypatch.setattr(experiments, "theorem_bound",
+                            lambda n, gamma: 1e-6 * theorem_bound(n, gamma))
         code = run_cli(["verify-commutator", "--relations", "2",
-                        "--bound-scale", "1e-6",
                         "--out", str(tmp_path / "bad")])
         assert code == 1
 
     def test_config_file_dispatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "experiment": "collision", "seed": 4,
-            "out": str(tmp_path / "via-config"),
+            "experiment": "collision", "out": str(tmp_path / "via-config"),
         }))
-        assert run_cli(["sweep", "--config", str(cfg)]) == 0
+        assert run_cli(["collision", "--config", str(cfg)]) == 0
         assert (tmp_path / "via-config" / "results.jsonl").exists()
 
-    def test_missing_fixture_config_exit_2(self, tmp_path):
+    def test_fixtures_key_exit_2(self, tmp_path):
+        name = list_fixtures()[0][0]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "experiment": "collision", "fixtures": ["nope-not-here"],
+            "experiment": "collision", "fixtures": [name],
+            "out": str(tmp_path / "fx"),
         }))
         assert run_cli(["collision", "--config", str(cfg)]) == 2
+        assert not (tmp_path / "fx").exists()
 
     def test_unknown_param_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -138,10 +162,11 @@ class TestCommands:
     def test_known_param_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "experiment": "collision", "params": {"bound-scale": 1.0, "trials": 5},
-            "out": str(tmp_path / "ok"),
+            "experiment": "fo", "params": {"trials": 50}, "out": str(tmp_path / "ok"),
         }))
-        assert run_cli(["collision", "--config", str(cfg)]) == 0
+        assert run_cli(["fo", "--trials", "7", "--config", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "ok" / "metadata.json").read_text())
+        assert (meta["seed"], meta["trials"]) == (0, 50)
 
     def test_params_must_be_object_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -157,6 +182,52 @@ class TestCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run_cli(["collision", "--config", str(cfg)]) == 2
+
+
+class TestSettings:
+    """Each battery accepts --config, --out and only the settings it reads."""
+
+    @pytest.mark.parametrize("battery", sorted(READS))
+    def test_help_lists_only_read_flags(self, battery, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([battery, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+        assert flags == {"help", "config", "out"} | READS[battery]
+
+    @pytest.mark.parametrize("battery,flag", UNREAD_FLAGS,
+                             ids=[f"{b}-{f}" for b, f in UNREAD_FLAGS])
+    def test_unread_flag_exit_2(self, tmp_path, battery, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([battery, f"--{flag}", FLAG_VALUES[flag], "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("battery,cfg", [
+        ("sweep", {"experiment": "collision"}),
+        ("sigma", {"experiment": "fo", "params": {"trials": 5}}),
+        ("collision", {"experiment": "collision", "sede": 4}),
+        ("verify-theorem2", {"experiment": "verify-theorem2", "seed": 7}),
+        ("sigma", {"experiment": "sigma", "backend": "sparse"}),
+        ("collision", {"experiment": "collision", "params": {"trials": 5}}),
+        ("fo", {"experiment": "fo", "params": {"backend": "sparse"}}),
+        ("sweep", {"experiment": "sweep", "params": {"bound-scale": 1.0}}),
+        ("fo", {"experiment": "fo", "params": {"trials": "5"}}),
+        ("fo", {"experiment": "fo", "seed": 1.5}),
+        ("equivalence", {"experiment": "equivalence", "backend": "quantum"}),
+        ("collision", {"experiment": "collision", "out": 3}),
+    ], ids=["mismatched-experiment", "mismatched-experiment-with-params",
+            "typo-key", "unread-seed", "unread-backend", "unread-param-trials",
+            "unread-param-backend", "unread-param-bound-scale", "string-trials",
+            "float-seed", "unknown-backend", "non-string-out"])
+    def test_config_error_exit_2(self, tmp_path, battery, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "cfg-out"), **cfg}))
+        code = run_cli([battery, "--config", str(path), "--out", str(tmp_path / "flag-out")])
+        assert code == 2
+        assert not (tmp_path / "cfg-out").exists()
+        assert not (tmp_path / "flag-out").exists()
 
 
 class TestEntryPoint:

@@ -1,9 +1,9 @@
 """Structured ProductState columns against the dense-column reference.
 
-Random interleavings of classical queries and extraction measurements (with
-`satisfying=` and with the `member` predicate alone) at n <= 3, m <= 3 must
-give the same outcome distribution, the same state on every branch, and the
-same seeded draws as `DenseProductState`.
+Random interleavings of classical queries and extraction measurements (the
+reference given the `member` predicate, ProductState the cell lists) at
+n <= 3, m <= 3 must give the same outcome distribution, the same state on
+every branch, and the same seeded draws as `DenseProductState`.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ def programs(draw):
     ops = [("query", x) for x in queries]
     for _ in range(draw(st.integers(1, 2))):
         at = draw(st.integers(0, len(ops)))
-        ops.insert(at, ("measure", draw(st.booleans())))
+        ops.insert(at, ("measure", None))
     return n, m, frozenset(pairs), tuple(ops)
 
 
@@ -41,10 +41,10 @@ def play(state, ops, pairs, chooser, snapshots=True):
     for kind, arg in ops:
         if kind == "query":
             outcomes.append(state.classical_query(arg, chooser))
-        elif arg:
-            outcomes.append(state.measure_relation(member, chooser, satisfying=satisfying))
-        else:
+        elif isinstance(state, DenseProductState):
             outcomes.append(state.measure_relation(member, chooser))
+        else:
+            outcomes.append(state.measure_relation(satisfying, chooser))
         if snapshots:
             vecs.append(state.to_dense_vector())
     return tuple(outcomes), vecs
@@ -85,8 +85,8 @@ def test_structured_columns_match_dense_columns(program):
 
 def test_seeded_runs_match_dense_columns_at_n12():
     pairs = frozenset((x, c) for x in range(4) for c in range(0, 2**12, 97))
-    ops = (("query", 0), ("query", 2), ("measure", True), ("query", 0),
-           ("query", 2), ("query", 3), ("measure", True), ("query", 3), ("query", 0))
+    ops = (("query", 0), ("query", 2), ("measure", None), ("query", 0),
+           ("query", 2), ("query", 3), ("measure", None), ("query", 3), ("query", 0))
     for seed in range(30):
         fast, slow = RandomChooser(seed), RandomChooser(seed)
         out, _ = play(ProductState(12, 4), ops, pairs, fast, snapshots=False)

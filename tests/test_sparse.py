@@ -214,7 +214,7 @@ class TestQuantumQueryAgreement:
 class TestMeasureRelation:
     def test_empty_state_gives_empty(self):
         sp = SparseState(1, 2, q_cap=2)
-        out = sp.measure_relation(lambda x, c: True, RandomChooser(0))
+        out = sp.measure_relation(lambda x: [0, 1], RandomChooser(0))
         assert out is None
 
     def test_agreement_with_dense_extraction(self):
@@ -232,7 +232,7 @@ class TestMeasureRelation:
         def run_sparse(ch):
             sp = SparseState(1, 2, q_cap=2)
             h0 = sp.classical_query(0, ch)
-            out = sp.measure_relation(lambda x, c: rel.member(x, c), ch)
+            out = sp.measure_relation(rel.y_set, ch)
             return (h0, out)
 
         d_dense = enumerate_distribution(run_dense)
@@ -262,7 +262,7 @@ class TestFunctionalWrappers:
     def test_measure_relation_wrapper(self):
         sp = SparseState(1, 2, q_cap=3)
         sp.classical_query(0, RandomChooser(2))
-        out = sp.measure_relation(lambda x, c: True, RandomChooser(3))
+        out = sp.measure_relation(lambda x: [0, 1], RandomChooser(3))
         assert out in (0, None)
 
 
@@ -338,7 +338,7 @@ class TestProductState:
             prod = ProductState(1, 3)
             h0 = prod.classical_query(0, ch)
             h2 = prod.classical_query(2, ch)
-            out = prod.measure_relation(lambda x, c: rel.member(x, c), ch)
+            out = prod.measure_relation(rel.y_set, ch)
             h0b = prod.classical_query(0, ch)
             return (h0, h2, out, h0b)
 

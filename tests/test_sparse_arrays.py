@@ -1,10 +1,10 @@
 """SparseState's array passes against the per-entry reference.
 
 Random programs of single and joint prefix unitaries, quantum queries,
-classical queries, prefix measurements and extraction measurements (with
-`satisfying=` and with the `member` predicate alone) at n <= 2, m <= 3 must
-give the same amplitude map after every step, the same branch probabilities
-and outcome distribution, and the same seeded draws as
+classical queries, prefix measurements and extraction measurements (the
+reference given the `member` predicate, SparseState the cell lists) at
+n <= 2, m <= 3 must give the same amplitude map after every step, the same
+branch probabilities and outcome distribution, and the same seeded draws as
 `ReferenceSparseState`.  The q_cap checks must fire at the same key length.
 The `amps` map is derived from SparseState's arrays, so every step also
 checks that it has one key per entry: a derived dict silently merges
@@ -60,7 +60,7 @@ def programs(draw):
         ops.insert(draw(st.integers(0, len(ops))), ("quantum", None))
     branching = [("classical", draw(st.integers(0, m - 1)))
                  for _ in range(draw(st.integers(0, 2)))]
-    branching += [("relation", draw(st.booleans())) for _ in range(draw(st.integers(0, 2)))]
+    branching += [("relation", None) for _ in range(draw(st.integers(0, 2)))]
     if draw(st.booleans()):
         branching.append(("prefix", draw(st.sampled_from(["X", "W"]))))
     for op in draw(st.permutations(branching))[:3]:
@@ -82,10 +82,10 @@ def play(state, ops, pairs, chooser, snapshots=True):
             outcomes.append(state.classical_query(arg, chooser))
         elif kind == "prefix":
             outcomes.append(state.measure_prefix(arg, chooser))
-        elif arg and not isinstance(state, ReferenceSparseState):
-            outcomes.append(state.measure_relation(member, chooser, satisfying=satisfying))
-        else:
+        elif isinstance(state, ReferenceSparseState):
             outcomes.append(state.measure_relation(member, chooser))
+        else:
+            outcomes.append(state.measure_relation(satisfying, chooser))
         assert len(state.amps) == state.support()
         if snapshots:
             maps.append((state.basis, dict(state.amps)))
@@ -111,16 +111,16 @@ def assert_same_map(fast, slow):
           (("unitary", (["X"], random_unitary(2, 5, "dense"))), ("quantum", None),
            ("quantum", None))))
 @example((1, 1, regs_of(1, 1), frozenset({(0, 0), (0, 1)}),
-          (("classical", 0), ("relation", True))))
+          (("classical", 0), ("relation", None))))
 @example((1, 2, regs_of(1, 2), frozenset({(0, 0)}),
-          (("classical", 0), ("relation", False), ("classical", 0))))
+          (("classical", 0), ("relation", None), ("classical", 0))))
 @example((2, 2, regs_of(2, 2), frozenset({(0, 1), (1, 2)}),
           (("unitary", (["X"], random_unitary(2, 3, "dense"))), ("quantum", None),
-           ("classical", 0), ("relation", True), ("classical", 0))))
+           ("classical", 0), ("relation", None), ("classical", 0))))
 @example((2, 2**40, (("X", 2), ("Y", 4), ("W", W_DIM)), frozenset({(0, 1), (1, 2)}),
           (("unitary", (["X", "W"], random_unitary(4, 6, "dense"))), ("quantum", None),
            ("unitary", (["X", "Y"], random_unitary(8, 5, "dense"))), ("quantum", None),
-           ("classical", 1), ("relation", True))))
+           ("classical", 1), ("relation", None))))
 def test_array_passes_match_reference(program):
     n, m, regs, pairs, ops = program
     q_cap = sum(kind in ("quantum", "classical") for kind, _ in ops)
@@ -161,7 +161,10 @@ def grover_then_query(cls, circ, chooser):
             state.quantum_query("X", "Y")
     x = state.measure_prefix("X", chooser)
     h = state.classical_query(x, chooser)
-    hit = state.measure_relation(lambda xx, c: c == h, chooser)
+    if cls is ReferenceSparseState:
+        hit = state.measure_relation(lambda xx, c: c == h, chooser)
+    else:
+        hit = state.measure_relation(lambda xx: [h], chooser)
     return x, h, hit, dict(state.amps)
 
 
@@ -225,8 +228,8 @@ FORK_OPS = {
     "requery": lambda s, ch: s.classical_query(0, ch),
     "basis": lambda s, ch: s.basis_switch(),
     "prefix": lambda s, ch: s.measure_prefix("X", ch),
-    "relation": lambda s, ch: s.measure_relation(lambda x, c: c == 1, ch),
-    "satisfying": lambda s, ch: s.measure_relation(None, ch, satisfying=lambda x: [0]),
+    "relation": lambda s, ch: s.measure_relation(lambda x: [1], ch),
+    "satisfying": lambda s, ch: s.measure_relation(lambda x: [0], ch),
     "probs": lambda s, ch: s.classical_query_probs(1),
     "prune": lambda s, ch: s.prune(0.3),
     "renormalize": lambda s, ch: (s.prune(0.3), s.renormalize()),
