@@ -212,39 +212,23 @@ def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Rep
     The circuit defers every measurement to the end, so the state is evolved
     once; only the measurement of X branches, on copies of that state.
     """
-    from .circuits import circuit_registers, validate_circuit
-    from .oracle import DenseOracleState
-    from .sparse import SparseState
+    from .circuits import _run, circuit_registers, validate_circuit
+    from .oracle import oracle_state
 
     mats = validate_circuit(circ)
+    if any(s["op"] == "measure" for s in circ["steps"]):
+        raise ValueError("grover circuits must defer measurement to the end")
     config = OracleConfig(circ["n"], circ["m"])
     q = sum(1 for s in circ["steps"] if s["op"] == "query")
-    regs = circuit_registers(circ)
 
     start = time.perf_counter()
-    if backend == "sparse":
-        state = SparseState(config.n, config.m, q_cap=q + 2, prefix=regs)
-        apply = state.apply_prefix_unitary
-        query = lambda: state.quantum_query("X", "Y")
-        measure_x = lambda st, ch: st.measure_prefix("X", ch)
-    else:
-        state = DenseOracleState(config)
-        for lab, d in regs:
-            state.extend(lab, d)
-        apply = lambda ts, mat: state.state.apply(mat, ts)
-        query = lambda: state.quantum_query("X", "Y")
-        measure_x = lambda st, ch: st.state.measure(["X"], ch)[0]
-    for step, mat in zip(circ["steps"], mats):
-        if step["op"] == "unitary":
-            apply(step["targets"], mat)
-        elif step["op"] == "query":
-            query()
-        else:
-            raise ValueError("grover circuits must defer measurement to the end")
+    state = oracle_state(backend, config.n, config.m, circuit_registers(circ), q_cap=q + 2)
+    # evolve once through the steps alone: X is measured per branch below
+    _run({"steps": circ["steps"]}, mats, state, lambda: state.quantum_query("X", "Y"), None)
 
     def run(ch):
         st = state.copy()
-        x = measure_x(st, ch)
+        (x,) = st.measure(["X"], ch)
         # exact hit probability of the final classical RO(x) check, without
         # branching over responses
         probs = st.classical_query_probs(x)

@@ -1,4 +1,4 @@
-"""Adversary circuits as data, and runners over the three oracle realizations.
+"""Adversary circuits as data, and one step loop that runs them on any oracle.
 
 A circuit is a JSON-able dict:
 
@@ -16,7 +16,16 @@ Named gates: hadamard (2^k dims), fourier (any dim), flip (cyclic +1),
 controlled-flip (|a,b> -> |a, b+a mod d>), phase (diag(1,-1,1,...), or
 diag(e^{i angle j}) when "angle" is given).
 
-The reference oracle is a purified table register.  A uniformly random
+Every circuit runs through one loop, `_run`, over three operations of its
+state: `state.apply(matrix, labels)` for a unitary step, a `query()` callable
+for a query step and `state.measure(labels, chooser)` for a measurement.  The
+compressed oracle's state is `oracle.oracle_state(backend, ...)` (a dense
+DenseOracleState measures a target list jointly, with one draw; a sparse
+SparseState measures it label by label) and its query is O_XYD.  Grover
+experiments evolve once through the same loop and measure X afterwards.
+
+The reference oracle is a RegisterState with a purified table register.  A
+uniformly random
 H: [m] -> {0,1}^n is one of T = 2^{n·m} tables t.  A register _H starts in
 T^{-1/2} sum_t |t>, a query applies U_t: |x, y> -> |x, y xor table_t[x]>
 controlled on |t>, and gates and projectors act as 1_H (x) A.  Along any run
@@ -36,8 +45,7 @@ from .branching import _check_mass, enumerate_distribution
 from .config import ATOL
 from .engine import RegisterState
 from .linalg import total_variation
-from .oracle import DenseOracleState, OracleConfig, check_unitary, walsh
-from .sparse import SparseState
+from .oracle import OracleConfig, check_unitary, oracle_state, walsh
 
 
 def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
@@ -78,24 +86,46 @@ def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
 
 def validate_circuit(circ: dict) -> list:
     """Check a circuit; returns each step's gate matrix (None for other ops).
-    An explicit matrix must be square over its targets and unitary within ATOL."""
+    Register labels must be distinct, every target and output label a
+    register, and an explicit matrix square over its targets and unitary
+    within ATOL.  Raises ValueError naming the step or label at fault."""
     for key in ("n", "m", "steps"):
         if key not in circ:
             raise ValueError(f"circuit missing field {key!r}")
-    dims_of = dict(circuit_registers(circ))
+    regs = circuit_registers(circ)
+    dims_of = dict(regs)
+    if len(dims_of) != len(regs):
+        raise ValueError(f"register labels repeat: {[lab for lab, _ in regs]}")
+
+    def check_labels(labels, where: str) -> None:
+        for lab in labels:
+            if lab not in dims_of:
+                raise ValueError(f"{where} names unknown register {lab!r}")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"{where} names a register twice: {labels}")
+
     mats = []
-    for step in circ["steps"]:
-        if step["op"] not in ("unitary", "query", "measure"):
-            raise ValueError(f"unknown step op {step['op']!r}")
-        if step["op"] == "unitary" and "gate" not in step and "matrix" not in step:
-            raise ValueError("unitary step needs a gate name or explicit matrix")
-        dims = [dims_of[t] for t in step["targets"]] if step["op"] == "unitary" else None
-        mats.append(None if dims is None else gate_matrix(step, dims))
-        if dims is not None and "matrix" in step:
-            if mats[-1].shape != (math.prod(dims),) * 2:
-                raise ValueError(f"matrix of shape {mats[-1].shape} on targets of dims {dims}")
-            if check_unitary(mats[-1]) > ATOL:
-                raise ValueError("explicit matrix is not unitary")
+    for i, step in enumerate(circ["steps"]):
+        op = step.get("op")
+        if op not in ("unitary", "query", "measure"):
+            raise ValueError(f"step {i}: unknown step op {op!r}")
+        if op != "query":
+            if "targets" not in step:
+                raise ValueError(f"step {i}: {op} step needs targets")
+            check_labels(step["targets"], f"step {i}")
+        mat = None
+        if op == "unitary":
+            if "gate" not in step and "matrix" not in step:
+                raise ValueError(f"step {i}: unitary step needs a gate name or explicit matrix")
+            dims = [dims_of[t] for t in step["targets"]]
+            mat = gate_matrix(step, dims)
+            if "matrix" in step:
+                if mat.shape != (math.prod(dims),) * 2:
+                    raise ValueError(f"matrix of shape {mat.shape} on targets of dims {dims}")
+                if check_unitary(mat) > ATOL:
+                    raise ValueError("explicit matrix is not unitary")
+        mats.append(mat)
+    check_labels(circ.get("output", []), "output")
     return mats
 
 
@@ -106,9 +136,20 @@ def circuit_registers(circ: dict) -> list[tuple[str, int]]:
     return regs
 
 
-def _finish(results: list, state_measure, outputs) -> tuple:
-    if outputs:
-        results.extend(state_measure(outputs))
+def _run(circ: dict, mats: list, state, query, chooser) -> tuple:
+    """The one step loop: every measured value of circ, mid-circuit and then
+    the output registers.  state.apply(matrix, labels) runs a unitary step,
+    query() a query step, state.measure(labels, chooser) a measurement."""
+    results: list[int] = []
+    for step, mat in zip(circ["steps"], mats):
+        if step["op"] == "unitary":
+            state.apply(mat, step["targets"])
+        elif step["op"] == "query":
+            query()
+        else:
+            results.extend(state.measure(step["targets"], chooser))
+    if circ.get("output"):
+        results.extend(state.measure(circ["output"], chooser))
     return tuple(results)
 
 
@@ -118,47 +159,9 @@ def run_circuit_compressed(circ: dict, chooser, backend: str = "dense",
     mats is validate_circuit(circ), computed here when not given."""
     if mats is None:
         mats = validate_circuit(circ)
-    config = OracleConfig(circ["n"], circ["m"])
-    regs = circuit_registers(circ)
-    if backend == "dense":
-        oracle = DenseOracleState(config)
-        for lab, d in regs:
-            oracle.extend(lab, d)
-        state = oracle.state
-
-        def apply(mat, targets):
-            state.apply(mat, targets)
-
-        def measure(targets):
-            return list(state.measure(targets, chooser))
-
-        def query():
-            oracle.quantum_query("X", "Y")
-
-    elif backend == "sparse":
-        sp = SparseState(circ["n"], circ["m"], q_cap=circ.get("q_cap", 8), prefix=regs)
-
-        def apply(mat, targets):
-            sp.apply_prefix_unitary(targets, mat)
-
-        def measure(targets):
-            return [sp.measure_prefix(lab, chooser) for lab in targets]
-
-        def query():
-            sp.quantum_query("X", "Y")
-
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    results: list[int] = []
-    for step, mat in zip(circ["steps"], mats):
-        if step["op"] == "unitary":
-            apply(mat, step["targets"])
-        elif step["op"] == "query":
-            query()
-        else:
-            results.extend(measure(step["targets"]))
-    return _finish(results, measure, circ.get("output", []))
+    state = oracle_state(backend, circ["n"], circ["m"], circuit_registers(circ),
+                         q_cap=circ.get("q_cap", 8))
+    return _run(circ, mats, state, lambda: state.quantum_query("X", "Y"), chooser)
 
 
 def run_circuit_reference(circ: dict, chooser, mats: list | None = None) -> tuple:
@@ -176,20 +179,12 @@ def run_circuit_reference(circ: dict, chooser, mats: list | None = None) -> tupl
     state.tensor[(slice(None),) + (0,) * (state.tensor.ndim - 1)] = n_tables**-0.5
     # axes 0, 1, 2 are _H, X, Y: the query reads amplitude (t, x, y xor table_t[x])
     t, x, y = np.ogrid[:n_tables, :m, :big_n]
-    query = (t, x, y ^ ((t // big_n**x) % big_n))
+    index = (t, x, y ^ ((t // big_n**x) % big_n))
 
-    results: list[int] = []
-    for step, mat in zip(circ["steps"], mats):
-        if step["op"] == "unitary":
-            state.apply(mat, step["targets"])
-        elif step["op"] == "query":
-            state.tensor = state.tensor[query]
-        else:
-            results.extend(state.measure(step["targets"], chooser))
-    return _finish(
-        results, lambda targets: list(state.measure(targets, chooser)),
-        circ.get("output", []),
-    )
+    def query():
+        state.tensor = state.tensor[index]
+
+    return _run(circ, mats, state, query, chooser)
 
 
 def compressed_distribution(circ: dict, backend: str = "dense",

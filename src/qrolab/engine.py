@@ -60,10 +60,14 @@ class RegisterState:
         self.tensor = np.array(vec, dtype=complex).reshape(self._dims)
 
     def copy(self) -> "RegisterState":
-        out = RegisterState.__new__(RegisterState)
-        out._labels = list(self._labels)
-        out._dims = list(self._dims)
-        out.tensor = self.tensor.copy()
+        return self._like(list(self._labels), list(self._dims), self.tensor.copy())
+
+    def _like(self, labels: list[str], dims: list[int], tensor) -> "RegisterState":
+        """A state of this state's type, carrying its other attributes (a
+        subclass's config), over the given registers and tensor."""
+        out = type(self).__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out._labels, out._dims, out.tensor = labels, dims, tensor
         return out
 
     # -- register management -------------------------------------------------
@@ -101,24 +105,6 @@ class RegisterState:
     def apply(self, matrix: np.ndarray, labels) -> None:
         axes = [self.axis(lab) for lab in labels]
         self.tensor = apply_on_axes(np.asarray(matrix, dtype=complex), self.tensor, axes)
-
-    def apply_controlled(self, control: str, blocks, target_labels) -> None:
-        """Apply blocks[x] on target_labels for each basis value x of control.
-
-        blocks is a callable x -> matrix; target_labels may depend on x via a
-        callable as well (used for x-dependent oracle registers).
-        """
-        ax = self.axis(control)
-        moved = np.moveaxis(self.tensor, ax, 0)
-        pieces = []
-        for x in range(self._dims[ax]):
-            labels = target_labels(x) if callable(target_labels) else target_labels
-            sub_axes = []
-            for lab in labels:
-                a = self.axis(lab)
-                sub_axes.append(a - 1 if a > ax else a)
-            pieces.append(apply_on_axes(np.asarray(blocks(x), dtype=complex), moved[x], sub_axes))
-        self.tensor = np.moveaxis(np.stack(pieces, axis=0), 0, ax)
 
     # -- measurement ---------------------------------------------------------
 
@@ -160,10 +146,8 @@ class RegisterState:
         out = []
         for flat in np.nonzero(probs > PROB_FLOOR)[0]:
             _, outcome, kept = self._collapsed(labels, int(flat))
-            child = RegisterState.__new__(RegisterState)
-            child._labels = [self._labels[a] for a in keep]
-            child._dims = [self._dims[a] for a in keep]
-            child.tensor = kept
+            child = self._like([self._labels[a] for a in keep],
+                               [self._dims[a] for a in keep], kept)
             out.append((float(probs[flat]), child, outcome))
         return out
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import DIM_CAP
 from .engine import RegisterState
-from .linalg import LayoutError
+from .linalg import LayoutError, apply_on_axes
+from .sparse import ProductState, SparseState
 
 
 def d_label(x: int) -> str:
@@ -104,80 +105,89 @@ class OracleConfig:
             )
 
 
-class DenseOracleState:
+class DenseOracleState(RegisterState):
     """Compressed-oracle database D held in a dense joint state.
 
-    Callers may attach extra registers (adversary work space, X/Y query
-    registers, purification registers) which then evolve jointly with D.
+    The D registers start at |bot>; the prefix registers (adversary work
+    space, X/Y query registers) follow them at |0> and evolve jointly with
+    D.  Gates, measurement and copies are RegisterState's, and copies and
+    measured branches are DenseOracleStates with this state's config.
     """
 
-    def __init__(self, config: OracleConfig):
+    def __init__(self, config: OracleConfig, prefix=()):
         self.config = config
-        self.state = RegisterState([(d_label(x), config.cell_dim) for x in range(config.m)])
+        super().__init__([(d_label(x), config.cell_dim) for x in range(config.m)])
         # initial database: every cell holds |bot>
-        vec = np.zeros(config.cell_dim, dtype=complex)
-        vec[config.bot] = 1.0
-        tensor = np.array(1.0, dtype=complex)
-        for _ in range(config.m):
-            tensor = np.multiply.outer(tensor, vec)
-        self.state.tensor = tensor.reshape(self.state.dims)
+        self.tensor[(0,) * config.m] = 0.0
+        self.tensor[(config.bot,) * config.m] = 1.0
+        for label, dim in prefix:
+            self.add_register(label, dim)
 
-    def _queried(self, state: RegisterState, x: int) -> RegisterState:
-        """state with a response register _qY attached in |0> and O^x applied
-        on (_qY, D_x): a classical query at x before its measurement."""
+    def _queried(self, x: int) -> "DenseOracleState":
+        """This state with a response register _qY attached in |0> and O^x
+        applied on (_qY, D_x): a classical query at x before its measurement."""
         if not 0 <= x < self.config.m:
             raise ValueError(f"x={x} out of domain range")
-        state.add_register("_qY", self.config.big_n, value=0)
-        state.apply(build_o_small(self.config.n), ["_qY", d_label(x)])
-        return state
+        self.add_register("_qY", self.config.big_n, value=0)
+        self.apply(build_o_small(self.config.n), ["_qY", d_label(x)])
+        return self
 
     def classical_query(self, x: int, chooser) -> int:
         """Classical RO query: prepare |x>|0>, apply O, measure Y, collapse."""
-        (h,) = self._queried(self.state, x).measure_and_remove(["_qY"], chooser)
+        (h,) = self._queried(x).measure_and_remove(["_qY"], chooser)
         return h
 
     def classical_query_probs(self, x: int) -> np.ndarray:
         """Response distribution of a classical query, without performing it."""
-        return self._queried(self.state.copy(), x).born_probs(["_qY"])
+        return self.copy()._queried(x).born_probs(["_qY"])
 
     def classical_query_branches(self, x: int) -> list[tuple[float, "DenseOracleState", int]]:
         """(probability, post-query state, h) for every response h above
         PROB_FLOOR of a classical query at x.  O^x is applied once; each child
         is the _qY = h slice of that state, renormalized.  This state is left
         as it was."""
-        return [(q, self._with_state(child), h) for q, child, (h,)
-                in self._queried(self.state.copy(), x).measured_branches(["_qY"])]
+        return [(q, child, h) for q, child, (h,)
+                in self.copy()._queried(x).measured_branches(["_qY"])]
 
     def quantum_query(self, x_label: str, y_label: str) -> None:
-        """Apply O_XYD jointly on caller-attached X, Y registers and D."""
-        o_small = build_o_small(self.config.n)
-        self.state.apply_controlled(
-            x_label, lambda x: o_small, lambda x: [y_label, d_label(x)]
-        )
-
-    def extend(self, label: str, dim: int, value=0) -> None:
-        self.state.add_register(label, dim, value)
+        """Apply O_XYD jointly on the X, Y registers and D: O^x on (Y, D_x)
+        in each X = x slice."""
+        o_small = np.asarray(build_o_small(self.config.n), dtype=complex)
+        ax, y_ax = self.axis(x_label), self.axis(y_label)
+        moved = np.moveaxis(self.tensor, ax, 0)
+        pieces = []
+        for x in range(self._dims[ax]):
+            sub_axes = [a - (a > ax) for a in (y_ax, self.axis(d_label(x)))]
+            pieces.append(apply_on_axes(o_small, moved[x], sub_axes))
+        self.tensor = np.moveaxis(np.stack(pieces, axis=0), 0, ax)
 
     def d_vector(self) -> np.ndarray:
-        return self.state.subvector([d_label(x) for x in range(self.config.m)])
+        return self.subvector([d_label(x) for x in range(self.config.m)])
 
     def d_rows(self) -> tuple[np.ndarray, list[int]]:
         """The joint state as a matrix with one row per database basis state,
         and the axis order (D axes first) it was flattened in."""
-        state = self.state
-        axes = [state.axis(d_label(x)) for x in range(self.config.m)]
-        order = axes + [a for a in range(state.tensor.ndim) if a not in axes]
-        rows = np.transpose(state.tensor, order).reshape(self.config.d_dim(), -1)
+        axes = [self.axis(d_label(x)) for x in range(self.config.m)]
+        order = axes + [a for a in range(self.tensor.ndim) if a not in axes]
+        rows = np.transpose(self.tensor, order).reshape(self.config.d_dim(), -1)
         return rows, order
 
-    def _with_state(self, state: RegisterState) -> "DenseOracleState":
-        out = DenseOracleState.__new__(DenseOracleState)
-        out.config = self.config
-        out.state = state
-        return out
 
-    def copy(self) -> "DenseOracleState":
-        return self._with_state(self.state.copy())
+def oracle_state(backend: str, n: int, m: int, prefix=(), q_cap: int = 64):
+    """A fresh compressed-oracle state with prefix registers (label, dim) at
+    |0>: "dense" (DenseOracleState), "sparse" (SparseState, at most q_cap
+    non-bot cells) or "product" (ProductState, no prefix registers)."""
+    if backend == "dense":
+        config = OracleConfig(n, m)
+        config.require_dense()
+        return DenseOracleState(config, prefix)
+    if backend == "sparse":
+        return SparseState(n, m, q_cap, prefix=prefix)
+    if backend == "product":
+        if prefix:
+            raise ValueError("product backend has no prefix registers")
+        return ProductState(n, m)
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 class LazyRandomOracle:

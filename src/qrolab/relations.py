@@ -233,7 +233,6 @@ def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> Extraction
     """Projective {Sigma^x} measurement on a DenseOracleState; collapses in place."""
     config = oracle_state.config
     arr = outcome_array(rel, config)
-    state = oracle_state.state
     moved, order = oracle_state.d_rows()
     mass = np.sum(np.abs(moved) ** 2, axis=1)
     probs = np.zeros(config.m + 1)
@@ -243,6 +242,6 @@ def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> Extraction
     moved[~keep, :] = 0.0
     nrm = np.linalg.norm(moved)
     moved /= nrm
-    back = moved.reshape([state.dims[a] for a in order])
-    state.tensor = np.transpose(back, np.argsort(order))
+    back = moved.reshape([oracle_state.dims[a] for a in order])
+    oracle_state.tensor = np.transpose(back, np.argsort(order))
     return ExtractionOutcome(None if code == config.m else code, config.m)

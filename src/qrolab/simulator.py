@@ -16,13 +16,12 @@ import json
 import numpy as np
 
 from .branching import RandomChooser
-from .oracle import DenseOracleState, OracleConfig
+from .oracle import DenseOracleState, OracleConfig, oracle_state
 from .relations import (
     CommitFunction,
     ExtractionOutcome,
     measure_extraction_dense,
 )
-from .sparse import ProductState, SparseState
 
 
 def _short_seed_repr(seed) -> str:
@@ -38,7 +37,7 @@ def _short_seed_repr(seed) -> str:
 
 class SimulatorS:
     def __init__(self, commit: CommitFunction, backend: str = "dense", *,
-                 seed=None, chooser=None, q_cap: int | None = None, prefix=()):
+                 seed=None, chooser=None, q_cap: int = 64, prefix=()):
         self.commit = commit
         self.config = OracleConfig(commit.n, commit.m)
         if chooser is None:
@@ -46,19 +45,7 @@ class SimulatorS:
         self.chooser = chooser
         self._seed_repr = _short_seed_repr(seed)
         self.log: list[dict] = []
-        if backend == "dense":
-            self.config.require_dense()
-            self.backend = DenseOracleState(self.config)
-            for label, dim in prefix:
-                self.backend.extend(label, dim)
-        elif backend == "sparse":
-            self.backend = SparseState(commit.n, commit.m, q_cap or 64, prefix=prefix)
-        elif backend == "product":
-            if prefix:
-                raise ValueError("product backend has no attached registers")
-            self.backend = ProductState(commit.n, commit.m)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        self.backend = oracle_state(backend, commit.n, commit.m, prefix, q_cap)
 
     def fork(self, chooser) -> "SimulatorS":
         """An independent copy bound to chooser: its own backend and log."""
@@ -102,7 +89,7 @@ class SimulatorS:
         return kids
 
     def ro_quantum(self, x_label: str = "X", y_label: str = "Y") -> None:
-        """Apply O_XYD on caller-attached query registers (dense/sparse only)."""
+        """Apply O_XYD on the prefix query registers (dense/sparse only)."""
         self.backend.quantum_query(x_label, y_label)
         self._record(interface="RO", mode="quantum", x=x_label, y=y_label)
 
@@ -128,13 +115,3 @@ class SimulatorS:
             return t in self.commit.t_values
         except TypeError:
             return True
-
-    # -- register plumbing for quantum access (dense backend) ----------------------
-
-    def attach(self, label: str, dim: int, value=0) -> None:
-        if isinstance(self.backend, DenseOracleState):
-            self.backend.extend(label, dim, value)
-        elif isinstance(self.backend, SparseState):
-            raise ValueError("sparse prefix registers must be declared at construction")
-        else:
-            raise NotImplementedError("product backend has no attached registers")

@@ -176,9 +176,6 @@ class SparseState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amp, self.amp).real)
 
-    def renormalize(self) -> None:
-        self.amp = _normalized(self.amp)
-
     def prune(self, eps: float = PRUNE_EPS) -> None:
         keep = np.abs(self.amp) > eps
         if not keep.all():
@@ -342,6 +339,14 @@ class SparseState:
         self._set(pre, self.reg[src], self.cell[src], block[rows, flats])
         self.prune()
 
+    def apply(self, matrix: np.ndarray, labels) -> None:
+        """RegisterState's signature for apply_prefix_unitary."""
+        self.apply_prefix_unitary(labels, matrix)
+
+    def measure(self, labels, chooser) -> tuple[int, ...]:
+        """The named prefix registers measured one after another."""
+        return tuple(self.measure_prefix(lab, chooser) for lab in labels)
+
     def measure_prefix(self, label: str, chooser) -> int:
         ax = self.prefix_axis(label)
         probs = np.bincount(self.pre[:, ax], weights=np.abs(self.amp) ** 2,
@@ -492,7 +497,7 @@ def sparse_decode(sparse: SparseState):
         raise ValueError("decode only defined for pure database states")
     config = OracleConfig(sparse.n, sparse.m)
     out = DenseOracleState(config)
-    out.state.set_vector(sparse.to_dense_vector())
+    out.set_vector(sparse.to_dense_vector())
     return out
 
 

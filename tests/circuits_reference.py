@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from qrolab.branching import enumerate_distribution
-from qrolab.circuits import _finish, circuit_registers, validate_circuit
+from qrolab.circuits import circuit_registers, validate_circuit
 from qrolab.engine import RegisterState
 from qrolab.oracle import OracleConfig
 
@@ -39,10 +39,9 @@ def run_circuit_reference(circ: dict, chooser, table) -> tuple:
             state.apply(uh, ["X", "Y"])
         else:
             results.extend(state.measure(step["targets"], chooser))
-    return _finish(
-        results, lambda targets: list(state.measure(targets, chooser)),
-        circ.get("output", []),
-    )
+    if circ.get("output"):
+        results.extend(state.measure(circ["output"], chooser))
+    return tuple(results)
 
 
 def reference_distribution(circ: dict) -> dict:

@@ -59,6 +59,35 @@ class TestGates:
             validate_circuit(self._with_matrix(np.eye(4, dtype=complex)[:, :2], ["X", "Y"]))
 
 
+MALFORMED = {
+    "unknown-unitary-target": ({"steps": [{"op": "unitary", "targets": ["Z"], "gate": "flip"}]},
+                               r"step 0 names unknown register 'Z'"),
+    "step-without-op": ({"steps": [{"op": "query"}, {"targets": ["X"]}]},
+                        r"step 1: unknown step op None"),
+    "unknown-measure-target": ({"steps": [{"op": "measure", "targets": ["X", "Z"]}]},
+                               r"step 0 names unknown register 'Z'"),
+    "unknown-output-label": ({"output": ["X", "Z"]}, r"output names unknown register 'Z'"),
+    "work-register-named-X": ({"registers": [["X", 2]]}, r"register labels repeat"),
+    "target-named-twice": ({"steps": [{"op": "unitary", "targets": ["X", "X"], "gate": "flip"}]},
+                           r"step 0 names a register twice"),
+    "measure-without-targets": ({"steps": [{"op": "measure"}]}, r"step 0: measure step needs targets"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_malformed_circuits_rejected(case, backend):
+    """A malformed circuit is a ValueError naming the step or label, before
+    any backend runs it."""
+    fields, message = MALFORMED[case]
+    circ = {"n": 1, "m": 2, "registers": [], "steps": [{"op": "query"}],
+            "output": ["X"], **fields}
+    with pytest.raises(ValueError, match=message):
+        validate_circuit(circ)
+    with pytest.raises(ValueError, match=message):
+        run_circuit_compressed(circ, RandomChooser(0), backend)
+
+
 class TestNamedCircuits:
     @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2)])
     def test_gap_below_tolerance(self, n, m):

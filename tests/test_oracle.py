@@ -15,8 +15,10 @@ from qrolab.oracle import (
     build_o_small,
     check_unitary,
     d_label,
+    oracle_state,
     walsh,
 )
+from qrolab.sparse import ProductState, SparseState
 
 
 def phi(n, y):
@@ -65,15 +67,15 @@ class TestQueryUnitary:
         # O_XYD as the dense backend applies it, one basis column at a time
         config = OracleConfig(n, m)
         fresh = DenseOracleState(config)
-        fresh.extend("X", m)
-        fresh.extend("Y", config.big_n)
-        dim = fresh.state.dim
+        fresh.add_register("X", m)
+        fresh.add_register("Y", config.big_n)
+        dim = fresh.dim
         cols = []
         for j in range(dim):
             oracle = fresh.copy()
-            oracle.state.set_vector(np.eye(1, dim, j))
+            oracle.set_vector(np.eye(1, dim, j))
             oracle.quantum_query("X", "Y")
-            cols.append(oracle.state.vector())
+            cols.append(oracle.vector())
         assert check_unitary(np.stack(cols, axis=1)) <= ATOL
 
     def test_phi0_is_fixed(self, n=1):
@@ -91,20 +93,20 @@ class TestQueryUnitary:
         config = OracleConfig(1, 2)
         rng = np.random.default_rng(11)
         oracle = DenseOracleState(config)
-        oracle.extend("X", config.m, value=None_safe(rng, config.m))
-        oracle.extend("Y", config.big_n, value=None_safe(rng, config.big_n))
-        before = oracle.state.born_probs(["X"])
+        oracle.add_register("X", config.m, value=None_safe(rng, config.m))
+        oracle.add_register("Y", config.big_n, value=None_safe(rng, config.big_n))
+        before = oracle.born_probs(["X"])
         oracle.quantum_query("X", "Y")
-        after = oracle.state.born_probs(["X"])
+        after = oracle.born_probs(["X"])
         assert np.abs(before - after).max() <= ATOL
 
     def test_query_on_fresh_oracle_uniform_y(self):
         config = OracleConfig(2, 2)
         oracle = DenseOracleState(config)
-        oracle.extend("X", config.m, value=1)
-        oracle.extend("Y", config.big_n, value=0)
+        oracle.add_register("X", config.m, value=1)
+        oracle.add_register("Y", config.big_n, value=0)
         oracle.quantum_query("X", "Y")
-        probs = oracle.state.born_probs(["Y"])
+        probs = oracle.born_probs(["Y"])
         assert np.abs(probs - 2.0**-config.n).max() <= ATOL
 
     def test_independent_queries_commute_full_space(self):
@@ -117,11 +119,11 @@ class TestQueryUnitary:
         def run(order):
             oracle = DenseOracleState(config)
             for lab in ("X1", "Y1", "X2", "Y2"):
-                oracle.extend(lab, 2)
-            oracle.state.set_vector(vec)
+                oracle.add_register(lab, 2)
+            oracle.set_vector(vec)
             for which in order:
                 oracle.quantum_query(f"X{which}", f"Y{which}")
-            return oracle.state.vector()
+            return oracle.vector()
 
         assert np.abs(run((1, 2)) - run((2, 1))).max() <= ATOL
 
@@ -139,7 +141,7 @@ class TestClassicalQuery:
             oracle = DenseOracleState(config)
             h = oracle.classical_query(0, ch)
             # post-state of D_0 must be F|h>
-            col = oracle.state.subvector([d_label(0)])
+            col = oracle.subvector([d_label(0)])
             want = build_f(config.n)[:, h]
             assert np.abs(col - want * np.sign((col @ want).real or 1)).max() <= 1e-9
             return h
@@ -172,7 +174,7 @@ class TestClassicalQuery:
             oracle = DenseOracleState(config)
             cell = np.zeros(config.cell_dim, dtype=complex)
             cell[h] = 1.0
-            oracle.state.set_vector(cell)
+            oracle.set_vector(cell)
             return oracle.classical_query(0, ch)
 
         dist = enumerate_distribution(run)
@@ -184,6 +186,54 @@ class TestClassicalQuery:
         oracle = DenseOracleState(OracleConfig(1, 2))
         with pytest.raises(ValueError):
             oracle.classical_query(5, RandomChooser(0))
+
+
+class TestDenseStateCopies:
+    """copy(), measured_branches and classical_query_branches build
+    DenseOracleStates that carry the parent's config and their own tensor."""
+
+    @staticmethod
+    def _children(oracle):
+        yield oracle.copy()
+        yield from (kid for _, kid, _ in oracle.measured_branches(["W"]))
+        yield from (kid for _, kid, _ in oracle.classical_query_branches(1))
+
+    def test_children_are_dense_oracle_states(self):
+        config = OracleConfig(1, 2)
+        oracle = DenseOracleState(config, prefix=[("W", 2)])
+        oracle.apply(walsh(1), ["W"])
+        oracle.classical_query(0, RandomChooser(3))
+        before = oracle.tensor.copy()
+        kids = list(self._children(oracle))
+        assert len(kids) == 1 + 2 + 2
+        for kid in kids:
+            assert type(kid) is DenseOracleState and kid.config is config
+            assert not np.shares_memory(kid.tensor, oracle.tensor)
+            h = kid.classical_query(0, RandomChooser(0))
+            assert 0 <= h < config.big_n and abs(kid.norm() - 1.0) <= ATOL
+        assert np.array_equal(oracle.tensor, before)
+        assert oracle.labels == ("D0", "D1", "W")
+
+    def test_prefix_registers_follow_the_database(self):
+        oracle = DenseOracleState(OracleConfig(1, 2), prefix=[("X", 2), ("Y", 2)])
+        assert oracle.labels == ("D0", "D1", "X", "Y")
+        assert oracle.tensor[2, 2, 0, 0] == 1.0 and oracle.norm() == 1.0
+
+
+class TestOracleStateFactory:
+    @pytest.mark.parametrize("backend,kind", [("dense", DenseOracleState),
+                                              ("sparse", SparseState),
+                                              ("product", ProductState)])
+    def test_backends(self, backend, kind):
+        assert type(oracle_state(backend, 1, 2)) is kind
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            oracle_state("nope", 1, 2)
+
+    def test_product_backend_refuses_a_prefix(self):
+        with pytest.raises(ValueError, match="prefix"):
+            oracle_state("product", 1, 2, prefix=[("X", 2)])
 
 
 class TestLazyReferenceOracle:

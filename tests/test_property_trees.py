@@ -79,14 +79,14 @@ def test_branch_matches_enumerate_paths(case):
 def test_branch_leaves_parent_untouched():
     f = properties.bundled_commits(2, 3)[1]
     base = properties._prep_leaves(f)[properties._preps_for(3).index((0, 1))]
-    before = [(p, sim.backend.state.tensor.copy(), list(sim.log), sim.chooser, outs)
+    before = [(p, sim.backend.tensor.copy(), list(sim.log), sim.chooser, outs)
               for p, sim, outs in base]
     kids = branch(branch(base, replayed(lambda sim: sim.e_query(3).value)),
                   lambda sim: sim.ro_branches(2))
     assert len(kids) > len(base)
     for (p, sim, outs), (p0, tensor, log, chooser, outs0) in zip(base, before):
         assert (p, outs, sim.log, sim.chooser) == (p0, outs0, log, chooser)
-        assert np.array_equal(sim.backend.state.tensor, tensor)
+        assert np.array_equal(sim.backend.tensor, tensor)
     assert all(len(sim.log) == 4 for _, sim, _ in kids)
 
 

@@ -102,7 +102,7 @@ class TestExtractionMeasurement:
         cell[1] = 1.0
         bot = np.zeros(3)
         bot[2] = 1.0
-        oracle.state.set_vector(np.kron(cell, bot))
+        oracle.set_vector(np.kron(cell, bot))
         out = measure_extraction_dense(oracle, rel, RandomChooser(0))
         assert out.value == 0
 
@@ -112,7 +112,7 @@ class TestExtractionMeasurement:
         oracle = DenseOracleState(config)
         cell = np.zeros(3)
         cell[1] = 1.0
-        oracle.state.set_vector(np.kron(cell, cell))
+        oracle.set_vector(np.kron(cell, cell))
         out = measure_extraction_dense(oracle, rel, RandomChooser(0))
         assert out.value == 0
 
@@ -126,7 +126,7 @@ class TestExtractionMeasurement:
 
         def run(ch):
             oracle = DenseOracleState(config)
-            oracle.state.set_vector(vec)
+            oracle.set_vector(vec)
             return measure_extraction_dense(oracle, rel, ch).value
 
         dist = enumerate_distribution(run)

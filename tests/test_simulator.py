@@ -11,6 +11,7 @@ from qrolab.linalg import total_variation
 from qrolab.properties import toy_encryption_commit
 from qrolab.relations import identity_commit
 from qrolab.simulator import SimulatorS
+from qrolab.sparse import QCapError
 
 
 class TestExtractionInterface:
@@ -107,18 +108,21 @@ class TestBackendAgreement:
 
     def test_quantum_access_via_attached_registers(self):
         f = identity_commit(1, 2)
-        sim = SimulatorS(f, backend="dense", seed=0)
-        sim.attach("X", 2)
-        sim.attach("Y", 2)
-        sim.backend.state.apply(np.array([[1, 1], [1, -1]]) / np.sqrt(2), ["X"])
+        sim = SimulatorS(f, backend="dense", seed=0, prefix=[("X", 2), ("Y", 2)])
+        sim.backend.apply(np.array([[1, 1], [1, -1]]) / np.sqrt(2), ["X"])
         sim.ro_quantum("X", "Y")
         assert any(e["mode"] == "quantum" for e in sim.log)
-        probs = sim.backend.state.born_probs(["X"])
+        probs = sim.backend.born_probs(["X"])
         assert np.abs(probs - 0.5).max() <= ATOL
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             SimulatorS(identity_commit(1, 2), backend="nope")
+
+    def test_zero_q_cap_refuses_the_first_query(self):
+        sim = SimulatorS(identity_commit(1, 2), backend="sparse", seed=0, q_cap=0)
+        with pytest.raises(QCapError):
+            sim.ro_classical(0)
 
 
 class TestIndependentQueryOrder:

@@ -62,7 +62,7 @@ class TestEncodeDecode:
         h = 1
         bot = np.zeros(3)
         bot[2] = 1.0
-        oracle.state.set_vector(np.kron(bot, f[:, h]))
+        oracle.set_vector(np.kron(bot, f[:, h]))
         sp = sparse_encode(oracle, q_cap=2)
         want = {
             ((), ((1, 0),)): f[0, h],
@@ -165,14 +165,14 @@ class TestBasisSwitch:
 def _dense_with_xy(config, xy):
     """Dense oracle state with attached X, Y registers in a given joint state."""
     dense = DenseOracleState(config)
-    dense.extend("X", config.m)
-    dense.extend("Y", config.big_n)
+    dense.add_register("X", config.m)
+    dense.add_register("Y", config.big_n)
     fresh = np.zeros(config.cell_dim, dtype=complex)
     fresh[config.bot] = 1.0
     t = np.array(1.0, dtype=complex)
     for _ in range(config.m):
         t = np.multiply.outer(t, fresh)
-    dense.state.tensor = np.multiply.outer(t, xy.reshape(config.m, config.big_n))
+    dense.tensor = np.multiply.outer(t, xy.reshape(config.m, config.big_n))
     return dense
 
 
@@ -207,7 +207,7 @@ class TestQuantumQueryAgreement:
             dense.quantum_query("X", "Y")
             sp.quantum_query("X", "Y")
         order = ["X", "Y"] + [d_label(x) for x in range(m)]
-        want = dense.state.subvector(order)
+        want = dense.subvector(order)
         assert np.abs(sp.to_dense_vector() - want).max() <= 1e-9
 
 

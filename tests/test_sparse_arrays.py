@@ -232,7 +232,6 @@ FORK_OPS = {
     "satisfying": lambda s, ch: s.measure_relation(lambda x: [0], ch),
     "probs": lambda s, ch: s.classical_query_probs(1),
     "prune": lambda s, ch: s.prune(0.3),
-    "renormalize": lambda s, ch: (s.prune(0.3), s.renormalize()),
     "dense": lambda s, ch: s.to_dense_vector(),
 }
 

@@ -18,7 +18,7 @@ GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
 
 
 def _tensor(sim):
-    return sim.backend.state.tensor
+    return sim.backend.tensor
 
 
 @pytest.mark.parametrize("n,m", GRID)
@@ -26,7 +26,7 @@ def test_ro_branches_match_replay(n, m):
     for f in properties.bundled_commits(n, m):
         for leaves in properties._prep_leaves(f):
             for _, sim, _ in leaves:
-                before, log, labels = _tensor(sim).copy(), list(sim.log), sim.backend.state.labels
+                before, log, labels = _tensor(sim).copy(), list(sim.log), sim.backend.labels
                 for x in range(m):
                     native = sim.ro_branches(x)
                     replay = {h: (q, kid) for q, kid, h
@@ -36,14 +36,14 @@ def test_ro_branches_match_replay(n, m):
                         q0, kid0 = replay[h]
                         assert abs(q - q0) <= 1e-15, (f.name, x, h, q, q0)
                         assert kid.log == kid0.log
-                        assert kid.backend.state.labels == kid0.backend.state.labels
+                        assert kid.backend.labels == kid0.backend.labels
                         diff = np.abs(kid.backend.d_vector() - kid0.backend.d_vector()).max()
                         assert diff <= 1e-15, (f.name, x, h, diff)
                     tensors = [_tensor(sim)] + [_tensor(kid) for _, kid, _ in native]
                     assert not any(np.shares_memory(a, b) for i, a in enumerate(tensors)
                                    for b in tensors[i + 1:])
                 assert np.array_equal(_tensor(sim), before)
-                assert sim.log == log and sim.backend.state.labels == labels
+                assert sim.log == log and sim.backend.labels == labels
 
 
 def test_ro_branches_refuse_an_out_of_range_query():
