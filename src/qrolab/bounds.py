@@ -1,11 +1,22 @@
 """The verification harness: every commutator/query bound computed exactly.
 
-The purified measurement M_DP is a basis permutation, and O_XYD is block
-diagonal over X with Hermitian involution blocks O^x on (Y, D_x).  Norms of
-commutators are therefore computed per x on Y (x) D (x) P.  Below the SVD
-cutoff the matrix K = [O^x, M_DP] is built by one batched apply to the
-identity: O^x is real and M_DP a permutation, so K is real.  Above it the
-norm is matrix-free (Lanczos on K^dag K).
+The purified measurement M_DP maps |db, w> to |db, w + e(db)> on D (x) P,
+with P = Z/(m+1) and e(db) the encoded outcome (0 for empty, x + 1 for x).
+O_XYD is block diagonal over X with Hermitian involution blocks O^x on
+(Y, D_x), real in the computational basis.  Norms of commutators are
+therefore computed per x on Y (x) D (x) P.
+
+Below the SVD cutoff the norm comes from the Fourier basis of P.  Write
+omega = e^{2 pi i/(m+1)} and |j~> = (m+1)^{-1/2} sum_w omega^{-jw} |w>.  Then
+M_DP |y, db, j~> = omega^{j e(db)} |y, db, j~>, so M_DP = (+)_j Lambda_j with
+Lambda_j = diag_{(y, db)} omega^{j e(db)} on Y (x) D, while O^x (x) 1_P
+commutes with the change of basis of P.  Hence [O^x, M_DP] = (+)_j K_j with
+K_j = [O, Lambda_j], that is K_j[r, c] = O[r, c] (lambda_j[c] - lambda_j[r])
+for the real matrix O = O^x (x) 1 on Y (x) D, and
+||[O^x, M_DP]|| = max_j ||K_j||.  K_0 = 0, and K_{m+1-j} = conj(K_j) because O
+is real, so one batched SVD over j = 1 .. floor((m+1)/2) on Y (x) D replaces
+the SVD on Y (x) D (x) P.  Above the cutoff the norm is matrix-free (Lanczos
+on K^dag K over the whole space).
 
 Pi^empty = (x)_x' (1 - Pi^x') and O^x acts on (Y, D_x) only, so up to the order
 of the cells [O^x, 1_Y (x) Pi^empty] = [O^x, 1_Y (x) (1 - Pi^x)] (x) (x)_{x'!=x}
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +36,8 @@ from .branching import distribution, enumerate_paths
 from .config import ATOL, DENSE_SVD_CUTOFF
 from .linalg import apply_on_axes, operator_norm, spectral_norm_linop
 from .oracle import OracleConfig, build_f, build_o_small
-from .relations import CommitFunction, Relation, projectors_for_relation, \
-    purified_m_permutation
+from .relations import CommitFunction, Relation, encoded_outcomes, \
+    projectors_for_relation, purified_m_permutation
 
 
 @dataclass
@@ -89,12 +101,17 @@ class OxMCommutator:
     """[O^x_{Y D_x}, M_DP] on Y (x) D (x) P, applied to a (dim,) or (dim, batch) array."""
 
     def __init__(self, rel: Relation, config: OracleConfig, x: int):
+        self.rel = rel
         self.config = config
         self.x = x
         self.o_small = build_o_small(config.n)
-        self.dest = purified_m_permutation(rel, config)
         self.dims = [config.big_n] + [config.cell_dim] * config.m + [config.m + 1]
         self.dim = int(np.prod(self.dims))
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        """M_DP's permutation, which only the matrix-free apply reads."""
+        return purified_m_permutation(self.rel, self.config)
 
     def _apply_o(self, flat: np.ndarray) -> np.ndarray:
         t = flat.reshape(self.dims + list(flat.shape[1:]))
@@ -119,8 +136,22 @@ class OxMCommutator:
 
     def norm(self) -> float:
         if self.dim <= DENSE_SVD_CUTOFF:
-            return float(np.linalg.svd(self.apply(np.eye(self.dim)), compute_uv=False)[0])
+            return self.block_norm()
         return spectral_norm_linop(self.apply, self.apply_adj, self.dim)
+
+    def block_norm(self) -> float:
+        """max_j ||K_j|| over the P-Fourier blocks j = 1 .. floor((m+1)/2)
+        (module docstring), from one batched SVD on Y (x) D."""
+        config = self.config
+        dims = self.dims[:-1]
+        side = self.dim // self.dims[-1]
+        o = apply_on_axes(self.o_small, np.eye(side).reshape(dims + [side]),
+                          [0, 1 + self.x]).reshape(side, side)
+        p = config.m + 1
+        enc = np.tile(encoded_outcomes(self.rel, config), config.big_n)
+        lam = np.exp(2j * np.pi / p * np.outer(np.arange(1, p // 2 + 1), enc))
+        blocks = o * (lam[:, None, :] - lam[:, :, None])
+        return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
 
 
 def theorem_commutator_norm(rel: Relation, config: OracleConfig) -> float:

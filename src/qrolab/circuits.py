@@ -87,11 +87,15 @@ def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
 def validate_circuit(circ: dict) -> list:
     """Check a circuit; returns each step's gate matrix (None for other ops).
     Register labels must be distinct, every target and output label a
-    register, and an explicit matrix square over its targets and unitary
-    within ATOL.  Raises ValueError naming the step or label at fault."""
+    register, an explicit matrix square over its targets and unitary within
+    ATOL, and q_cap, when given, an int >= 1.  Raises ValueError naming the
+    step, label or field at fault."""
     for key in ("n", "m", "steps"):
         if key not in circ:
             raise ValueError(f"circuit missing field {key!r}")
+    q_cap = circ.get("q_cap", 8)
+    if isinstance(q_cap, bool) or not isinstance(q_cap, int) or q_cap < 1:
+        raise ValueError(f"q_cap must be an int >= 1, got {q_cap!r}")
     regs = circuit_registers(circ)
     dims_of = dict(regs)
     if len(dims_of) != len(regs):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .config import ATOL, DENSE_SVD_CUTOFF, POWER_MAXITER, POWER_TOL
 
@@ -54,8 +53,11 @@ def spectral_norm_linop(apply, apply_adj, dim: int) -> float:
 
     Runs Lanczos (scipy eigsh) on A^dag A and falls back to plain power
     iteration when Lanczos does not converge.  Both start from the same
-    seeded complex vector, so the result is the same in every run.
+    seeded complex vector, so the result is the same in every run.  scipy is
+    imported here, its only use, so importing qrolab does not load it.
     """
+    import scipy.sparse.linalg as spla
+
     gram = spla.LinearOperator(
         (dim, dim), matvec=lambda v: apply_adj(apply(v)), dtype=complex
     )

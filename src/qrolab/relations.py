@@ -214,14 +214,19 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
     return out
 
 
+def encoded_outcomes(rel: Relation, config: OracleConfig) -> np.ndarray:
+    """outcome_array encoded as M_DP's shift of P: 0 for empty, x + 1 for x."""
+    arr = outcome_array(rel, config)
+    return np.where(arr == config.m, 0, arr + 1)
+
+
 def purified_m_permutation(rel: Relation, config: OracleConfig) -> np.ndarray:
     """M_DP as a column-index permutation over the D (x) P basis.
 
     perm[j] = i means M maps basis state j to basis state i; encoded outcomes
     shift the P register cyclically.
     """
-    arr = outcome_array(rel, config)
-    enc = np.where(arr == config.m, 0, arr + 1)
+    enc = encoded_outcomes(rel, config)
     p_dim = config.m + 1
     d_idx = np.repeat(np.arange(config.d_dim()), p_dim)
     w = np.tile(np.arange(p_dim), config.d_dim())

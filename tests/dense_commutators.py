@@ -2,9 +2,10 @@
 
 These are the brute-force forms of `OxMCommutator.norm` and of the
 `local-O-PiEmpty` norm in `verify_local_bounds`, kept as the oracles the
-batched build, the Lanczos path and the factored [O^x, Pi^empty] are checked
-against, together with the dense Pi^empty itself.  The Pi^empty matrix has
-side (2^n + 1)^m, and the commutator 2^n (2^n + 1)^m, so keep n, m tiny.
+P-Fourier block norm, the Lanczos path and the factored [O^x, Pi^empty] are
+checked against, together with the dense Pi^empty itself.  The Pi^empty
+matrix has side (2^n + 1)^m, and the commutator 2^n (2^n + 1)^m, so keep n,
+m tiny.
 """
 
 from __future__ import annotations

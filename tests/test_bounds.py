@@ -17,7 +17,7 @@ from qrolab.bounds import (
     theorem_commutator_norm,
     verify_local_bounds,
 )
-from qrolab.config import ATOL
+from qrolab.config import ATOL, DENSE_SVD_CUTOFF
 from qrolab.experiments import (
     AdaptiveTwoQueryCommitter,
     HonestCommitter,
@@ -26,6 +26,7 @@ from qrolab.experiments import (
     commutator_relation_reports,
     grover_blind_circuit,
     grover_one_iteration_circuit,
+    random_relations,
 )
 from qrolab.oracle import OracleConfig
 from qrolab.properties import toy_encryption_commit
@@ -67,6 +68,16 @@ class TestCommutatorNorms:
         com = OxMCommutator(rel, config, 0)
         assert com.dim > 1024
         assert abs(com.norm() - oxm_norm_by_columns(rel, config, 0)) <= 1e-8
+
+    def test_iterative_path_matches_blocks_at_n2_m3(self):
+        # the P-Fourier blocks, called directly above the cutoff, as a
+        # second exact reference for Lanczos on seeded relations
+        config = OracleConfig(2, 3)
+        for rel in random_relations(2, 3, 3, np.random.default_rng(23)):
+            for x in range(3):
+                com = OxMCommutator(rel, config, x)
+                assert com.dim > DENSE_SVD_CUTOFF
+                assert abs(com.norm() - com.block_norm()) <= 1e-8, (x, list(rel.pairs()))
 
 
 class TestLocalBounds:

@@ -71,6 +71,11 @@ MALFORMED = {
     "target-named-twice": ({"steps": [{"op": "unitary", "targets": ["X", "X"], "gate": "flip"}]},
                            r"step 0 names a register twice"),
     "measure-without-targets": ({"steps": [{"op": "measure"}]}, r"step 0: measure step needs targets"),
+    "q-cap-string": ({"q_cap": "x"}, r"q_cap must be an int >= 1, got 'x'"),
+    "q-cap-zero": ({"q_cap": 0}, r"q_cap must be an int >= 1, got 0"),
+    "q-cap-negative": ({"q_cap": -1}, r"q_cap must be an int >= 1, got -1"),
+    "q-cap-bool": ({"q_cap": True}, r"q_cap must be an int >= 1, got True"),
+    "q-cap-float": ({"q_cap": 2.0}, r"q_cap must be an int >= 1, got 2.0"),
 }
 
 

@@ -1,8 +1,14 @@
 """Tests for the linear algebra kernels and the dense dimension cap."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qrolab
 from qrolab.config import ATOL, DIM_CAP
 from qrolab.engine import RegisterState
 from qrolab.linalg import (
@@ -161,6 +167,19 @@ class TestOperatorNorm:
         diag = np.ones(1500)
         diag[7] = 3.75
         assert abs(operator_norm(np.diag(diag)) - 3.75) <= 1e-8
+
+    def test_scipy_loads_only_for_lanczos(self):
+        # spectral_norm_linop imports scipy.sparse.linalg itself, so the
+        # modules that import qrolab's others do not pay for it
+        src = str(Path(qrolab.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, qrolab.cli, qrolab.experiments, qrolab.sigma, qrolab.fokem\n"
+                "print('scipy.sparse.linalg' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 2))
