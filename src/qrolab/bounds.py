@@ -11,12 +11,21 @@ omega = e^{2 pi i/(m+1)} and |j~> = (m+1)^{-1/2} sum_w omega^{-jw} |w>.  Then
 M_DP |y, db, j~> = omega^{j e(db)} |y, db, j~>, so M_DP = (+)_j Lambda_j with
 Lambda_j = diag_{(y, db)} omega^{j e(db)} on Y (x) D, while O^x (x) 1_P
 commutes with the change of basis of P.  Hence [O^x, M_DP] = (+)_j K_j with
-K_j = [O, Lambda_j], that is K_j[r, c] = O[r, c] (lambda_j[c] - lambda_j[r])
+K_j = [O, Lambda_j], that is K_j[a, b] = O[a, b] (lambda_j[b] - lambda_j[a])
 for the real matrix O = O^x (x) 1 on Y (x) D, and
 ||[O^x, M_DP]|| = max_j ||K_j||.  K_0 = 0, and K_{m+1-j} = conj(K_j) because O
-is real, so one batched SVD over j = 1 .. floor((m+1)/2) on Y (x) D replaces
-the SVD on Y (x) D (x) P.  Above the cutoff the norm is matrix-free (Lanczos
-on K^dag K over the whole space).
+is real, so only j = 1 .. floor((m+1)/2) are needed.
+
+Each K_j splits further over the spectator cells.  Write r = (d_x')_{x'!=x}.
+O = O^x (x) 1_r acts on (Y, D_x) only, and Lambda_j is diagonal, so neither
+changes r: up to the order of the cells K_j = (+)_r K_{j,r} with
+K_{j,r}[(y, c), (y', c')] = O^x[(y, c), (y', c')] (lambda_{j,r}(c') -
+lambda_{j,r}(c)) on Y (x) D_x, where lambda_{j,r}(c) = omega^{j e(c, r)} does
+not depend on y.  Hence ||[O^x, M_DP]|| = max_{j, r} ||K_{j,r}||, and K_{j,r}
+depends on r only through the row e(., r), so the distinct rows suffice:
+one batched SVD over matrices of side 2^n (2^n + 1) replaces the SVD on
+Y (x) D (x) P.  Above the cutoff the norm is matrix-free (Lanczos on K^dag K
+over the whole space).
 
 Pi^empty = (x)_x' (1 - Pi^x') and O^x acts on (Y, D_x) only, so up to the order
 of the cells [O^x, 1_Y (x) Pi^empty] = [O^x, 1_Y (x) (1 - Pi^x)] (x) (x)_{x'!=x}
@@ -140,18 +149,19 @@ class OxMCommutator:
         return spectral_norm_linop(self.apply, self.apply_adj, self.dim)
 
     def block_norm(self) -> float:
-        """max_j ||K_j|| over the P-Fourier blocks j = 1 .. floor((m+1)/2)
-        (module docstring), from one batched SVD on Y (x) D."""
+        """max ||K_{j,r}|| over j = 1 .. floor((m+1)/2) and the distinct rows
+        e(., r) of the spectator cells r (module docstring), from one batched
+        SVD on Y (x) D_x."""
         config = self.config
-        dims = self.dims[:-1]
-        side = self.dim // self.dims[-1]
-        o = apply_on_axes(self.o_small, np.eye(side).reshape(dims + [side]),
-                          [0, 1 + self.x]).reshape(side, side)
+        cd = config.cell_dim
+        enc = encoded_outcomes(self.rel, config).reshape([cd] * config.m)
+        flat = np.moveaxis(enc, self.x, -1).reshape(-1, cd).tolist()
+        rows = np.array(sorted(set(map(tuple, flat))))
         p = config.m + 1
-        enc = np.tile(encoded_outcomes(self.rel, config), config.big_n)
-        lam = np.exp(2j * np.pi / p * np.outer(np.arange(1, p // 2 + 1), enc))
-        blocks = o * (lam[:, None, :] - lam[:, :, None])
-        return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+        js = np.arange(1, p // 2 + 1)[:, None, None]
+        lam = np.exp(2j * np.pi / p * js * np.tile(rows, config.big_n))
+        blocks = self.o_small * (lam[..., None, :] - lam[..., :, None])
+        return float(np.linalg.svd(blocks, compute_uv=False)[..., 0].max())
 
 
 def theorem_commutator_norm(rel: Relation, config: OracleConfig) -> float:

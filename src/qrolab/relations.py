@@ -42,7 +42,7 @@ class Relation:
             pairs = frozenset((int(x), int(y)) for x, y in member)
             self._member = lambda x, y: (x, y) in pairs
         self._ysets: dict[int, tuple[int, ...]] = {}
-        self._outcomes: dict[tuple[int, int], np.ndarray] = {}  # see outcome_array
+        self._outcomes: np.ndarray | None = None  # see outcome_array
 
     @classmethod
     def from_pairs(cls, n: int, m: int, pairs) -> "Relation":
@@ -176,8 +176,16 @@ def constant_commit(n: int, m: int) -> CommitFunction:
 # -- projectors and the extraction measurement --------------------------------
 
 
+def _require_same_shape(rel: Relation, config: OracleConfig) -> None:
+    """Raise ValueError unless rel lives on the config's (n, m)."""
+    if (rel.n, rel.m) != (config.n, config.m):
+        raise ValueError(f"relation on (n, m) = ({rel.n}, {rel.m}) used with "
+                         f"config ({config.n}, {config.m})")
+
+
 def projectors_for_relation(rel: Relation, config: OracleConfig) -> dict:
     """The local projectors Pi^x on each D_x."""
+    _require_same_shape(rel, config)
     cd = config.cell_dim
     locals_ = {}
     for x in range(config.m):
@@ -193,11 +201,11 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
 
     Entry value x in 0..m-1 means D_x is the first register holding a value
     in the relation; value m encodes the empty outcome.  Built once per
-    (relation, n, m) and returned read-only.
+    relation and returned read-only.
     """
-    key = (config.n, config.m)
-    if key in rel._outcomes:
-        return rel._outcomes[key]
+    _require_same_shape(rel, config)
+    if rel._outcomes is not None:
+        return rel._outcomes
     cd = config.cell_dim
     out = np.full(config.d_dim(), config.m, dtype=np.int64)
     # iterate x from the largest down so smaller x overwrite: smallest index wins
@@ -210,7 +218,7 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
         mask = np.tile(np.repeat(hit, post), pre)
         out[mask] = x
     out.flags.writeable = False
-    rel._outcomes[key] = out
+    rel._outcomes = out
     return out
 
 

@@ -70,8 +70,8 @@ class TestCommutatorNorms:
         assert abs(com.norm() - oxm_norm_by_columns(rel, config, 0)) <= 1e-8
 
     def test_iterative_path_matches_blocks_at_n2_m3(self):
-        # the P-Fourier blocks, called directly above the cutoff, as a
-        # second exact reference for Lanczos on seeded relations
+        # the blocks, called directly above the cutoff, as a second exact
+        # reference for Lanczos on seeded relations
         config = OracleConfig(2, 3)
         for rel in random_relations(2, 3, 3, np.random.default_rng(23)):
             for x in range(3):

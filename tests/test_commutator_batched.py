@@ -1,10 +1,13 @@
-"""The P-Fourier block norm of [O^x, M_DP] and the factored [O^x, Pi^empty]
-against the column-by-column and dense-Pi^empty references in
-`dense_commutators`.
+"""The spectator-split block norm of [O^x, M_DP] and the factored
+[O^x, Pi^empty] against the references in `dense_commutators`: the
+column-by-column build, the P-Fourier blocks on the whole of Y (x) D, and
+the dense Pi^empty.
 
 Checked for every x of all 80 relations at n=1 (m=2, 3), seeded relations at
-(2,2) and (2,3), and a hypothesis sample over n <= 2, m <= 3.  Three mutants
-of the block formula show that the column-by-column oracle tells it apart.
+(2,2) and (2,3), and a hypothesis sample over n <= 2, m <= 3.  Four mutants
+of the block formula show that the column-by-column oracle tells it apart; a
+fifth, which keeps only the all-bot spectator row, needs m = 5 and the
+P-Fourier oracle.
 """
 
 import numpy as np
@@ -12,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_commutators import o_pi_empty_norm_dense, oxm_norm_by_columns
+from dense_commutators import o_pi_empty_norm_dense, oxm_norm_by_columns, oxm_norm_pfourier
 from qrolab.bounds import OxMCommutator, verify_local_bounds
 from qrolab.config import ATOL, DENSE_SVD_CUTOFF
 from qrolab.experiments import all_relations, random_relations
-from qrolab.linalg import apply_on_axes
 from qrolab.oracle import OracleConfig, build_o_small
 from qrolab.relations import Relation, outcome_array
 
@@ -56,27 +58,44 @@ def test_factored_pi_empty_matches_dense(n, m):
         check_pi_empty(n, rel)
 
 
-MUTANTS = ("first-block-only", "empty-merged-with-x0", "phases-not-tiled-over-y")
+@pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_block_norm_matches_pfourier_oracle(n, m):
+    config = OracleConfig(n, m)
+    for rel in relations(n, m):
+        for x in range(m):
+            assert abs(OxMCommutator(rel, config, x).block_norm()
+                       - oxm_norm_pfourier(rel, config, x)) <= ATOL, (x, list(rel.pairs()))
+
+
+MUTANTS = ("first-block-only", "empty-merged-with-x0", "phases-not-tiled-over-y",
+           "x-cell-not-isolated")
 
 
 def block_norm(rel, config, x, mutant=None):
     """OxMCommutator.block_norm restated, with the named mutant's bug:
-    stopping at j = 1, encoding x as x instead of x + 1 (so empty and x = 0
-    share a phase), or repeating the database phases over Y instead of tiling
-    them (so they land on the wrong (y, db) pairs)."""
-    dims = [config.big_n] + [config.cell_dim] * config.m
-    side = int(np.prod(dims))
-    o = apply_on_axes(build_o_small(config.n), np.eye(side).reshape(dims + [side]),
-                      [0, 1 + x]).reshape(side, side)
+    stopping at j = 1; encoding x as x instead of x + 1 (so empty and x = 0
+    share a phase); repeating each phase over Y instead of tiling the row
+    (so phases land on the wrong (y, d_x) pairs); reading the rows with the
+    last cell in place of x's; or keeping only the row whose spectators are
+    all bot."""
+    cd = config.cell_dim
     arr = outcome_array(rel, config)
     enc = np.where(arr == config.m, 0, arr + (mutant != "empty-merged-with-x0"))
-    spread = np.repeat if mutant == "phases-not-tiled-over-y" else np.tile
-    enc = spread(enc, config.big_n)
+    enc = enc.reshape([cd] * config.m)
+    if mutant != "x-cell-not-isolated":
+        enc = np.moveaxis(enc, x, -1)
+    rows = enc.reshape(-1, cd)
+    # bot is the last index of every cell, so the all-bot spectators come last
+    rows = rows[-1:] if mutant == "bot-spectators-only" else np.unique(rows, axis=0)
+    if mutant == "phases-not-tiled-over-y":
+        rows = np.repeat(rows, config.big_n, axis=1)
+    else:
+        rows = np.tile(rows, config.big_n)
     p = config.m + 1
     last = 1 if mutant == "first-block-only" else p // 2
-    lam = np.exp(2j * np.pi / p * np.outer(np.arange(1, last + 1), enc))
-    blocks = o * (lam[:, None, :] - lam[:, :, None])
-    return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+    lam = np.exp(2j * np.pi / p * np.arange(1, last + 1)[:, None, None] * rows)
+    blocks = build_o_small(config.n) * (lam[..., None, :] - lam[..., :, None])
+    return float(np.linalg.svd(blocks, compute_uv=False)[..., 0].max())
 
 
 def n1_cases():
@@ -96,6 +115,22 @@ def test_columns_oracle_rejects_block_mutants(mutant):
                > ATOL for rel, config, x in n1_cases()), mutant
 
 
+def test_bot_spectators_only_is_told_apart_at_m5():
+    """For m + 1 in {3, 4} every nonzero shift k of P reaches the same
+    max_j |omega^{jk} - 1|, so the all-bot spectator row alone gives the
+    right norm on every n = 1, m <= 3 case.  At m = 5, k = 2 reaches sqrt(3)
+    and k = 3 reaches 2: with R = {(1, 0), (4, 0)} and x = 1 the all-bot row
+    shifts by 2 while D_4 = 0 shifts by 3."""
+    for rel, config, x in n1_cases():
+        assert abs(block_norm(rel, config, x, "bot-spectators-only")
+                   - OxMCommutator(rel, config, x).block_norm()) <= ATOL
+    rel = Relation.from_pairs(1, 5, [(1, 0), (4, 0)])
+    config = OracleConfig(1, 5)
+    want = oxm_norm_pfourier(rel, config, 1)
+    assert abs(OxMCommutator(rel, config, 1).block_norm() - want) <= ATOL
+    assert abs(block_norm(rel, config, 1, "bot-spectators-only") - want) > ATOL
+
+
 @st.composite
 def small_relations(draw):
     n = draw(st.integers(1, 2))
@@ -109,8 +144,11 @@ def small_relations(draw):
 def test_random_relations_match_references(case):
     n, m, rel = case
     config = OracleConfig(n, m)
-    # (2,3) is above the SVD cutoff: its Lanczos path is checked against a
-    # dense SVD in test_bounds.py, too slow to repeat for every example
     if OxMCommutator(rel, config, 0).dim <= DENSE_SVD_CUTOFF:
         check_oxm(rel, config)
+    else:
+        # (2,3): norm() is Lanczos, checked against the exact blocks
+        for x in range(m):
+            com = OxMCommutator(rel, config, x)
+            assert abs(com.norm() - com.block_norm()) <= 1e-8, (x, list(rel.pairs()))
     check_pi_empty(n, rel)

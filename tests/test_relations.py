@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dense_commutators import pi_empty
+from qrolab.bounds import OxMCommutator, verify_local_bounds
 from qrolab.branching import RandomChooser, enumerate_distribution
 from qrolab.config import ATOL
+from qrolab.experiments import commutator_relation_reports
 from qrolab.oracle import DenseOracleState, OracleConfig
 from qrolab.relations import (
     CommitFunction,
@@ -215,7 +217,7 @@ class TestGammas:
 
     def test_relation_and_outcome_array_memos(self):
         """relation_for keeps one Relation per t, and outcome_array one
-        read-only array per (relation, n, m), equal to a fresh build."""
+        read-only array per relation, equal to a fresh build."""
         f = identity_commit(2, 3)
         config = OracleConfig(2, 3)
         rel = f.relation_for(1)
@@ -227,3 +229,29 @@ class TestGammas:
             arr[0] = 0
         fresh = outcome_array(Relation(2, 3, lambda x, y: y == 1), config)
         assert np.array_equal(arr, fresh)
+
+
+class TestShapeMismatch:
+    """A relation on (n, m) used with a config of another (n, m) is refused
+    wherever it meets the config, not read on the wrong cells."""
+
+    REL = Relation.from_pairs(1, 2, [(0, 0), (1, 1)])
+    ENTRY_POINTS = {
+        "outcome_array": lambda rel, config: outcome_array(rel, config),
+        "projectors": lambda rel, config: projectors_for_relation(rel, config),
+        "oxm-norm": lambda rel, config: OxMCommutator(rel, config, 0).norm(),
+        "relation-reports": lambda rel, config: commutator_relation_reports(
+            config.n, config.m, rel),
+        "local-bounds": lambda rel, config: verify_local_bounds(config.n, rel),
+        "measure": lambda rel, config: measure_extraction_dense(
+            DenseOracleState(config), rel, RandomChooser(0)),
+    }
+
+    # verify_local_bounds takes m from the relation, so only n can disagree
+    CASES = [(entry, n, m) for entry in ENTRY_POINTS for n, m in ((2, 2), (1, 3))
+             if (entry, m) != ("local-bounds", 3)]
+
+    @pytest.mark.parametrize("entry,n,m", CASES)
+    def test_mismatched_config_raises(self, entry, n, m):
+        with pytest.raises(ValueError, match="relation on"):
+            self.ENTRY_POINTS[entry](self.REL, OracleConfig(n, m))
