@@ -30,8 +30,9 @@ PROB_FLOOR = 1e-15
 
 def _check_mass(total: float) -> float:
     """Raise unless the total is within ATOL of 1: a caller that lost or
-    invented probability is a bug, not something to renormalize away."""
-    if abs(total - 1.0) > ATOL:
+    invented probability is a bug, not something to renormalize away.  Every
+    guard here is written as `not <=` or `not >=`, so that NaN fails it."""
+    if not abs(total - 1.0) <= ATOL:
         raise ValueError(f"outcome mass {total!r} deviates from 1 by more than {ATOL}")
     return total
 
@@ -45,8 +46,8 @@ def _clean_probs(probs) -> np.ndarray:
 def _spiked_mass(count: int, base: float, spikes: dict) -> float:
     """Total mass of `count` outcomes of probability `base`, except `spikes`;
     it must be 1 within ATOL."""
-    if base < 0.0 or any(p < 0.0 for p in spikes.values()):
-        raise ValueError("negative outcome probability")
+    if not base >= 0.0 or not all(p >= 0.0 for p in spikes.values()):
+        raise ValueError("negative or NaN outcome probability")
     if any(not 0 <= i < count for i in spikes):
         raise ValueError(f"spike index outside range({count})")
     return _check_mass(base * (count - len(spikes)) + sum(spikes.values()))
@@ -184,7 +185,7 @@ def branch(leaves, split) -> list[tuple[float, object, tuple]]:
     for prob, state, outcomes in leaves:
         kids = split(state)
         mass = prob * sum(q for q, _, _ in kids)
-        if abs(mass - prob) > ATOL:
+        if not abs(mass - prob) <= ATOL:
             raise ValueError(f"children carry mass {mass!r} of a leaf of mass {prob!r}")
         out.extend((prob * q, child, outcomes + (res,)) for q, child, res in kids)
     return out

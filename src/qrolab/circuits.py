@@ -87,9 +87,9 @@ def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
 def validate_circuit(circ: dict) -> list:
     """Check a circuit; returns each step's gate matrix (None for other ops).
     Register labels must be distinct, every target and output label a
-    register, an explicit matrix square over its targets and unitary within
-    ATOL, and q_cap, when given, an int >= 1.  Raises ValueError naming the
-    step, label or field at fault."""
+    register, every gate matrix finite, an explicit matrix square over its
+    targets and unitary within ATOL, and q_cap, when given, an int >= 1.
+    Raises ValueError naming the step, label or field at fault."""
     for key in ("n", "m", "steps"):
         if key not in circ:
             raise ValueError(f"circuit missing field {key!r}")
@@ -123,11 +123,14 @@ def validate_circuit(circ: dict) -> list:
                 raise ValueError(f"step {i}: unitary step needs a gate name or explicit matrix")
             dims = [dims_of[t] for t in step["targets"]]
             mat = gate_matrix(step, dims)
+            if not np.isfinite(mat).all():
+                raise ValueError(f"step {i}: gate matrix has non-finite entries")
             if "matrix" in step:
                 if mat.shape != (math.prod(dims),) * 2:
-                    raise ValueError(f"matrix of shape {mat.shape} on targets of dims {dims}")
+                    raise ValueError(f"step {i}: matrix of shape {mat.shape} on targets "
+                                     f"of dims {dims}")
                 if check_unitary(mat) > ATOL:
-                    raise ValueError("explicit matrix is not unitary")
+                    raise ValueError(f"step {i}: explicit matrix is not unitary")
         mats.append(mat)
     check_labels(circ.get("output", []), "output")
     return mats

@@ -35,14 +35,24 @@ def apply_on_axes(matrix: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
     return np.moveaxis(moved, list(range(len(axes))), axes)
 
 
-def operator_norm(matrix) -> float:
-    """Largest singular value of a matrix."""
+def operator_norm(matrix) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each matrix in a stack.
+
+    A 2-D matrix gives a float.  A stack of shape (..., d, d) gives an array
+    of shape (...), one norm per matrix from one batched SVD; stacks are
+    taken only at d <= DENSE_SVD_CUTOFF, since above it the norm is Lanczos
+    on one matrix at a time.
+    """
     matrix = np.asarray(matrix)
-    if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
+    if not np.isfinite(matrix).all():
         raise ValueError("operator has non-finite entries")
-    d = matrix.shape[0]
+    d = matrix.shape[-1]
     if d <= DENSE_SVD_CUTOFF:
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
+        norms = np.linalg.svd(matrix, compute_uv=False)[..., 0]
+        return float(norms) if matrix.ndim == 2 else norms
+    if matrix.ndim != 2:
+        raise ValueError(f"a stack of matrices of side {d} is above the dense cutoff "
+                         f"{DENSE_SVD_CUTOFF}")
     return spectral_norm_linop(
         lambda v: matrix @ v, lambda v: matrix.conj().T @ v, d
     )
@@ -85,11 +95,12 @@ def spectral_norm_linop(apply, apply_adj, dim: int) -> float:
 
 
 def _check_density(matrix: np.ndarray) -> None:
+    # written as `not <=` so that a NaN entry fails both checks
     herm = np.abs(matrix - matrix.conj().T).max()
-    if herm > ATOL:
+    if not herm <= ATOL:
         raise ValueError(f"density operator not Hermitian within {ATOL}: {herm:.3e}")
     tr = complex(np.trace(matrix))
-    if abs(tr - 1.0) > ATOL:
+    if not abs(tr - 1.0) <= ATOL:
         raise ValueError(f"density operator trace {tr} not 1 within {ATOL}")
 
 
@@ -107,10 +118,13 @@ def trace_distance(rho, sigma) -> float:
 
 
 def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
-    """Trace distance of two pure states: sqrt(1 - |<phi|psi>|^2)."""
+    """Trace distance of two pure states: sqrt(1 - |<phi|psi>|^2).  Raises
+    ValueError unless both norms are finite and non-zero."""
     a = np.asarray(phi).reshape(-1)
     b = np.asarray(psi).reshape(-1)
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if not (0.0 < na < np.inf and 0.0 < nb < np.inf):
+        raise ValueError(f"pure states need finite non-zero norms, got {na!r} and {nb!r}")
     ov = abs(np.vdot(a, b)) / (na * nb)
     return float(np.sqrt(max(0.0, 1.0 - min(ov, 1.0) ** 2)))
 

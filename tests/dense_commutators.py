@@ -3,7 +3,9 @@
 These are the brute-force forms of `OxMCommutator.norm` and of the
 `local-O-PiEmpty` norm in `verify_local_bounds`, kept as the oracles the
 block norm, the Lanczos path and the factored [O^x, Pi^empty] are checked
-against, together with the dense Pi^empty itself.  A second oracle for the
+against, together with the dense Pi^empty itself.  `local_bounds_per_x` is
+`verify_local_bounds` as one loop over x with single SVDs and np.kron lifts,
+the oracle of the stacked form.  A second oracle for the
 block norm takes the P-Fourier blocks on the whole of Y (x) D, without the
 split over the spectator cells.  The Pi^empty matrix has side (2^n + 1)^m,
 and the commutator 2^n (2^n + 1)^m, so keep n, m tiny.
@@ -13,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from qrolab.bounds import Report, _commutator_norm, local_bound, timed
 from qrolab.linalg import apply_on_axes, operator_norm
-from qrolab.oracle import OracleConfig, build_o_small
+from qrolab.oracle import OracleConfig, build_f, build_o_small
 from qrolab.relations import Relation, encoded_outcomes, projectors_for_relation, \
     purified_m_permutation
 
@@ -76,3 +79,30 @@ def o_pi_empty_norm_dense(n: int, rel: Relation, x: int) -> float:
     p_emb = np.kron(np.eye(config.big_n), empty)
     o_x = apply_on_axes(o_small, eye, [0, 1 + x]).reshape(dim, dim)
     return operator_norm(o_x @ p_emb - p_emb @ o_x)
+
+
+def local_bounds_per_x(n: int, rel: Relation) -> list[Report]:
+    """Lemma-level bounds [F, Pi^x], [O^x, Pi^x], [O^x, Pi^empty] (factored) per x."""
+    config = OracleConfig(n, rel.m)
+    f = build_f(n)
+    o_small = build_o_small(n)
+    locals_ = projectors_for_relation(rel, config)
+    eye_y = np.eye(config.big_n)
+    eye_d = np.eye(config.cell_dim)
+    reports = []
+    for x in range(rel.m):
+        gx = rel.gamma_x(x)
+        base = dict(n=n, M=rel.m, x=x, gamma=gx)
+        pi = locals_[x]
+        m1, ms1 = timed(lambda: _commutator_norm(f, pi))
+        m2, ms2 = timed(lambda: _commutator_norm(o_small, np.kron(eye_y, pi)))
+        m3, ms3 = timed(lambda: _commutator_norm(o_small, np.kron(eye_y, eye_d - pi))
+                        * np.prod([operator_norm(eye_d - locals_[xp])
+                                   for xp in range(rel.m) if xp != x]))
+        reports.append(Report("local-F-Pi", base, m1, local_bound(n, gx),
+                              runtime_ms=ms1))
+        reports.append(Report("local-O-Pi", base, m2, 2 * local_bound(n, gx),
+                              runtime_ms=ms2))
+        reports.append(Report("local-O-PiEmpty", base, float(m3), 2 * local_bound(n, gx),
+                              runtime_ms=ms3))
+    return reports

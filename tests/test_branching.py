@@ -4,7 +4,8 @@ the dense probability vector, and refuse mass that does not sum to 1."""
 import numpy as np
 import pytest
 
-from qrolab.branching import RandomChooser, ReplayChooser
+from qrolab.branching import RandomChooser, ReplayChooser, _check_mass, _clean_probs, \
+    _spiked_mass, branch
 from qrolab.config import ATOL
 
 
@@ -104,3 +105,28 @@ def test_dense_draw_refuses_mass_off_by_1e6(chooser):
         with pytest.raises(ValueError, match="deviates from 1"):
             chooser.choose([0.5, 0.5 + off])
     assert chooser.choose([0.5, 0.5 + ATOL / 10]) in (0, 1)
+
+
+def test_check_mass_rejects_nan():
+    with pytest.raises(ValueError, match="outcome mass"):
+        _check_mass(float("nan"))
+
+
+def test_clean_probs_rejects_nan():
+    with pytest.raises(ValueError, match="outcome mass"):
+        _clean_probs([np.nan, 0.5])
+
+
+def test_spiked_mass_rejects_nan():
+    with pytest.raises(ValueError, match="NaN outcome probability"):
+        _spiked_mass(4, float("nan"), {})
+    with pytest.raises(ValueError, match="NaN outcome probability"):
+        _spiked_mass(4, 0.25, {1: float("nan")})
+
+
+def test_branch_rejects_a_nan_child():
+    def split(state):
+        return [(float("nan"), state, 0), (1.0, state, 1)]
+
+    with pytest.raises(ValueError, match="children carry mass"):
+        branch([(1.0, None, ())], split)

@@ -1,5 +1,7 @@
 """RO-indistinguishability: compressed oracle vs reference random oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ MALFORMED = {
     "q-cap-negative": ({"q_cap": -1}, r"q_cap must be an int >= 1, got -1"),
     "q-cap-bool": ({"q_cap": True}, r"q_cap must be an int >= 1, got True"),
     "q-cap-float": ({"q_cap": 2.0}, r"q_cap must be an int >= 1, got 2.0"),
+    # json.loads reads NaN, so a circuit file can carry one
+    "nan-matrix": ({"steps": [{"op": "unitary", "targets": ["X"],
+                               "matrix": json.loads("[[1, 0], [NaN, 1]]")}]},
+                   r"step 0: gate matrix has non-finite entries"),
+    "nan-phase-angle": ({"steps": [{"op": "query"}, {"op": "unitary", "targets": ["Y"],
+                                                      "gate": "phase", "angle": float("nan")}]},
+                        r"step 1: gate matrix has non-finite entries"),
 }
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qrolab
-from qrolab.config import ATOL, DIM_CAP
+from qrolab.config import ATOL, DENSE_SVD_CUTOFF, DIM_CAP
 from qrolab.engine import RegisterState
 from qrolab.linalg import (
     LayoutError,
@@ -187,6 +187,30 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(bad)
 
+    def test_stack_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(21)
+        stack = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
+        norms = operator_norm(stack)
+        assert norms.shape == (3, 4)
+        assert norms.tolist() == [[operator_norm(a) for a in row] for row in stack]
+
+    def test_stack_rejects_non_finite(self):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_norm(stack)
+
+    def test_stack_above_cutoff_raises(self):
+        side = DENSE_SVD_CUTOFF + 1
+        # a broadcast view of one zero: the stack itself takes no memory
+        stack = np.broadcast_to(np.zeros((1, 1)), (2, side, side))
+        with pytest.raises(ValueError, match="above the dense cutoff"):
+            operator_norm(stack)
+
+    def test_matrix_gives_a_float(self):
+        assert type(operator_norm(np.eye(3))) is float
+        assert type(operator_norm(np.diag(np.ones(1500)))) is float
+
     def test_submultiplicative_and_triangle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -250,6 +274,22 @@ class TestTraceDistance:
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
             trace_distance(bad, np.eye(2, dtype=complex) / 2)
+
+    def test_rejects_nan_density(self):
+        bad = np.eye(2, dtype=complex) / 2
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_distance(bad, np.eye(2, dtype=complex) / 2)
+        bad = np.diag([np.nan, 0.5]).astype(complex)
+        with pytest.raises(ValueError):
+            trace_distance(np.eye(2, dtype=complex) / 2, bad)
+
+    @pytest.mark.parametrize("phi", [[np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0]])
+    def test_pure_rejects_nan_inf_and_zero(self, phi):
+        with pytest.raises(ValueError, match="finite non-zero"):
+            pure_trace_distance(np.array(phi), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="finite non-zero"):
+            pure_trace_distance(np.array([1.0, 0.0]), np.array(phi))
 
 
 def test_density_from_branches_matches_sum_of_outer_products():
