@@ -93,7 +93,7 @@ class RegisterState:
         mass = np.sum(np.abs(moved) ** 2, axis=tuple(range(1, moved.ndim)))
         total = mass.sum()
         value = int(np.argmax(mass))
-        if mass[value] < (1.0 - ATOL) * total:
+        if not mass[value] >= (1.0 - ATOL) * total:  # `not >=` so that NaN fails
             raise LayoutError(f"register {label!r} is not in a basis state")
         self.tensor = moved[value]
         del self._labels[ax]
@@ -173,7 +173,7 @@ class RegisterState:
         if set(labels) != set(self._labels):
             rho = self.density(labels)
             vals, vecs = np.linalg.eigh(rho)
-            if vals[-1] < 1.0 - ATOL:
+            if not vals[-1] >= 1.0 - ATOL:  # `not >=` so that NaN fails
                 raise LayoutError("registers are entangled with the remainder")
             return vecs[:, -1] * np.sqrt(vals[-1])
         axes = [self.axis(lab) for lab in labels]

@@ -18,11 +18,24 @@ SparseState holds its E entries as arrays, the one representation: an E x L
 matrix of prefix values, E x W matrices of register ids and cells (each row
 sorted by register and padded with register m, cell 0; W is the longest db
 present) and the E amplitudes.  Every operation groups entries by integer
-codes with `np.unique` and works in numpy (one block product per prefix
-unitary or register column, one `np.where` permutation per quantum query).
-Operations build new arrays and never write into the ones they were given, so
-`copy` shares them.  `amps`, the dict from (prefix tuple, db tuple) to
-amplitude, is derived on each read.
+codes and works in numpy (one block product per prefix unitary or register
+column, one `np.where` permutation per quantum query).  Operations build new
+arrays and never write into the ones they were given, so `copy` shares them.
+`amps`, the dict from (prefix tuple, db tuple) to amplitude, is derived on
+each read.
+
+On supports of 10^4 to 10^5 entries numpy's slow paths, not the arithmetic,
+would set the cost, so row operations avoid them (numpy 2.4.6, one core of a
+2-vCPU VM): distinct values come from `_distinct`, one sort and a neighbour
+mask (np.unique's hash path took 1.4 ms on 65,537 equal int64 and 11.5 ms on
+random ones, `_distinct` 0.05 and 0.6 ms); integer row gathers are
+`np.take(..., axis=0)` (63,744 rows of an (8000, 2) int64 array: 0.83 ms as
+a[idx], 0.07 ms); boolean row masks are `np.compress(..., axis=0)` (1.02 ms
+as a[mask] on (63,744, 2), 0.12 ms).  Each fresh 4 KiB page of a new array
+also costs a page fault on first touch, 1-2.6 us there, more than a pass
+over the page; so a classical query writes its 2^n + 1 new amplitudes per
+context into the block it read the columns from, and builds the new rows from
+broadcasts rather than repeats and fancy assignments.
 
 Both backends take `measure_relation(satisfying, chooser)`, where
 `satisfying(x)` lists register x's cells in the relation.
@@ -85,11 +98,14 @@ def fwht(vec: np.ndarray) -> np.ndarray:
 
 
 def _normalized(amp: np.ndarray) -> np.ndarray:
-    """amp scaled to unit norm; amp itself when it is already within 1e-15."""
+    """amp, an array no other state holds, scaled in place to unit norm
+    unless it is already within 1e-15."""
     nrm = np.sqrt(np.vdot(amp, amp).real)
     if nrm <= 0.0:
         raise ValueError("zero state")
-    return amp / nrm if abs(nrm - 1.0) > 1e-15 else amp
+    if abs(nrm - 1.0) > 1e-15:
+        amp /= nrm
+    return amp
 
 
 def _groups(cols, dims, count: int):
@@ -107,16 +123,31 @@ def _groups(cols, dims, count: int):
     return first, group.reshape(-1)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the 1-D array a: one sort and a
+    neighbour mask, where np.unique would take numpy's hash path."""
+    a = np.sort(a)
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.compress(new, a)
+
+
 def _sorted_rows(reg, cell):
-    """reg and cell with each row sorted by register, so padding goes last."""
+    """reg and cell with each row sorted by register, so padding goes last.
+    The rows are gathered by flat position with np.take, which is faster
+    than a 2-D fancy index or np.take_along_axis."""
+    if reg.shape[1] < 2:
+        return reg, cell
     order = np.argsort(reg, axis=1, kind="stable")
-    rows = np.arange(len(reg))[:, None]
-    return reg[rows, order], cell[rows, order]
+    order += np.arange(0, reg.size, reg.shape[1])[:, None]
+    return np.take(reg, order), np.take(cell, order)
 
 
 def _trimmed(reg, cell, m: int):
-    """Sorted reg and cell rows cut to the longest db among them."""
-    width = int((reg < m).sum(axis=1).max(initial=0))
+    """Sorted reg and cell rows cut to the longest db among them: the columns
+    where some row holds a register, since each row's padding goes last."""
+    width = int(np.count_nonzero(reg.min(axis=0, initial=m) < m))
     return reg[:, :width], cell[:, :width]
 
 
@@ -177,9 +208,14 @@ class SparseState:
         return float(np.vdot(self.amp, self.amp).real)
 
     def prune(self, eps: float = PRUNE_EPS) -> None:
-        keep = np.abs(self.amp) > eps
+        """Drop the entries of magnitude at most eps; raise on a NaN amplitude,
+        which `> eps` would drop as silently lost mass."""
+        mag = np.abs(self.amp)
+        keep = mag > eps
         if not keep.all():
-            self._set(self.pre[keep], self.reg[keep], self.cell[keep], self.amp[keep])
+            if not np.all(np.compress(~keep, mag) <= eps):
+                raise ValueError("NaN amplitude in the sparse state")
+            self._set(*self._kept(keep))
 
     def support(self) -> int:
         return len(self.amp)
@@ -190,15 +226,25 @@ class SparseState:
         """Hold new arrays, W cut to the longest db present."""
         self.pre, (self.reg, self.cell), self.amp = pre, _trimmed(reg, cell, self.m), amp
 
+    def _kept(self, keep):
+        """pre, reg, cell and amp at the entries where keep holds."""
+        return [np.compress(keep, a, axis=0) for a in (self.pre, self.reg, self.cell, self.amp)]
+
     def _collapse(self, keep) -> None:
         """Keep the entries where keep holds, renormalized."""
-        self._set(self.pre[keep], self.reg[keep], self.cell[keep], _normalized(self.amp[keep]))
+        pre, reg, cell, amp = self._kept(keep)
+        self._set(pre, reg, cell, _normalized(amp))
 
     def _group(self, pre, axes, reg, cell):
         """Group entries by their prefix values on axes and their db."""
         width = reg.shape[1]
         dims = [self.prefix[a][1] for a in axes] + [self.m + 1] * width + [self.big_n] * width
         return _groups([pre[:, a] for a in axes] + list(reg.T) + list(cell.T), dims, len(pre))
+
+    def _registers(self) -> np.ndarray:
+        """The registers some entry holds, in order."""
+        regs = _distinct(self.reg.reshape(-1))
+        return regs[regs < self.m]
 
     def _padded(self, reg, cell, width: int):
         """reg and cell padded to width columns."""
@@ -212,14 +258,15 @@ class SparseState:
         context: its first entry, and its db without x as reg and cell rows."""
         if not 0 <= x < self.m:
             raise ValueError(f"x={x} out of domain range")
-        rows, pos = np.nonzero(self.reg == x)
+        at = np.flatnonzero(self.reg == x)  # flat positions of x in the rows
         cell = np.full(len(self.amp), BOT)
-        cell[rows] = self.cell[rows, pos]
+        cell[at // self.reg.shape[1]] = np.take(self.cell, at)
         reg, rest = self.reg.copy(), self.cell.copy()
-        reg[rows, pos], rest[rows, pos] = self.m, 0
+        np.put(reg, at, self.m)
+        np.put(rest, at, 0)
         reg, rest = _trimmed(*_sorted_rows(reg, rest), self.m)
         first, ctx = self._group(self.pre, range(len(self.prefix)), reg, rest)
-        return ctx, cell, first, reg[first], rest[first]
+        return ctx, cell, first, np.take(reg, first, axis=0), np.take(rest, first, axis=0)
 
     def _insert(self, reg, cell, x: int):
         """Rows of reg and cell (dbs without x) with register x added at cell
@@ -238,34 +285,36 @@ class SparseState:
             self.basis_switch()
 
     def _block(self, ctx, cell, n_ctx: int):
-        """Columns as a (contexts x 2^n) block, and each context's bot amplitude."""
-        at_bot = cell == BOT
-        bots = np.zeros(n_ctx, dtype=complex)
-        bots[ctx[at_bot]] = self.amp[at_bot]
-        block = np.zeros((n_ctx, self.big_n), dtype=complex)
-        block[ctx[~at_bot], cell[~at_bot]] = self.amp[~at_bot]
-        return block, bots
+        """Columns as a (contexts x (2^n + 1)) block, the bot amplitude last.
+        Filled whole rather than by np.zeros, whose lazily zeroed pages a
+        read and then a write would each fault in."""
+        block = np.full((n_ctx, self.big_n + 1), 0j)
+        block[ctx, np.where(cell == BOT, self.big_n, cell)] = self.amp
+        return block
 
-    def _response(self, ctx, cell, n_ctx: int):
-        """The columns' computational block, Kraus coefficients b and c0, and
-        the response distribution |v[h] + c0|^2 (+ |b|^2 at h = 0).  In the
-        Hadamard frame b = w[0] and the block is one transform away."""
+    def _response(self, block):
+        """From the columns' block: its computational part v shifted by the
+        Kraus coefficient c0, the coefficient b, and the response
+        distribution |v[h] + c0|^2 (+ |b|^2 at h = 0).  In the computational
+        frame v is shifted inside block; in the Hadamard frame b = w[0] and v
+        is one transform away."""
         root = np.sqrt(self.big_n)
-        block, bots = self._block(ctx, cell, n_ctx)
+        v, bots = block[:, :-1], block[:, -1]
         if self.basis == COMPUTATIONAL:
-            b = block.sum(axis=1) / root
+            b = v.sum(axis=1) / root
         else:
-            b = block[:, 0]
-            block = fwht(block.T).T
-        c0 = (bots - b) / root
-        probs = np.sum(np.abs(block + c0[:, None]) ** 2, axis=0)
+            b = v[:, 0].copy()
+            v = fwht(v.T).T
+        v += ((bots - b) / root)[:, None]
+        mag = np.abs(v)
+        probs = np.sum(np.square(mag, out=mag), axis=0)
         probs[0] += float(np.sum(np.abs(b) ** 2))
-        return block, b, c0, probs
+        return v, b, probs
 
     def classical_query_probs(self, x: int) -> np.ndarray:
         """Response distribution of a classical query, without performing it."""
         ctx, cell, first, _, _ = self._columns(x)
-        return self._response(ctx, cell, len(first))[3]
+        return self._response(self._block(ctx, cell, len(first)))[2]
 
     def classical_query(self, x: int, chooser) -> int:
         """Classical RO-query via the Kraus form K_h = F(|h><h| + d_h0 |bot><bot|)F."""
@@ -276,23 +325,28 @@ class SparseState:
         cells_held = np.bincount(ctx[cell != BOT], minlength=n_ctx)
         if np.any((rest_len >= self.q_cap) & (cells_held == 0)):  # x would add a cell
             raise QCapError("query budget exhausted: key would exceed q_cap")
-        block, b, c0, probs = self._response(ctx, cell, n_ctx)
+        cells = self._block(ctx, cell, n_ctx)
+        shifted, b, probs = self._response(cells)
         h = int(chooser.choose(probs))
         big_n = self.big_n
         root = np.sqrt(big_n)
-        alpha = block[:, h] + c0
+        alpha = shifted[:, h].copy()
         gamma = ((b if h == 0 else 0.0) - alpha / root) / root
-        cells = np.full((n_ctx, big_n + 1), gamma[:, None])
+        cells[:] = gamma[:, None]  # the block's buffer takes the new amplitudes
         cells[:, h] += alpha
         cells[:, big_n] = alpha / root
-        # per context: x holding each cell y < 2^n, then x absent
+        # per context: x holding each cell y < 2^n (x's column, at cell 0 from
+        # _insert, plus y), then x absent
         reg, col, at = self._insert(rest_reg, rest_cell, x)
-        reg = np.repeat(reg[:, None], big_n + 1, axis=1)
-        col = np.repeat(col[:, None], big_n + 1, axis=1)
-        col[np.arange(n_ctx)[:, None], np.arange(big_n), at[:, None]] = np.arange(big_n)
+        x_col = np.arange(reg.shape[1]) == at[:, None]
+        ys = np.arange(big_n + 1)[:, None] * x_col[:, None]
+        col = np.add(ys, col[:, None], out=ys)
+        reg = np.broadcast_to(reg[:, None], col.shape).copy()
         reg[:, big_n], col[:, big_n] = self._padded(rest_reg, rest_cell, reg.shape[2])
-        self._set(np.repeat(self.pre[first], big_n + 1, axis=0), reg.reshape(-1, reg.shape[2]),
-                  col.reshape(-1, reg.shape[2]), _normalized(cells).reshape(-1))
+        pre = np.take(self.pre, first, axis=0)[:, None]
+        shape = (n_ctx * (big_n + 1), -1)
+        self._set(np.broadcast_to(pre, (n_ctx, big_n + 1, pre.shape[2])).reshape(shape),
+                  reg.reshape(shape), col.reshape(shape), _normalized(cells).reshape(-1))
         self.prune()
         return h
 
@@ -300,18 +354,19 @@ class SparseState:
 
     def basis_switch(self) -> None:
         """Toggle between computational and Hadamard cell bases (involutive)."""
-        for x in np.unique(self.reg[self.reg < self.m]).tolist():
+        for x in self._registers().tolist():
             ctx, cell, first, rest_reg, rest_cell = self._columns(x)
-            block = fwht(self._block(ctx, cell, len(first))[0].T).T
+            block = fwht(self._block(ctx, cell, len(first))[:, :-1].T).T
             rows, cells = np.nonzero(block)
             bot = np.flatnonzero((cell == BOT) & (self.amp != 0))
             reg, col, at = self._insert(rest_reg, rest_cell, x)
-            reg, col = reg[rows], col[rows]
+            reg, col = np.take(reg, rows, axis=0), np.take(col, rows, axis=0)
             col[np.arange(len(rows)), at[rows]] = cells
-            bot_reg, bot_cell = self._padded(self.reg[bot], self.cell[bot], reg.shape[1])
-            self._set(np.concatenate([self.pre[first[rows]], self.pre[bot]]),
+            bot_reg, bot_cell = self._padded(np.take(self.reg, bot, axis=0),
+                                             np.take(self.cell, bot, axis=0), reg.shape[1])
+            self._set(np.take(self.pre, np.concatenate([first[rows], bot]), axis=0),
                       np.concatenate([reg, bot_reg]), np.concatenate([col, bot_cell]),
-                      np.concatenate([block[rows, cells], self.amp[bot]]))
+                      np.concatenate([block[rows, cells], np.take(self.amp, bot)]))
         self.basis = HADAMARD if self.basis == COMPUTATIONAL else COMPUTATIONAL
         self.prune()
 
@@ -334,9 +389,11 @@ class SparseState:
         block = block @ mat.T
         rows, flats = np.nonzero(block)
         src = first[rows]
-        pre = self.pre[src]
-        pre[:, axes] = np.stack(np.unravel_index(flats, dims), axis=1)
-        self._set(pre, self.reg[src], self.cell[src], block[rows, flats])
+        pre = np.take(self.pre, src, axis=0)
+        for a, values in zip(axes, np.unravel_index(flats, dims)):
+            pre[:, a] = values
+        self._set(pre, np.take(self.reg, src, axis=0), np.take(self.cell, src, axis=0),
+                  block[rows, flats])
         self.prune()
 
     def apply(self, matrix: np.ndarray, labels) -> None:
@@ -404,15 +461,15 @@ class SparseState:
         x values are only the registers actually present in keys.
         """
         self.ensure_basis(COMPUTATIONAL)
-        held = self.reg < self.m
-        hits = np.zeros_like(held)
-        for x in np.unique(self.reg[held]).tolist():
+        hits = np.zeros(self.reg.shape, dtype=bool)
+        for x in self._registers().tolist():
             sat = np.fromiter(satisfying(x), dtype=np.int64)
             hits |= (self.reg == x) & np.isin(self.cell, sat)
         # m encodes the empty outcome
         outcome = np.where(hits, self.reg, self.m).min(axis=1, initial=self.m)
-        values, which = np.unique(outcome, return_inverse=True)
-        mass = np.bincount(which, weights=np.abs(self.amp) ** 2, minlength=len(values))
+        values = _distinct(outcome)
+        mass = np.bincount(np.searchsorted(values, outcome), weights=np.abs(self.amp) ** 2,
+                           minlength=len(values))
         if values[-1] != self.m:
             values, mass = np.append(values, self.m), np.append(mass, 0.0)
         pick = int(values[int(chooser.choose(mass))])

@@ -133,6 +133,20 @@ class TestBasisStateTolerance:
             self.leaky(1e-8).subvector(["b"])
         assert abs(self.leaky(ATOL / 10).subvector(["b"])[0]) > 1.0 - ATOL
 
+    @staticmethod
+    def nan_state():
+        state = RegisterState([("a", 2), ("b", 2)])
+        state.tensor[0, 0] = np.nan
+        return state
+
+    def test_remove_register_rejects_nan(self):
+        with pytest.raises(LayoutError):
+            self.nan_state().remove_register("a")
+
+    def test_subvector_rejects_nan(self):
+        with pytest.raises(LayoutError):
+            self.nan_state().subvector(["a"])
+
 
 class TestOperatorNorm:
     def test_identity_is_one(self):

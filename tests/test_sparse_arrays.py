@@ -9,7 +9,10 @@ branch probabilities and outcome distribution, and the same seeded draws as
 The `amps` map is derived from SparseState's arrays, so every step also
 checks that it has one key per entry: a derived dict silently merges
 duplicate keys.  Operations on a copy must leave the original unchanged,
-since copies share their arrays.
+since copies share their arrays.  The sparse-map benchmark's states are
+checked entry by entry at full size: the n = 16 round trips (65,537 entries
+after each query) and the n = 5, m = 8 Grover circuits (a peak of 8,192
+entries with the uncompute query, 63,744 without).
 """
 
 import numpy as np
@@ -146,9 +149,10 @@ def test_array_passes_match_reference(program):
     enumerate_paths(run_lockstep)
 
 
-def grover_then_query(cls, circ, chooser):
+def grover_then_query(cls, circ, chooser, maps=None):
     """The Grover circuit, a measurement of X, a classical query of RO(x) and
-    an extraction of its answer, as the sparse-map benchmark's paths run."""
+    an extraction of its answer, as the sparse-map benchmark's paths run.
+    The map after each circuit step is appended to maps, when given."""
     regs = circuit_registers(circ)
     dims_of = dict(regs)
     state = cls(circ["n"], circ["m"], q_cap=8, prefix=regs)
@@ -159,6 +163,8 @@ def grover_then_query(cls, circ, chooser):
                                        gate_matrix(step, [dims_of[t] for t in targets]))
         else:
             state.quantum_query("X", "Y")
+        if maps is not None:
+            maps.append((state.basis, dict(state.amps)))
     x = state.measure_prefix("X", chooser)
     h = state.classical_query(x, chooser)
     if cls is ReferenceSparseState:
@@ -176,6 +182,59 @@ def test_seeded_grover_paths_match_reference():
         *slow_out, slow_amps = grover_then_query(ReferenceSparseState, circ, slow)
         assert out == slow_out and fast.log == slow.log
         assert_same_map(("", amps), ("", slow_amps))
+
+
+@pytest.mark.parametrize("uncompute, peak", [(True, 8192), (False, 63744)])
+def test_grover_circuits_at_full_support_match_reference(uncompute, peak):
+    circ = grover_one_iteration_circuit(5, 8, uncompute)
+    fast, slow = RandomChooser(3), RandomChooser(3)
+    maps, slow_maps = [], []
+    *out, amps = grover_then_query(SparseState, circ, fast, maps)
+    *slow_out, slow_amps = grover_then_query(ReferenceSparseState, circ, slow, slow_maps)
+    assert out == slow_out and fast.log == slow.log
+    assert max(len(amps) for _, amps in maps) == peak
+    for fast_map, slow_map in zip(maps + [("", amps)], slow_maps + [("", slow_amps)]):
+        assert_same_map(fast_map, slow_map)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_round_trips_at_n16_match_reference(seed):
+    """ro(x) -> E(h) -> ro(x) -> E(h) on one state at n = 16 over a 2^20
+    domain, as the sparse-map benchmark's round trips run."""
+    x = 12345 + seed
+
+    def run(cls):
+        state, chooser = cls(16, 2**20, q_cap=2), RandomChooser(seed)
+        outcomes, maps = [], []
+        for _ in range(2):
+            h = state.classical_query(x, chooser)
+            maps.append(dict(state.amps))
+            if cls is ReferenceSparseState:
+                hit = state.measure_relation(lambda xx, c: c == h, chooser)
+            else:
+                hit = state.measure_relation(lambda xx: [h], chooser)
+            maps.append(dict(state.amps))
+            outcomes += [h, hit]
+        return outcomes, chooser.log, maps
+
+    (out, log, maps), (slow_out, slow_log, slow_maps) = run(SparseState), run(ReferenceSparseState)
+    assert out == slow_out and log == slow_log
+    assert len(maps[0]) == len(maps[2]) == 2**16 + 1
+    for fast_map, slow_map in zip(maps, slow_maps):
+        assert_same_map(("", fast_map), ("", slow_map))
+
+
+def test_prune_refuses_a_nan_amplitude():
+    """A NaN amplitude fails `> eps`, so pruning would drop it and report a
+    smaller state with its mass silently lost."""
+    vec = np.zeros((2**1 + 1) ** 2, dtype=complex)
+    vec[0] = np.nan
+    vec[-1] = np.sqrt(0.5)  # |bot bot>
+    state = SparseState.from_dense_vector(vec, 1, 2, q_cap=2)
+    assert state.support() == 2
+    with pytest.raises(ValueError, match="NaN"):
+        state.prune()
+    assert state.support() == 2
 
 
 def first_qcap_error(cls, q_cap, ops):
