@@ -384,14 +384,15 @@ def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
     extraction (x_i, t_i) lands in R'.  hard-collision: adversary emits t, x
     vectors; h_i from S.RO(x_i), hat
     x_i from S.E(t_i); success if some i has hat x_i != x_i yet f(x_i,h_i)=t_i.
+    The tree is walked once from a dense SimulatorS root: the walk's node
+    answers S.RO and S.E, so each is evolved once per tree edge.
     """
     from .simulator import SimulatorS
 
     if mode not in ("hard-property", "hard-collision"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    def run(ch):
-        sim = SimulatorS(f, backend="dense", chooser=ch)
+    def run(sim):
         facade = RoOnly(sim)
         out = adversary(facade)
         q = facade.queries
@@ -414,7 +415,7 @@ def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
         return (q, len(ts), success)
 
     start = time.perf_counter()
-    paths = enumerate_paths(run)
+    paths = enumerate_paths(run, SimulatorS(f, backend="dense"))
     ms = (time.perf_counter() - start) * 1000.0
     success = sum(p for p, (_, _, hit) in paths if hit)
     q = max(qq for _, (qq, _, _) in paths)
@@ -443,7 +444,9 @@ def early_extraction_experiment(adversary, f: CommitFunction,
     event never fires on them).  Outputs are classical, so the joint
     [t, x, h, W] states are diagonal and the trace distance is the total
     variation of the outcome tuples.  q, q2 and ell are each the largest
-    count over the real game's leaves.
+    count over the real game's leaves.  The real side is coins only (the
+    lazy oracle draws fresh values as coins); the simulated side walks its
+    tree once from a dense SimulatorS root, whose node answers S.RO and S.E.
     """
     from .linalg import total_variation
     from .oracle import LazyRandomOracle
@@ -464,8 +467,7 @@ def early_extraction_experiment(adversary, f: CommitFunction,
         hs = tuple(None if x is None else ro.query(x) for x in xs)
         return (tuple(ts), tuple(xs), hs, w), (*queries, len(ts))
 
-    def run_sim(ch):
-        sim = SimulatorS(f, backend="dense", chooser=ch)
+    def run_sim(sim):
         ts: list = []
         hats: list = []
 
@@ -482,7 +484,7 @@ def early_extraction_experiment(adversary, f: CommitFunction,
         return (tuple(ts), tuple(xs), hs, w), mismatch
 
     real_paths, ms_real = timed(lambda: enumerate_paths(run_real))
-    sim_paths, ms_sim = timed(lambda: enumerate_paths(run_sim))
+    sim_paths, ms_sim = timed(lambda: enumerate_paths(run_sim, SimulatorS(f, backend="dense")))
     real = distribution((p, out) for p, (out, _) in real_paths)
     sim_dist = distribution((p, out) for p, (out, _) in sim_paths)
     mismatch_prob = sum(p for p, (_, bad) in sim_paths if bad)

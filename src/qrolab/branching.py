@@ -4,22 +4,23 @@ Every probabilistic choice in an experiment goes through a chooser object, so
 the same experiment function can be run once with a seeded RNG or enumerated
 exhaustively over all measurement outcomes.
 
-Two tree forms:
-  enumerate_paths  replays a whole closure run(chooser) once per leaf;
-  branch           grows a tree of (prob, state, outcomes) leaves one step at
-                   a time, with a *split*: a function state -> [(q, child,
-                   result)] that returns every outcome of the step at once.
-
-A split may be native (SimulatorS.ro_branches evolves an S.RO query once and
-slices its responses), shared (uniform: a coin that never touches the state
-gives every child the parent's state), or replayed (replayed(step) runs step
-on one fork per outcome through enumerate_paths, for any step).  Leaf states
-are never mutated after they are made, which is what makes sharing safe.
+One walker, enumerate_paths(run, root=None), runs the closure run(chooser)
+once per leaf.  Its chooser is a tree node (ReplayChooser) that answers the
+calls of its path's script, then takes the first live outcome of each
+further call and pushes every sibling onto the walk at once, as a pending
+(prob, state, script) entry.  A coin or probability draw leaves the state
+alone, so its children share it; that is all a closure-replay run (no root)
+uses.  With a root state, the node also answers S.RO and S.E calls by
+applying a *split* to its state: a function state -> [(q, child, result)]
+that returns every outcome of one step at once (branch applies one to a
+list of leaves).  SimulatorS.ro_branches evolves an S.RO query once and
+slices its responses; replayed(step) runs any other step on one fork per
+outcome.  So dense work runs once per tree edge, and a re-run that answers
+from its script does none.  A state is never mutated once a child or
+sibling holds it, which is what makes sharing safe.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,28 +120,43 @@ class RandomChooser:
 
 
 class ReplayChooser:
-    """Follows a scripted branch prefix, then greedily takes the first live branch.
+    """One node of the game-tree walk: a path's script, then the first live
+    outcome of every further call.
 
-    Records every decision point so the enumerator can schedule the siblings.
+    Scripted calls return their recorded answers.  At each call past the
+    script the node continues on the first live child and pushes every
+    sibling onto pending as (prob x q, state, script): a draw's siblings
+    share the node's state, a split's siblings each hold their own child.
+    path_prob is the leaf's probability, one left fold of the q's from the
+    root; edges counts the children the node's calls past its script made,
+    so that over a walk's runs it sums to the tree's edges.  branch_probs
+    records the cleaned distribution of every draw, scripted or not.
     """
 
-    def __init__(self, script: tuple[int, ...]):
+    def __init__(self, script: tuple = (), prob: float = 1.0, state=None, pending=None):
         self.script = script
-        self.taken: list[int] = []
+        self.path_prob = prob
+        self.state = state
+        self.pending = [] if pending is None else pending
+        self.taken: list = []
         self.branch_probs: list[np.ndarray] = []
-        self.path_prob = 1.0
+        self.edges = 0
 
     def choose(self, probs) -> int:
         p = _clean_probs(probs)
+        self.branch_probs.append(p)
         i = len(self.taken)
         if i < len(self.script):
             outcome = self.script[i]
         else:
             live = np.nonzero(p > PROB_FLOOR)[0]
             outcome = int(live[0])
+            prefix = tuple(self.taken)
+            self.pending.extend((self.path_prob * float(p[b]), self.state, prefix + (int(b),))
+                                for b in live[1:])
+            self.edges += len(live)
+            self.path_prob *= float(p[outcome])
         self.taken.append(outcome)
-        self.branch_probs.append(p)
-        self.path_prob *= float(p[outcome])
         return outcome
 
     def choose_uniform(self, count: int) -> int:
@@ -153,22 +169,39 @@ class ReplayChooser:
             probs[i] = p
         return self.choose(probs)
 
+    def ro_classical(self, x: int):
+        return self._split(lambda s: s.ro_branches(x))
 
-def enumerate_paths(run) -> list[tuple[float, object]]:
-    """All (probability, result) leaves of run(chooser), pruning branches below PROB_FLOOR."""
+    def e_query(self, t):
+        return self._split(replayed(lambda s: s.e_query(t)))
+
+    def _split(self, split):
+        """A call on the state: its scripted answer, or every outcome of
+        split(state), continuing on the first child."""
+        i = len(self.taken)
+        if i < len(self.script):
+            answer = self.script[i]
+        else:
+            kids = branch([(self.path_prob, self.state, tuple(self.taken))], split)
+            self.path_prob, self.state, (*_, answer) = kids[0]
+            self.pending.extend(kids[1:])
+            self.edges += len(kids)
+        self.taken.append(answer)
+        return answer
+
+
+def enumerate_paths(run, root=None) -> list[tuple[float, object]]:
+    """All (probability, result) leaves of run(chooser), pruning branches
+    below PROB_FLOOR; the chooser is a ReplayChooser on a state grown from
+    root.  The leaves must carry mass 1 within ATOL."""
     out: list[tuple[float, object]] = []
-    pending: list[tuple[int, ...]] = [()]
+    pending = [(1.0, root, ())]
     while pending:
-        script = pending.pop()
-        ch = ReplayChooser(script)
+        prob, state, script = pending.pop()
+        ch = ReplayChooser(script, prob, state, pending)
         result = run(ch)
         out.append((ch.path_prob, result))
-        for i in range(len(script), len(ch.taken)):
-            probs_i = ch.branch_probs[i]
-            prefix = tuple(ch.taken[:i])
-            for b in range(len(probs_i)):
-                if b != ch.taken[i] and probs_i[b] > PROB_FLOOR:
-                    pending.append(prefix + (b,))
+    _check_mass(sum(p for p, _ in out))
     return out
 
 
@@ -198,16 +231,6 @@ def replayed(step):
         kids = enumerate_paths(lambda ch: (c := state.fork(ch), step(c)))
         return [(q, child, res) for q, (child, res) in kids]
     return split
-
-
-@lru_cache(maxsize=None)
-def uniform(count: int):
-    """The split of a uniform draw from range(count) that does not touch the
-    state: every child is the state itself, shared, so a state must not be
-    mutated once it is a leaf.  One split per count, made once."""
-    probs = _clean_probs(np.full(count, 1.0 / count))
-    kids = [(float(probs[i]), i) for i in np.nonzero(probs > PROB_FLOOR)[0]]
-    return lambda state: [(q, state, int(i)) for q, i in kids]
 
 
 def distribution(paths) -> dict:

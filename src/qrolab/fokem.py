@@ -10,16 +10,15 @@ constant-ciphertext variants.
 H and G are realized as two independent oracle instances with disjoint
 seeds; only H is ever extracted.
 
-backend_agreement_experiment walks each IND-CCA game tree once.  A node is
-one oracle call (a coin, S.RO, S.E, or a fresh G value, drawn as a coin) and
-holds the simulator its path built.  indcca_game re-runs against the node's
-transcript of answers, with no dense work, up to the first call past it;
-that call becomes a split (see branching) that branching.branch applies to
-the node.  A coin's children share the node's simulator, which is never
-mutated once made; an S.RO query is evolved once and sliced per response
-(SimulatorS.ro_branches); an S.E query runs once per outcome on a
-SimulatorS.fork copy (branching.replayed).  So dense operations run at most
-once per tree edge, never per leaf and depth.
+backend_agreement_experiment walks each IND-CCA game tree once, with
+branching.enumerate_paths from a dense SimulatorS root.  The walk's node
+answers every oracle call of the game (a coin, S.RO, S.E, or a fresh G value,
+drawn as a coin): a re-run answers its path's calls from the script, with no
+dense work, and each call past it is split once.  A coin's children share
+the node's simulator, which is never mutated once made; an S.RO query is
+evolved once and sliced per response (SimulatorS.ro_branches); an S.E query
+runs once per outcome on a SimulatorS.fork copy (branching.replayed).  So
+dense operations run at most once per tree edge, never per leaf and depth.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import Report
-from .branching import _check_mass, branch, distribution, replayed, uniform
-from .branching import enumerate_paths  # noqa: F401  (a binding perfbench wraps)
+from .branching import distribution, enumerate_paths
 from .linalg import total_variation
 from .oracle import LazyRandomOracle
 from .relations import CommitFunction
@@ -234,21 +232,23 @@ def game_trace_jsonl(trace: list) -> str:
 
 def indcca_game(pke: PKESpec, adversary, backend: str, chooser, key_bits: int = 2,
                 keep_ro_query: bool = True, collect=None,
-                trace: list | None = None) -> bool:
+                trace: list | None = None, sim=None) -> bool:
     """One IND-CCA-KEM run under key 0; backend selects real or extraction
     decapsulation.
 
-    With backend='simulated-decaps' and keep_ro_query=False the decapsulation
-    closure receives a Tripwire in place of the secret key.  When a trace
-    list is supplied, every Decaps call is appended to it (H and G calls are
-    recorded in the simulator log and the G table).
+    sim answers H (S.RO) and extraction (S.E): a fresh dense SimulatorS that
+    draws through chooser unless one is given, as the game-tree walk gives
+    its node, which answers both.  With backend='simulated-decaps' and
+    keep_ro_query=False the decapsulation closure receives a Tripwire in
+    place of the secret key.  When a trace list is supplied, every Decaps
+    call is appended to it (H and G calls are recorded in the simulator log
+    and the G table).  collect(answers, b_prime) receives the observable.
     """
     if backend not in ("real-decaps", "simulated-decaps"):
         raise ValueError(f"unknown backend {backend!r}")
     sk, pk = pke.gen(0)
-    # a tree-walk re-run answers S from its node's transcript
-    sim = chooser if isinstance(chooser, _Replay) else SimulatorS(
-        pke.enc_commit(pk), backend="dense", chooser=chooser)
+    if sim is None:
+        sim = SimulatorS(pke.enc_commit(pk), backend="dense", chooser=chooser)
     g_oracle = LazyRandomOracle(key_bits, chooser)
     b = chooser.choose_uniform(2)
     k0, c_star, _ = fo_encaps(pke, pk, sim.ro_classical, g_oracle.query, chooser)
@@ -283,7 +283,7 @@ def indcca_game(pke: PKESpec, adversary, backend: str, chooser, key_bits: int = 
     if trace is not None:
         trace.extend(sim.log)
     if collect is not None:
-        collect(tuple(answers), b_prime, sim.log)
+        collect(tuple(answers), b_prime)
     return b_prime == b
 
 
@@ -299,52 +299,6 @@ def ow_cpa_game(pke: PKESpec, adversary, chooser) -> bool:
 # -- backend agreement --------------------------------------------------------------
 
 
-class _Pending(BaseException):
-    """A re-run reached the first call past its transcript; args[0] is that
-    call as a split of a simulator (see branching).  Not an Exception, so that
-    an adversary's `except Exception` cannot swallow it."""
-
-
-class _Replay:
-    """Chooser and S of a game re-run against a tree node's transcript: coins
-    and S calls return its answers in order.  G draws fresh values through
-    these coins, so each re-run rebuilds G's table from the transcript."""
-
-    def __init__(self, log: list, answers: tuple):
-        self.log, self.answers, self.pos = log, answers, 0
-
-    def _answer(self, split):
-        if self.pos == len(self.answers):
-            raise _Pending(split)
-        self.pos += 1
-        return self.answers[self.pos - 1]
-
-    def choose_uniform(self, count: int):
-        return self._answer(uniform(count))
-
-    def ro_classical(self, x: int):
-        return self._answer(lambda s: s.ro_branches(x))
-
-    def e_query(self, t):
-        return self._answer(replayed(lambda s: s.e_query(t)))
-
-
-def _walk_tree(run, root) -> tuple[list, int]:
-    """(prob, result) leaves of run(chooser) over the game tree grown from
-    the simulator root, and the number of oracle-call outcomes (tree edges)."""
-    leaves, steps, nodes = [], 0, [(1.0, root, ())]
-    while nodes:
-        prob, sim, answers = nodes.pop()
-        try:
-            leaves.append((prob, run(_Replay(sim.log, answers))))
-        except _Pending as call:
-            kids = branch([(prob, sim, answers)], call.args[0])
-            steps += len(kids)
-            nodes.extend(kids)
-    _check_mass(sum(p for p, _ in leaves))
-    return leaves, steps
-
-
 def backend_agreement_experiment(pke: PKESpec, adversary,
                                  keep_ro_query: bool = True,
                                  key_bits: int = 2) -> Report:
@@ -358,7 +312,8 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
     pairs), and, summed over both backends, leaves (terminal games) and
     steps (oracle-call outcomes, the tree's edges).  Each tree is walked once,
     splitting the game's simulator per oracle call (see the module
-    docstring); its leaves must carry mass 1 within ATOL.
+    docstring); enumerate_paths checks that its leaves carry mass 1 within
+    ATOL.
     """
     start = time.perf_counter()
     _, pk = pke.gen(0)
@@ -370,9 +325,10 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
         def run(ch):
             seen = {}
 
-            def collect(answers, b_prime, log):
+            def collect(answers, b_prime):
                 seen["row"] = (answers, b_prime)
                 if backend == "simulated-decaps":
+                    log = ch.state.log  # the leaf's simulator
                     e_idx = [i for i, e in enumerate(log) if e["interface"] == "E"]
                     ro_idx = [i for i, e in enumerate(log) if e["interface"] == "RO"]
                     swaps = sum(
@@ -382,12 +338,12 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
                     stats["q_d"] = max(stats["q_d"], len(answers))
 
             indcca_game(pke, adversary, backend, ch, key_bits=key_bits,
-                        keep_ro_query=keep_ro_query, collect=collect)
+                        keep_ro_query=keep_ro_query, collect=collect, sim=ch)
+            stats["steps"] += ch.edges
             return seen["row"]
 
-        leaves, steps = _walk_tree(run, SimulatorS(f, backend="dense"))
+        leaves = enumerate_paths(run, SimulatorS(f, backend="dense"))
         stats["leaves"] += len(leaves)
-        stats["steps"] += steps
         dists[backend] = distribution(leaves)
     tv = total_variation(dists["real-decaps"], dists["simulated-decaps"])
     n = pke.randomness_bits

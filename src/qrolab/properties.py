@@ -7,7 +7,8 @@ suite runner sweeps the standard grid n in {1,2}, m in {2,3} with the three
 bundled commit functions.
 
 The tree checks (2.c, 3 and 4) walk each preparation's tree once per report
-(enumerate_paths) and extend its (prob, simulator, outcomes) leaves with
+(enumerate_paths, as a closure replay: each leaf re-runs the preparation's
+S.RO queries) and extend its (prob, simulator, outcomes) leaves with
 branching.branch, for every x and t: only the new step runs per leaf, never
 the preparation.  An S.RO step is the native split SimulatorS.ro_branches,
 which evolves the query once and slices it per response; an S.E step is

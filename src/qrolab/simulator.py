@@ -96,7 +96,7 @@ class SimulatorS:
     # -- S.E ----------------------------------------------------------------------
 
     def e_query(self, t) -> ExtractionOutcome:
-        if not self._t_plausible(t):
+        if t not in self.commit.t_values:
             raise ValueError(f"t={t!r} not in T")
         if isinstance(self.backend, DenseOracleState):
             rel = self.commit.relation_for(t)
@@ -108,10 +108,3 @@ class SimulatorS:
         self._record(interface="E", mode="classical", t=t,
                      outcome=None if out.is_empty else int(out.value))
         return out
-
-    def _t_plausible(self, t) -> bool:
-        # t_values may be a lazily-described range for big T
-        try:
-            return t in self.commit.t_values
-        except TypeError:
-            return True

@@ -285,9 +285,12 @@ class SparseState:
             self.basis_switch()
 
     def _block(self, ctx, cell, n_ctx: int):
-        """Columns as a (contexts x (2^n + 1)) block, the bot amplitude last.
-        Filled whole rather than by np.zeros, whose lazily zeroed pages a
-        read and then a write would each fault in."""
+        """Columns as a (contexts x (2^n + 1)) block, the bot amplitude last;
+        a block of more than DIM_CAP entries raises MemoryError.  Filled
+        whole rather than by np.zeros, whose lazily zeroed pages a read and
+        then a write would each fault in."""
+        if n_ctx * (self.big_n + 1) > DIM_CAP:
+            raise MemoryError(f"column block of {n_ctx} x {self.big_n + 1} exceeds cap {DIM_CAP}")
         block = np.full((n_ctx, self.big_n + 1), 0j)
         block[ctx, np.where(cell == BOT, self.big_n, cell)] = self.amp
         return block

@@ -96,7 +96,11 @@ def test_replay_spiked_records_dense_probs():
     ch = ReplayChooser((2,))
     assert ch.choose_spiked(4, 0.2, {2: 0.4}) == 2
     assert np.allclose(ch.branch_probs[0], [0.2, 0.2, 0.4, 0.2])
-    assert abs(ch.path_prob - 0.4) <= ATOL
+    # past the script: the first live outcome, and its siblings pushed with their q
+    assert ch.choose_spiked(4, 0.2, {2: 0.4}) == 0
+    assert abs(ch.path_prob - 0.2) <= ATOL
+    assert [s for _, _, s in ch.pending] == [(2, 1), (2, 2), (2, 3)]
+    assert np.allclose([p for p, _, _ in ch.pending], [0.2, 0.4, 0.2])
 
 
 @pytest.mark.parametrize("chooser", [RandomChooser(0), ReplayChooser(())])

@@ -9,8 +9,8 @@ leaves, and the Monte-Carlo game must draw in the same order as before.
 import pytest
 
 import fokem_reference as ref
-from qrolab import fokem
-from qrolab.branching import RandomChooser, branch, enumerate_paths
+from qrolab import branching, fokem
+from qrolab.branching import RandomChooser, ReplayChooser, branch, enumerate_paths
 from qrolab.fokem import (
     coin_guess_adversary,
     first_non_image_ciphertext,
@@ -102,28 +102,36 @@ def test_only_extraction_children_fork(monkeypatch):
     """Each S.E child is made by one fork; a coin child is its node's
     simulator, shared, and an S.RO child is a slice with no fork."""
     forks = []
-    original_fork, original_branch = SimulatorS.fork, fokem.branch
+    original_fork = SimulatorS.fork
     kinds = {"coin": 0, "RO": 0, "E": 0}
 
     def counting_fork(self, chooser):
         forks.append(1)
         return original_fork(self, chooser)
 
-    def classifying_branch(leaves, split):
-        (_, sim, _), = leaves
-        before = len(forks)
-        kids = original_branch(leaves, split)
-        if all(child is sim for _, child, _ in kids):
-            kind = "coin"
-        else:
-            (kind,) = {child.log[-1]["interface"] for _, child, _ in kids}
-            assert all(len(child.log) == len(sim.log) + 1 for _, child, _ in kids)
-        kinds[kind] += len(kids)
-        assert len(forks) - before == (len(kids) if kind == "E" else 0), kind
-        return kids
+    def classifying(method):
+        original = getattr(ReplayChooser, method)
+
+        def call(node, *args):
+            if node.state is None or len(node.taken) < len(node.script):
+                return original(node, *args)  # a fork's own draw, or a scripted answer
+            sim, pushed, before = node.state, len(node.pending), len(forks)
+            out = original(node, *args)
+            kids = [node.state] + [state for _, state, _ in node.pending[pushed:]]
+            if all(child is sim for child in kids):
+                kind = "coin"
+            else:
+                (kind,) = {child.log[-1]["interface"] for child in kids}
+                assert all(len(child.log) == len(sim.log) + 1 for child in kids)
+            kinds[kind] += len(kids)
+            assert len(forks) - before == (len(kids) if kind == "E" else 0), kind
+            return out
+
+        return call
 
     monkeypatch.setattr(SimulatorS, "fork", counting_fork)
-    monkeypatch.setattr(fokem, "branch", classifying_branch)
+    for method in ("choose", "ro_classical", "e_query"):
+        monkeypatch.setattr(ReplayChooser, method, classifying(method))
     rep = fokem.backend_agreement_experiment(PKE22, wrong_randomness_adversary((0, 1)),
                                              key_bits=1)
     assert all(kinds.values()), kinds
@@ -140,7 +148,7 @@ def test_dropped_child_raises(monkeypatch):
             dropped.append(kids.pop())
         return kids
 
-    monkeypatch.setattr(fokem, "branch", lossy)
+    monkeypatch.setattr(branching, "branch", lossy)
     with pytest.raises(ValueError, match="mass"):
         fokem.backend_agreement_experiment(PKE22, key_checking_adversary(), key_bits=1)
     assert dropped

@@ -104,5 +104,5 @@ def test_branch_refuses_lost_mass():
     tiny, count = 9e-16, 3_000_000
     probs = np.full(count, tiny)
     probs[0] = 1.0 - tiny * (count - 1)
-    with pytest.raises(ValueError, match="children carry"):
+    with pytest.raises(ValueError, match="mass"):
         branch([(0.5, _Stub(), ())], replayed(lambda s: s.chooser.choose(probs)))

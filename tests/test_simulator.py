@@ -55,6 +55,12 @@ class TestExtractionInterface:
         with pytest.raises(ValueError):
             sim.e_query(99)
 
+    def test_invalid_t_rejected_on_product_backend(self):
+        sim = SimulatorS(toy_encryption_commit(1, 2), backend="product", seed=0)
+        with pytest.raises(ValueError, match="not in T"):
+            sim.e_query(99)
+        assert sim.log == []
+
     def test_repeat_extraction_same_outcome(self):
         f = identity_commit(1, 2)
 

@@ -224,6 +224,19 @@ def test_round_trips_at_n16_match_reference(seed):
         assert_same_map(("", fast_map), ("", slow_map))
 
 
+def test_column_block_over_the_cap_raises():
+    """After ro(x) and an extraction that misses, x's register holds about
+    2^16 cells, so a query of a second x would need a (65,536 x 65,537)
+    block of 64 GiB: the block refuses it, as to_dense_vector refuses a
+    densification over DIM_CAP."""
+    state, chooser = SparseState(16, 2**20, q_cap=2), RandomChooser(0)
+    h = state.classical_query(12345, chooser)
+    assert state.measure_relation(lambda xx: [(h + 1) % 2**16], chooser) is None
+    assert state.support() >= 2**16
+    with pytest.raises(MemoryError, match="exceeds cap"):
+        state.classical_query(999, chooser)
+
+
 def test_prune_refuses_a_nan_amplitude():
     """A NaN amplitude fails `> eps`, so pruning would drop it and report a
     smaller state with its mass silently lost."""

@@ -2,17 +2,18 @@
 
 SimulatorS.ro_branches evolves an S.RO query once and slices its responses;
 replayed(ro_classical) runs the query once per response on a fork.  Both
-must give the same children.  The shared coin split must give each child
-prob / count and the parent's own state, and the batched 2c check must match
-the per-(leaf, xy state, t) one in properties_reference.py.
+must give the same children.  A coin's children must each get prob / count
+and the parent's own state, and the batched 2c check must match the
+per-(leaf, xy state, t) one in properties_reference.py.
 """
 
 import numpy as np
 import pytest
 
+import branching_reference
 import properties_reference as ref
 from qrolab import properties
-from qrolab.branching import branch, enumerate_paths, replayed, uniform
+from qrolab.branching import enumerate_paths, replayed
 
 GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
 
@@ -54,13 +55,14 @@ def test_ro_branches_refuse_an_out_of_range_query():
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7])
 def test_uniform_children_share_the_state(count):
+    """A coin in a walk from a root state: every child is that state itself,
+    shared, with probability 1 / count, as the replay walker gives."""
     state = object()
-    kids = branch([(0.5, state, ("a",))], uniform(count))
-    replay = enumerate_paths(lambda ch: ch.choose_uniform(count))
-    assert sorted((0.5 * q, ("a", i)) for q, i in replay) == \
-        [(p, outs) for p, _, outs in kids]
-    assert all(abs(p - 0.5 / count) <= 1e-16 for p, _, _ in kids)
-    assert all(child is state for _, child, _ in kids)
+    leaves = enumerate_paths(lambda ch: (ch.state, ch.choose_uniform(count)), state)
+    replay = branching_reference.enumerate_paths(lambda ch: ch.choose_uniform(count))
+    assert [(p, i) for p, (_, i) in leaves] == replay
+    assert all(abs(p - 1.0 / count) <= 1e-16 for p, _ in leaves)
+    assert all(child is state for _, (child, _) in leaves)
 
 
 @pytest.mark.parametrize("n,m", GRID)
