@@ -284,21 +284,24 @@ def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Rep
     config = OracleConfig(circ["n"], circ["m"])
     q = sum(1 for s in circ["steps"] if s["op"] == "query")
 
-    start = time.perf_counter()
-    state = oracle_state(backend, config.n, config.m, circuit_registers(circ), q_cap=q + 2)
-    # evolve once through the steps alone: X is measured per branch below
-    _run({"steps": circ["steps"]}, mats, state, lambda: state.quantum_query("X", "Y"), None)
+    def success_probability():
+        state = oracle_state(backend, config.n, config.m, circuit_registers(circ),
+                             q_cap=q + 2)
+        # evolve once through the steps alone: X is measured per branch below
+        _run({"steps": circ["steps"]}, mats, state,
+             lambda: state.quantum_query("X", "Y"), None)
 
-    def run(ch):
-        st = state.copy()
-        (x,) = st.measure(["X"], ch)
-        # exact hit probability of the final classical RO(x) check, without
-        # branching over responses
-        probs = st.classical_query_probs(x)
-        return float(sum(probs[y] for y in rel.y_set(x)))
+        def run(ch):
+            st = state.copy()
+            (x,) = st.measure(["X"], ch)
+            # exact hit probability of the final classical RO(x) check, without
+            # branching over responses
+            probs = st.classical_query_probs(x)
+            return float(sum(probs[y] for y in rel.y_set(x)))
 
-    success = sum(p * hit_prob for p, hit_prob in enumerate_paths(run))
-    ms = (time.perf_counter() - start) * 1000.0
+        return sum(p * hit_prob for p, hit_prob in enumerate_paths(run))
+
+    success, ms = timed(success_probability)
     bound = 152.0 * (q + 1) ** 2 * rel.gamma / 2.0**config.n
     return Report(
         "grover", dict(n=config.n, M=config.m, q=q, gamma=rel.gamma,
@@ -351,9 +354,7 @@ def collision_experiment(adversary, f: CommitFunction, q: int) -> Report:
             raise ValueError(f"adversary exceeded query budget: {queries} > {q}")
         return collision_mass(oracle, f)
 
-    start = time.perf_counter()
-    mass = sum(p * v for p, v in enumerate_paths(run))
-    ms = (time.perf_counter() - start) * 1000.0
+    mass, ms = timed(lambda: sum(p * v for p, v in enumerate_paths(run)))
     bound = 40.0 * np.e**2 * q**2 * (q + 1) * f.gamma_prime / 2.0**f.n
     return Report(
         "collision", dict(n=f.n, M=f.m, q=q, gamma_prime=f.gamma_prime, f=f.name),
@@ -414,9 +415,7 @@ def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
         )
         return (q, len(ts), success)
 
-    start = time.perf_counter()
-    paths = enumerate_paths(run, SimulatorS(f, backend="dense"))
-    ms = (time.perf_counter() - start) * 1000.0
+    paths, ms = timed(lambda: enumerate_paths(run, SimulatorS(f, backend="dense")))
     success = sum(p for p, (_, _, hit) in paths if hit)
     q = max(qq for _, (qq, _, _) in paths)
     ell_seen = max(l for _, (_, l, _) in paths)

@@ -203,9 +203,8 @@ def run_grover_battery() -> list[Report]:
     rel6 = Relation(6, 8, lambda x, y: y == 0)
     reports.append(grover_experiment(grover_one_iteration_circuit(6, 8), rel6,
                                      backend="sparse"))
-    rel6b = Relation(6, 8, lambda x, y: y == 0)
     reports.append(grover_experiment(grover_one_iteration_circuit(6, 8, True),
-                                     rel6b, backend="sparse"))
+                                     rel6, backend="sparse"))
     return reports
 
 
@@ -362,14 +361,12 @@ def run_sigma_battery(seed: int, trials: int,
     ]
 
     rep16 = run_sigma_experiment(honest, spec, access, hook, gen,
-                                 xor_witness_checker, n=16, backend="product",
-                                 trials=trials, seed=seed)
+                                 xor_witness_checker, n=16, trials=trials, seed=seed)
     reports.append(replace(rep16, experiment="sigma-honest-n16",
                            satisfied=rep16.measured >= 0.99))
 
     rep_ineq = run_sigma_experiment(honest, spec, access, hook, gen,
                                     xor_witness_checker, n=32,
-                                    backend="product",
                                     trials=inequality_trials, seed=seed + 1)
     reports.append(replace(rep_ineq, experiment="sigma-inequality-n32",
                            satisfied=(not rep_ineq.vacuous) and rep_ineq.satisfied))
@@ -377,8 +374,7 @@ def run_sigma_battery(seed: int, trials: int,
     trivial = lambda s, i, w, r: TrivialAttackProver(s, i, w, r,
                                                      share_bits=share_bits)
     rep_triv = run_sigma_experiment(trivial, spec, access, hook, gen,
-                                    xor_witness_checker, n=16,
-                                    backend="product", trials=min(trials, 1000),
+                                    xor_witness_checker, n=16, trials=min(trials, 1000),
                                     seed=seed + 2)
     reports.append(replace(
         rep_triv, experiment="sigma-trivial-attack",
@@ -387,8 +383,7 @@ def run_sigma_battery(seed: int, trials: int,
 
     nocommit = lambda s, i, w, r: NoCommitProver(s)
     rep_nc = run_sigma_experiment(nocommit, spec, access, hook, gen,
-                                  xor_witness_checker, n=16, backend="product",
-                                  trials=200, seed=seed + 3)
+                                  xor_witness_checker, n=16, trials=200, seed=seed + 3)
     reports.append(replace(
         rep_nc, experiment="sigma-no-commit",
         satisfied=rep_nc.measured == 0.0 and rep_nc.stats["p_prover"] == 0.0))

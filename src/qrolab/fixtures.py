@@ -20,8 +20,6 @@ from .fokem import PKESpec
 from .relations import CommitFunction, Relation
 from .sigma import SigmaSpec, xor_shares_verifier
 
-DATA_PACKAGE = "qrolab.fixtures_data"
-
 
 def _data_dir():
     return resources.files("qrolab") / "fixtures" / "data"

@@ -23,14 +23,13 @@ dense operations run at most once per tree edge, never per leaf and depth.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import Report
+from .bounds import Report, timed
 from .branching import distribution, enumerate_paths
 from .linalg import total_variation
 from .oracle import LazyRandomOracle
@@ -315,13 +314,11 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
     docstring); enumerate_paths checks that its leaves carry mass 1 within
     ATOL.
     """
-    start = time.perf_counter()
     _, pk = pke.gen(0)
     f = pke.enc_commit(pk)
-    dists = {}
     stats = {"q_d": 0, "swaps": 0, "leaves": 0, "steps": 0}
-    for backend in ("real-decaps", "simulated-decaps"):
 
+    def walk(backend):
         def run(ch):
             seen = {}
 
@@ -344,14 +341,15 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
 
         leaves = enumerate_paths(run, SimulatorS(f, backend="dense"))
         stats["leaves"] += len(leaves)
-        dists[backend] = distribution(leaves)
+        return distribution(leaves)
+
+    dists, ms = timed(lambda: {b: walk(b) for b in ("real-decaps", "simulated-decaps")})
     tv = total_variation(dists["real-decaps"], dists["simulated-decaps"])
     n = pke.randomness_bits
     per_decaps = 2.0 * f.gamma / 2.0**n + 2.0 / 2.0**n
     budget = stats["q_d"] * per_decaps + stats["swaps"] * 8.0 * np.sqrt(
         2.0 * f.gamma / 2.0**n
     )
-    ms = (time.perf_counter() - start) * 1000.0
     return Report(
         "agreement",
         dict(pke=pke.name, n=n, M=pke.num_messages, gamma=f.gamma,

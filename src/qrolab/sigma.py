@@ -10,14 +10,13 @@ RO-simulator with the identity commit function f(x, h) = h.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import Report
-from .branching import RandomChooser
+from .bounds import Report, timed
+from .branching import RandomChooser, enumerate_paths
 from .oracle import LazyRandomOracle
 from .relations import identity_commit
 from .simulator import SimulatorS
@@ -86,12 +85,13 @@ class SigmaSpec:
         self.challenges = tuple(frozenset(c) for c in self.challenges)
         if not self.challenges:
             raise ValueError("challenge set must be non-empty")
-        covered = frozenset().union(*self.challenges)
-        if covered != frozenset(range(self.ell)):
-            raise ValueError("challenges must cover every slot")
+        slots = frozenset(range(self.ell))
         for c in self.challenges:
-            if not c <= frozenset(range(self.ell)):
-                raise ValueError("challenge outside slot range")
+            if not c <= slots:
+                raise ValueError(f"challenge {sorted(c)} lists a slot outside "
+                                 f"slot range 0..{self.ell - 1}")
+        if frozenset().union(*self.challenges) != slots:
+            raise ValueError("challenges must cover every slot")
 
     @property
     def domain_size(self) -> int:
@@ -171,16 +171,12 @@ def xor_toy_hook(share_bits: int):
     mask = 2**share_bits - 1
 
     def hook(spec: SigmaSpec, instance, extracted: dict):
-        openings = {i: spec.decode(x) for i, x in extracted.items() if x is not None}
-        verified = [
-            c for c in spec.challenges
-            if c <= set(openings) and spec.verify(instance, c, openings)
-        ]
+        verified = verified_challenges(spec, instance, extracted)
         if not verified:
             return None
         shares: dict[int, int] = {}
-        for i in verified[0]:
-            msg = openings[i]
+        for i in spec.challenges[verified[0]]:
+            msg = spec.decode(extracted[i])
             shares[i] = (msg >> share_bits) & mask
             shares[(i + 1) % 3] = msg & mask
         return (shares[0], shares[1], shares[2])
@@ -209,42 +205,30 @@ class HonestProver:
         self.share_bits = share_bits
         s = list(witness_shares)
         self.slots = [
-            self.spec.encode((s[i] << share_bits) | s[(i + 1) % 3],
-                             int(rng.integers(2**spec.randomness_bits)))
+            spec.encode(self.message(i, (s[i] << share_bits) | s[(i + 1) % 3]),
+                        int(rng.integers(2**spec.randomness_bits)))
             for i in range(3)
         ]
 
-    def commit(self, ro) -> list[int]:
-        return [ro(x) for x in self.slots]
-
-    def respond(self, challenge) -> dict:
-        return {i: self.slots[i] for i in challenge}
-
-
-class TrivialAttackProver:
-    """Answers exactly the first challenge; garbage in the remaining slot."""
-
-    def __init__(self, spec: SigmaSpec, instance, witness_shares, rng,
-                 share_bits: int):
-        target = spec.challenges[0]
-        s = list(witness_shares)
-        good = {
-            i: (s[i] << share_bits) | s[(i + 1) % 3] for i in range(3)
-        }
-        self.slots = []
-        for i in range(3):
-            msg = good[i]
-            if i not in target:
-                msg = (msg + 1) % spec.slot_space  # break both other challenges
-            self.slots.append(
-                spec.encode(msg, int(rng.integers(2**spec.randomness_bits)))
-            )
+    def message(self, slot: int, honest: int) -> int:
+        """The message committed in slot, given the honest one."""
+        return honest
 
     def commit(self, ro) -> list[int]:
         return [ro(x) for x in self.slots]
 
     def respond(self, challenge) -> dict:
         return {i: self.slots[i] for i in challenge}
+
+
+class TrivialAttackProver(HonestProver):
+    """Answers exactly the first challenge: every slot outside it is broken,
+    which breaks both other challenges."""
+
+    def message(self, slot: int, honest: int) -> int:
+        if slot in self.spec.challenges[0]:
+            return honest
+        return (honest + 1) % self.spec.slot_space
 
 
 class NoCommitProver:
@@ -273,6 +257,32 @@ class ExtractTranscript:
     log: list
     challenge_log_index: int
 
+    @property
+    def ro_queries(self) -> int:
+        """The S.RO queries made before the challenge."""
+        return sum(1 for e in self.log[:self.challenge_log_index]
+                   if e["interface"] == "RO")
+
+
+def verified_challenges(spec: SigmaSpec, instance, extracted: dict) -> list[int]:
+    """Indices of the challenges whose slots were all extracted and whose
+    decoded openings verify."""
+    openings = {i: spec.decode(x) for i, x in extracted.items() if x is not None}
+    return [idx for idx, c in enumerate(spec.challenges)
+            if c <= set(openings) and spec.verify(instance, c, openings)]
+
+
+def _challenge_round(prover, spec: SigmaSpec, instance, commitments, ro, chooser):
+    """A uniform challenge and the prover's openings; the verifier accepts
+    iff every opened slot hashes to its commitment under ro and spec.verify
+    passes on the decoded openings."""
+    c_idx = chooser.choose(np.full(len(spec.challenges), 1.0 / len(spec.challenges)))
+    challenge = spec.challenges[c_idx]
+    openings = prover.respond(challenge)
+    accepted = all(ro(openings[i]) == commitments[i] for i in challenge) and (
+        spec.verify(instance, challenge, {i: spec.decode(x) for i, x in openings.items()}))
+    return challenge, openings, accepted
+
 
 def online_extract(prover, spec: SigmaSpec, access: AccessStructure, hook,
                    instance, sim: SimulatorS):
@@ -285,21 +295,11 @@ def online_extract(prover, spec: SigmaSpec, access: AccessStructure, hook,
         out = sim.e_query(a_i)
         extracted[i] = None if out.is_empty else out.value
     witness = None
-    openings_hat = {i: spec.decode(x) for i, x in extracted.items() if x is not None}
-    s_hat = frozenset(
-        idx for idx, c in enumerate(spec.challenges)
-        if c <= set(openings_hat) and spec.verify(instance, c, openings_hat)
-    )
-    if access.member(s_hat):
+    if access.member(verified_challenges(spec, instance, extracted)):
         witness = hook(spec, instance, extracted)
     challenge_log_index = len(sim.log)
-    c_idx = sim.chooser.choose(np.full(len(spec.challenges), 1.0 / len(spec.challenges)))
-    challenge = spec.challenges[c_idx]
-    openings = prover.respond(challenge)
-    ok = all(sim.ro_classical(openings[i]) == commitments[i] for i in challenge)
-    accepted = ok and spec.verify(
-        instance, challenge, {i: spec.decode(x) for i, x in openings.items()}
-    )
+    challenge, openings, accepted = _challenge_round(
+        prover, spec, instance, commitments, sim.ro_classical, sim.chooser)
     return witness, ExtractTranscript(
         commitments, extracted, challenge, openings, accepted,
         sim.log, challenge_log_index,
@@ -310,13 +310,7 @@ def run_real_game(prover, spec: SigmaSpec, instance, chooser, n: int):
     """The prover against the plain lazily-sampled RO (no extraction)."""
     ro = LazyRandomOracle(n, chooser)
     commitments = prover.commit(ro.query)
-    c_idx = chooser.choose(np.full(len(spec.challenges), 1.0 / len(spec.challenges)))
-    challenge = spec.challenges[c_idx]
-    openings = prover.respond(challenge)
-    ok = all(ro.query(openings[i]) == commitments[i] for i in challenge)
-    return ok and spec.verify(
-        instance, challenge, {i: spec.decode(x) for i, x in openings.items()}
-    )
+    return _challenge_round(prover, spec, instance, commitments, ro.query, chooser)[2]
 
 
 def epsilon_simplified(ell: int, q: int, n: int) -> float:
@@ -331,109 +325,78 @@ def epsilon_exact(ell: int, q: int, n: int) -> float:
 
 def run_sigma_experiment(prover_factory, spec: SigmaSpec, access: AccessStructure,
                          hook, instance_gen, witness_checker, n: int,
-                         backend: str = "product", trials: int = 1000,
-                         seed: int = 0, exhaustive: bool = False) -> Report:
+                         trials: int = 1000, seed: int = 0,
+                         exhaustive: bool = False) -> Report:
     """Estimate prover and extractor success and check the extraction theorem.
 
     Pr[prover] is measured against the real (lazily sampled) RO; Pr[extract]
-    in the simulated game.  The report's measured value is Pr[extract] and
-    its bound the right-hand side (Pr[prover] - p_triv - epsilon) /
-    (1 - p_triv), which Pr[extract] must reach.  The inequality uses the
-    simplified epsilon and is flagged vacuous when epsilon >= 1 or the
-    right-hand side is not positive.
+    in the simulated game, whose SimulatorS runs on the product backend.
+    The report's measured value is Pr[extract] and its bound the right-hand
+    side (Pr[prover] - p_triv - epsilon) / (1 - p_triv), which Pr[extract]
+    must reach.  The inequality uses the simplified epsilon and is flagged
+    vacuous when epsilon >= 1 or the right-hand side is not positive.
 
-    With exhaustive=True both probabilities are computed exactly over the
-    full oracle/measurement/challenge game tree (the prover's own coins stay
-    fixed by the seed so the tree is finite).
+    Each game is one trial function of (instance, prover, chooser).  The
+    Monte-Carlo mode runs it once per trial on a RandomChooser, the real game
+    on seeds[2k] and the simulated one on seeds[2k + 1].  With
+    exhaustive=True, enumerate_paths walks the same functions over the full
+    oracle/measurement/challenge game tree, so both probabilities are exact
+    (the prover's own coins stay fixed by the seed so the tree is finite).
     """
-    start = time.perf_counter()
     master = np.random.SeedSequence(seed)
     commit = identity_commit(n, spec.domain_size)
-    if exhaustive:
-        return _run_sigma_exhaustive(prover_factory, spec, access, hook,
-                                     instance_gen, witness_checker, n,
-                                     backend, master, commit, start)
-    seeds = master.spawn(2 * trials)
-    p_wins = 0
-    e_wins = 0
     q_used = 0
-    for k in range(trials):
-        s_prover, s_oracle = seeds[2 * k].spawn(2)
-        rng = np.random.default_rng(s_prover)
-        instance, shares = instance_gen(rng)
-        prover = prover_factory(spec, instance, shares, rng)
-        chooser = RandomChooser(np.random.default_rng(s_oracle))
-        if run_real_game(prover, spec, instance, chooser, n):
-            p_wins += 1
-        s_prover2, s_oracle2 = seeds[2 * k + 1].spawn(2)
-        rng2 = np.random.default_rng(s_prover2)
-        instance2, shares2 = instance_gen(rng2)
-        prover2 = prover_factory(spec, instance2, shares2, rng2)
-        sim = SimulatorS(commit, backend=backend, seed=s_oracle2)
-        witness, transcript = online_extract(prover2, spec, access, hook,
-                                             instance2, sim)
-        q_used = max(q_used, sum(
-            1 for e in transcript.log[:transcript.challenge_log_index]
-            if e["interface"] == "RO"
-        ))
-        if witness is not None and witness_checker(instance2, witness):
-            e_wins += 1
-    p_prover = p_wins / trials
-    p_extract = e_wins / trials
-    return _sigma_report(spec, access, n, backend, p_prover, p_extract,
-                         q_used, trials, start,
-                         mc_slack=3.0 * np.sqrt(0.25 / trials))
 
+    def real(instance, prover, chooser) -> bool:
+        return run_real_game(prover, spec, instance, chooser, n)
 
-def _run_sigma_exhaustive(prover_factory, spec, access, hook, instance_gen,
-                          witness_checker, n, backend, master, commit, start):
-    from .branching import enumerate_paths
-
-    s_prover, _ = master.spawn(2)
-    rng0 = np.random.default_rng(s_prover)
-    instance, shares = instance_gen(rng0)
-    coin_seed = np.random.default_rng(s_prover).integers(2**32)
-
-    def mk_prover():
-        return prover_factory(spec, instance, shares,
-                              np.random.default_rng(coin_seed))
-
-    def run_real(ch):
-        return run_real_game(mk_prover(), spec, instance, ch, n)
-
-    p_prover = sum(p for p, win in enumerate_paths(run_real) if win)
-    q_box = [0]
-
-    def run_sim(ch):
-        sim = SimulatorS(commit, backend=backend, chooser=ch)
-        witness, transcript = online_extract(mk_prover(), spec, access, hook,
-                                             instance, sim)
-        q_box[0] = max(q_box[0], sum(
-            1 for e in transcript.log[:transcript.challenge_log_index]
-            if e["interface"] == "RO"
-        ))
+    def simulated(instance, prover, chooser) -> bool:
+        nonlocal q_used
+        sim = SimulatorS(commit, backend="product", chooser=chooser)
+        witness, transcript = online_extract(prover, spec, access, hook, instance, sim)
+        q_used = max(q_used, transcript.ro_queries)
         return witness is not None and witness_checker(instance, witness)
 
-    p_extract = sum(p for p, win in enumerate_paths(run_sim) if win)
-    return _sigma_report(spec, access, n, backend, float(p_prover),
-                         float(p_extract), q_box[0], 0, start, mc_slack=0.0)
+    if exhaustive:
+        trials = 0
+        s_prover, _ = master.spawn(2)
+        instance, shares = instance_gen(np.random.default_rng(s_prover))
+        coin_seed = np.random.default_rng(s_prover).integers(2**32)
 
+        def probability(game, _parity) -> float:
+            def run(ch):
+                prover = prover_factory(spec, instance, shares,
+                                        np.random.default_rng(coin_seed))
+                return game(instance, prover, ch)
+            return float(sum(p for p, won in enumerate_paths(run) if won))
+    else:
+        seeds = master.spawn(2 * trials)
 
-def _sigma_report(spec, access, n, backend, p_prover, p_extract, q_used,
-                  trials, start, mc_slack):
+        def probability(game, parity) -> float:
+            wins = 0
+            for k in range(trials):
+                s_prover, s_oracle = seeds[2 * k + parity].spawn(2)
+                rng = np.random.default_rng(s_prover)
+                instance, shares = instance_gen(rng)
+                prover = prover_factory(spec, instance, shares, rng)
+                if game(instance, prover, RandomChooser(np.random.default_rng(s_oracle))):
+                    wins += 1
+            return wins / trials
+
+    (p_prover, p_extract), ms = timed(
+        lambda: (probability(real, 0), probability(simulated, 1)))
     ptriv = p_trivial(spec, access)
     eps = epsilon_simplified(spec.ell, q_used, n)
-    eps_exact = epsilon_exact(spec.ell, q_used, n)
     rhs = (p_prover - float(ptriv) - eps) / (1.0 - float(ptriv))
     vacuous = eps >= 1.0 or rhs <= 0.0
-    satisfied = vacuous or p_extract >= rhs - mc_slack
-    ms = (time.perf_counter() - start) * 1000.0
+    mc_slack = 3.0 * np.sqrt(0.25 / trials) if trials else 0.0
     return Report(
         "sigma-extraction",
         dict(n=n, ell=spec.ell, q=q_used, spec=spec.name,
-             access=access.name, backend=backend, trials=trials,
-             mode="exhaustive" if trials == 0 else "monte-carlo"),
-        p_extract, rhs, satisfied=satisfied, vacuous=vacuous, runtime_ms=ms,
+             access=access.name, backend="product", trials=trials,
+             mode="exhaustive" if exhaustive else "monte-carlo"),
+        p_extract, rhs, satisfied=vacuous or p_extract >= rhs - mc_slack,
+        vacuous=vacuous, runtime_ms=ms,
         stats=dict(p_prover=p_prover, p_triv=str(ptriv), epsilon=eps,
-                   epsilon_exact=eps_exact),
+                   epsilon_exact=epsilon_exact(spec.ell, q_used, n)),
     )

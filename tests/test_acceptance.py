@@ -224,8 +224,7 @@ def test_criterion_7_sigma_online_extraction():
 
     start = time.perf_counter()
     rep16 = run_sigma_experiment(honest, spec, access, hook, gen,
-                                 xor_witness_checker, n=16,
-                                 backend="product", trials=10_000, seed=42)
+                                 xor_witness_checker, n=16, trials=10_000, seed=42)
     success_ok = rep16.measured >= 0.99
 
     # at n = 16 the simplified epsilon is >= 1 for every q >= ell, so the
@@ -233,13 +232,11 @@ def test_criterion_7_sigma_online_extraction():
     # checked non-vacuously at n = 20 (see decisions ledger)
     vacuous_reported = rep16.vacuous
     rep20 = run_sigma_experiment(honest, spec, access, hook, gen,
-                                 xor_witness_checker, n=20,
-                                 backend="product", trials=200, seed=43)
+                                 xor_witness_checker, n=20, trials=200, seed=43)
     ineq_ok = (not rep20.vacuous) and rep20.satisfied and rep20.bound > 0
     # at n = 32 epsilon is ~0.005, so the bound is non-vacuous with margin
     rep32 = run_sigma_experiment(honest, spec, access, hook, gen,
-                                 xor_witness_checker, n=32,
-                                 backend="product", trials=2000, seed=44)
+                                 xor_witness_checker, n=32, trials=2000, seed=44)
     ineq32_ok = ((not rep32.vacuous) and rep32.satisfied
                  and rep32.stats["epsilon"] < 0.01 and rep32.bound > 0.99)
 

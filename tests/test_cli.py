@@ -93,7 +93,9 @@ class TestCommands:
         (["verify-theorem2"], ("1", "2")),
         (["equivalence"], ("1", "2")),
         (["equivalence", "--backend", "sparse"], ("1", "2")),
-    ], ids=["fo", "verify-commutator", "verify-theorem2", "equivalence", "equivalence-sparse"])
+        (["sigma", "--trials", "200", "--seed", "0"], ("1", "2")),
+    ], ids=["fo", "verify-commutator", "verify-theorem2", "equivalence", "equivalence-sparse",
+            "sigma"])
     def test_fresh_processes_write_identical_results(self, tmp_path, args, hash_seeds):
         # total_variation once followed the set's hash order, and Lanczos
         # its own unseeded start vector: both change between processes

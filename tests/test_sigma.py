@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrolab.fixtures import load
+import sigma_reference as ref
+from qrolab.branching import RandomChooser
+from qrolab.fixtures import load, parse_fixture
 from qrolab.relations import identity_commit
 from qrolab.sigma import (
     AccessStructure,
@@ -20,6 +22,7 @@ from qrolab.sigma import (
     online_extract,
     p_trivial,
     p_trivial_parallel,
+    run_real_game,
     run_sigma_experiment,
     threshold_structure,
     xor_instance_gen,
@@ -103,6 +106,13 @@ class TestSpecValidation:
             SigmaSpec(2, (frozenset({0, 1}), frozenset({2})), 2, 4,
                       lambda i, c, o: True)
 
+    def test_fixture_challenge_outside_range_names_the_range(self):
+        # slot 5 also breaks coverage, so the range check must come first
+        raw = {"type": "sigma", "ell": 3, "challenges": [[0, 1], [1, 2], [2, 5]],
+               "randomness_bits": 2, "slot_space": 4, "verifier": "always"}
+        with pytest.raises(ValueError, match="outside slot range"):
+            parse_fixture(raw)
+
 
 class TestToyProtocolSoundness:
     def test_hook_against_exhaustive_v_scan(self):
@@ -158,8 +168,7 @@ class TestToyProtocolSoundness:
 class TestExperiments:
     def test_honest_experiment_small_n(self):
         rep = run_sigma_experiment(honest_factory, TINY, T2, HOOK, GEN,
-                                   xor_witness_checker, n=8,
-                                   backend="product", trials=150, seed=0)
+                                   xor_witness_checker, n=8, trials=150, seed=0)
         assert rep.stats["p_prover"] >= 0.95
         assert rep.measured >= 0.9
         assert rep.satisfied
@@ -168,37 +177,32 @@ class TestExperiments:
         factory = lambda s, i, w, r: TrivialAttackProver(s, i, w, r,
                                                          share_bits=SB)
         rep = run_sigma_experiment(factory, TINY, T2, HOOK, GEN,
-                                   xor_witness_checker, n=8,
-                                   backend="product", trials=300, seed=1)
+                                   xor_witness_checker, n=8, trials=300, seed=1)
         assert rep.measured == 0.0
         assert abs(rep.stats["p_prover"] - 1 / 3) <= 0.15
 
     def test_no_commit_prover(self):
         factory = lambda s, i, w, r: NoCommitProver(s)
         rep = run_sigma_experiment(factory, TINY, T2, HOOK, GEN,
-                                   xor_witness_checker, n=8,
-                                   backend="product", trials=100, seed=2)
+                                   xor_witness_checker, n=8, trials=100, seed=2)
         assert rep.measured == 0.0 and rep.stats["p_prover"] == 0.0
 
     def test_exhaustive_mode_matches_monte_carlo(self):
         micro = xor_toy_spec(share_bits=1, randomness_bits=1)
         exact = run_sigma_experiment(honest_factory, micro, T2, HOOK, GEN,
-                                     xor_witness_checker, n=1,
-                                     backend="product", seed=5,
+                                     xor_witness_checker, n=1, seed=5,
                                      exhaustive=True)
         assert exact.params["mode"] == "exhaustive"
         assert abs(exact.stats["p_prover"] - 1.0) <= 1e-9  # honest prover always passes
         mc = run_sigma_experiment(honest_factory, micro, T2, HOOK, GEN,
-                                  xor_witness_checker, n=1,
-                                  backend="product", trials=800, seed=5)
+                                  xor_witness_checker, n=1, trials=800, seed=5)
         # extraction success: MC within 3 sigma of an exact-tree ballpark
         sigma3 = 3 * np.sqrt(0.25 / 800)
         assert abs(mc.measured - exact.measured) <= sigma3 + 0.05
 
     def test_vacuous_flag_at_tiny_n(self):
         rep = run_sigma_experiment(honest_factory, TINY, T2, HOOK, GEN,
-                                   xor_witness_checker, n=2,
-                                   backend="product", trials=50, seed=3)
+                                   xor_witness_checker, n=2, trials=50, seed=3)
         assert rep.vacuous  # epsilon >= 1 at n = 2
         assert rep.satisfied  # vacuous is reported, not failed
 
@@ -209,6 +213,58 @@ class TestExperiments:
             34 * 12 / 256 + 2365 * 64 / 65536)
         assert epsilon_exact(3, 4, 16) == pytest.approx(
             8 * np.sqrt(2) * 3 * 12 / 256 + (40 * np.e**2 * 8**3 + 2) / 65536)
+
+
+class TestAgainstReference:
+    """The game against tests/sigma_reference.py, today's protocol steps
+    before each was kept once: every seeded draw must land the same."""
+
+    PROVERS = {
+        "honest": (HonestProver, ref.HonestProver),
+        "trivial": (TrivialAttackProver, ref.TrivialAttackProver),
+        "no-commit": (NoCommitProver, NoCommitProver),
+    }
+
+    @staticmethod
+    def factory(cls):
+        return lambda s, i, w, r: cls(s, i, w, r, share_bits=SB)
+
+    @pytest.mark.parametrize("prover", sorted(PROVERS))
+    def test_transcripts_match(self, prover):
+        commit = identity_commit(8, TINY.domain_size)
+        for seed in range(24):
+            runs = []
+            for cls, extract, real_game in zip(
+                    self.PROVERS[prover], (online_extract, ref.online_extract),
+                    (run_real_game, ref.run_real_game)):
+                rng = np.random.default_rng(seed)
+                instance, shares = GEN(rng)
+                p = self.factory(cls)(TINY, instance, shares, rng)
+                sim = SimulatorS(commit, backend="product", seed=100 + seed)
+                witness, transcript = extract(p, TINY, T2, HOOK, instance, sim)
+                rng = np.random.default_rng(seed)
+                instance, shares = GEN(rng)
+                won = real_game(self.factory(cls)(TINY, instance, shares, rng), TINY,
+                                instance, RandomChooser(200 + seed), 8)
+                runs.append((getattr(p, "slots", None), witness, transcript, won))
+            assert runs[0] == runs[1], (prover, seed)
+
+    @pytest.mark.parametrize("exhaustive", [False, True], ids=["monte-carlo", "exhaustive"])
+    @pytest.mark.parametrize("prover", ["honest", "trivial"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reports_match(self, prover, seed, exhaustive):
+        if exhaustive:
+            spec, kw = xor_toy_spec(share_bits=1, randomness_bits=1), dict(n=1)
+        else:
+            spec, kw = TINY, dict(n=8, trials=300)
+        new, old = (
+            run(self.factory(cls), spec, T2, HOOK, GEN, xor_witness_checker,
+                seed=seed, exhaustive=exhaustive, **kw)
+            for run, cls in zip((run_sigma_experiment, ref.run_sigma_experiment),
+                                self.PROVERS[prover]))
+        assert new.params["mode"] == ("exhaustive" if exhaustive else "monte-carlo")
+        for field in ("measured", "bound", "satisfied", "vacuous", "params", "stats"):
+            assert getattr(new, field) == getattr(old, field), field
 
 
 class TestCollisionAttackIllustration:
