@@ -22,6 +22,8 @@ sibling holds it, which is what makes sharing safe.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import ATOL
@@ -39,9 +41,19 @@ def _check_mass(total: float) -> float:
 
 
 def _clean_probs(probs) -> np.ndarray:
-    """Clip rounding-level negatives; the mass must already be 1 within ATOL."""
-    p = np.clip(np.asarray(probs, dtype=float).reshape(-1), 0.0, None)
+    """A new array: clip rounding-level negatives (copying only if there are
+    any) and divide by the mass, which must already be 1 within ATOL."""
+    p = np.asarray(probs, dtype=float).reshape(-1)
+    p = np.clip(p, 0.0, None) if (p < 0.0).any() else p
     return p / _check_mass(float(p.sum()))
+
+
+@lru_cache(maxsize=None)
+def _uniform(count: int) -> np.ndarray:
+    """The read-only uniform distribution over count outcomes."""
+    p = np.full(count, 1.0 / count)
+    p.flags.writeable = False
+    return p
 
 
 def _spiked_mass(count: int, base: float, spikes: dict) -> float:
@@ -160,7 +172,7 @@ class ReplayChooser:
         return outcome
 
     def choose_uniform(self, count: int) -> int:
-        return self.choose(np.full(count, 1.0 / count))
+        return self.choose(_uniform(count))
 
     def choose_spiked(self, count: int, base: float, spikes: dict) -> int:
         _spiked_mass(count, base, spikes)

@@ -7,11 +7,13 @@ and measurement collapse.  Registers can be attached and detached on the fly
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .branching import PROB_FLOOR, _clean_probs
 from .config import ATOL, DIM_CAP
-from .linalg import LayoutError, apply_on_axes
+from .linalg import LayoutError, _axes_plan, apply_on_axes
 
 
 class RegisterState:
@@ -25,10 +27,7 @@ class RegisterState:
         self.tensor[(0,) * len(self._dims)] = 1.0
 
     def _check_cap(self, extra: int = 1) -> None:
-        total = extra
-        for d in self._dims:
-            total *= d
-        if total > DIM_CAP:
+        if (total := math.prod(self._dims, start=extra)) > DIM_CAP:
             raise LayoutError(f"total dimension {total} exceeds cap {DIM_CAP}")
 
     @property
@@ -88,16 +87,14 @@ class RegisterState:
 
     def remove_register(self, label: str) -> int:
         """Drop a register that sits in a computational basis state; returns its value."""
-        ax = self.axis(label)
-        moved = np.moveaxis(self.tensor, ax, 0)
-        mass = np.sum(np.abs(moved) ** 2, axis=tuple(range(1, moved.ndim)))
-        total = mass.sum()
+        rows, order = self._rows([label])
+        mass = np.sum(np.abs(rows) ** 2, axis=1)
         value = int(np.argmax(mass))
-        if not mass[value] >= (1.0 - ATOL) * total:  # `not >=` so that NaN fails
+        if not mass[value] >= (1.0 - ATOL) * mass.sum():  # `not >=` so that NaN fails
             raise LayoutError(f"register {label!r} is not in a basis state")
-        self.tensor = moved[value]
-        del self._labels[ax]
-        del self._dims[ax]
+        del self._labels[order[0]]
+        del self._dims[order[0]]
+        self.tensor = rows[value].reshape(self._dims)
         return value
 
     # -- evolution -----------------------------------------------------------
@@ -108,46 +105,49 @@ class RegisterState:
 
     # -- measurement ---------------------------------------------------------
 
-    def born_probs(self, labels) -> np.ndarray:
-        axes = [self.axis(lab) for lab in labels]
-        rest = [a for a in range(self.tensor.ndim) if a not in axes]
-        moved = np.transpose(self.tensor, axes + rest)
-        flat = moved.reshape(int(np.prod([self._dims[a] for a in axes], initial=1)), -1)
-        return np.sum(np.abs(flat) ** 2, axis=1)
+    def _rows(self, labels) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The tensor with one row per outcome of the named registers, and the
+        axis order (theirs first, the rest in order) it was flattened in."""
+        order, _ = _axes_plan(self.tensor.ndim, tuple(self.axis(lab) for lab in labels))
+        k = math.prod(self._dims[a] for a in order[:len(labels)])
+        return self.tensor.transpose(order).reshape(k, -1), order
 
-    def _collapsed(self, labels, flat_outcome: int) -> tuple[tuple, tuple[int, ...], np.ndarray]:
-        """(index, outcome, amplitudes) of one outcome of the named registers:
-        the tensor sliced at that outcome, renormalized, as a new array."""
+    def born_probs(self, labels) -> np.ndarray:
+        rows, _ = self._rows(labels)
+        return np.sum(np.abs(rows) ** 2, axis=1)
+
+    def measure(self, labels, chooser) -> tuple[int, ...]:
+        """Projective measurement of the named registers; collapses in place."""
         axes = [self.axis(lab) for lab in labels]
-        outcome = np.unravel_index(flat_outcome, [self._dims[a] for a in axes])
+        flat = chooser.choose(self.born_probs(labels))
+        outcome = tuple(int(v) for v in np.unravel_index(flat, [self._dims[a] for a in axes]))
         idx: list = [slice(None)] * self.tensor.ndim
         for a, v in zip(axes, outcome):
-            idx[a] = int(v)
+            idx[a] = v
         kept = self.tensor[tuple(idx)]
         nrm = np.linalg.norm(kept)
         if nrm <= 0.0:
             raise ValueError("collapse onto zero-probability outcome")
-        return tuple(idx), tuple(int(v) for v in outcome), kept / nrm
-
-    def measure(self, labels, chooser) -> tuple[int, ...]:
-        """Projective measurement of the named registers; collapses in place."""
-        idx, outcome, kept = self._collapsed(labels, chooser.choose(self.born_probs(labels)))
         self.tensor = np.zeros_like(self.tensor)
-        self.tensor[idx] = kept
+        self.tensor[tuple(idx)] = kept / nrm
         return outcome
 
     def measured_branches(self, labels) -> list[tuple[float, "RegisterState", tuple[int, ...]]]:
         """(probability, post-measurement state, outcome) for every outcome of
         the named registers above PROB_FLOOR, those registers removed: the
-        collapses that measure_and_remove makes, on new states.  The
-        probabilities go through the same mass check as a chooser's."""
-        probs = _clean_probs(self.born_probs(labels))
-        keep = [a for a, lab in enumerate(self._labels) if lab not in labels]
+        collapses that measure_and_remove makes, on new states, each one row
+        of _rows over the square root of its Born weight.  The probabilities
+        go through the same mass check as a chooser's."""
+        rows, order = self._rows(labels)
+        weights = np.sum(np.abs(rows) ** 2, axis=1)
+        probs = _clean_probs(weights)
+        sub, keep = [self._dims[a] for a in order[:len(labels)]], order[len(labels):]
         out = []
         for flat in np.nonzero(probs > PROB_FLOOR)[0]:
-            _, outcome, kept = self._collapsed(labels, int(flat))
-            child = self._like([self._labels[a] for a in keep],
-                               [self._dims[a] for a in keep], kept)
+            dims = [self._dims[a] for a in keep]
+            child = self._like([self._labels[a] for a in keep], dims,
+                               (rows[flat] / math.sqrt(weights[flat])).reshape(dims))
+            outcome = tuple(int(v) for v in np.unravel_index(flat, sub))
             out.append((float(probs[flat]), child, outcome))
         return out
 
@@ -161,12 +161,8 @@ class RegisterState:
 
     def density(self, labels) -> np.ndarray:
         """Reduced density operator on the named registers (partial trace)."""
-        axes = [self.axis(lab) for lab in labels]
-        rest = [a for a in range(self.tensor.ndim) if a not in axes]
-        moved = np.transpose(self.tensor, axes + rest)
-        keep = int(np.prod([self._dims[a] for a in axes], initial=1))
-        flat = moved.reshape(keep, -1)
-        return flat @ flat.conj().T
+        rows, _ = self._rows(labels)
+        return rows @ rows.conj().T
 
     def subvector(self, labels) -> np.ndarray:
         """Pure-state vector on the named registers; requires the rest to be trivial."""
@@ -176,5 +172,4 @@ class RegisterState:
             if not vals[-1] >= 1.0 - ATOL:  # `not >=` so that NaN fails
                 raise LayoutError("registers are entangled with the remainder")
             return vecs[:, -1] * np.sqrt(vals[-1])
-        axes = [self.axis(lab) for lab in labels]
-        return np.transpose(self.tensor, axes).reshape(-1)
+        return self._rows(labels)[0].reshape(-1)

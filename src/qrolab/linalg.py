@@ -9,6 +9,7 @@ operator applied to a subset of registers acts as identity on all others.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,20 +20,33 @@ class LayoutError(ValueError):
     """Malformed register layout or mismatched layouts."""
 
 
+@lru_cache(maxsize=None)
+def _axes_plan(ndim: int, axes: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(order, back): the transpose that brings `axes` (negatives counted from
+    the end) to the front, the rest in order, and its inverse."""
+    front = [a % ndim for a in axes if -ndim <= a < ndim]
+    if len(set(front)) != len(axes):
+        raise LayoutError(f"axes {axes} repeat or lie outside {ndim} axes")
+    order = tuple(front + [a for a in range(ndim) if a not in front])
+    return order, tuple(order.index(a) for a in range(ndim))
+
+
 def apply_on_axes(matrix: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
     """Apply a small operator to the given axes of a state tensor.
 
     matrix has shape (prod(dims[axes]), prod(dims[axes])); result keeps the
     original axis order.  This is the workhorse for large spaces where dense
-    embedding would be wasteful.
+    embedding would be wasteful: one transpose from a cached plan, one matrix
+    product on the flattened target axes, and the transpose back.
     """
-    axes = list(axes)
-    dims = tensor.shape
-    sub = [dims[a] for a in axes]
-    mat_t = matrix.reshape(sub + sub)
-    moved = np.tensordot(mat_t, tensor, axes=(list(range(len(sub), 2 * len(sub))), axes))
-    # tensordot puts the contracted (target) axes first; move them home.
-    return np.moveaxis(moved, list(range(len(axes))), axes)
+    axes = tuple(axes)
+    order, back = _axes_plan(tensor.ndim, axes)
+    moved = tensor.transpose(order)
+    k = math.prod(moved.shape[:len(axes)])
+    if matrix.shape != (k, k):
+        raise LayoutError(f"matrix of shape {matrix.shape} on axes {axes} of dims "
+                          f"{tensor.shape}: need ({k}, {k})")
+    return np.dot(matrix, moved.reshape(k, -1)).reshape(moved.shape).transpose(back)
 
 
 def operator_norm(matrix) -> float | np.ndarray:

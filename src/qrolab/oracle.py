@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import DIM_CAP
 from .engine import RegisterState
-from .linalg import LayoutError, apply_on_axes
+from .linalg import LayoutError, _axes_plan, apply_on_axes
 from .sparse import ProductState, SparseState
 
 
@@ -60,6 +60,13 @@ def build_o_small(n: int) -> np.ndarray:
             cnot[y_out * (big_n + 1) + c, src] = 1.0
     fi = np.kron(np.eye(big_n), build_f(n))
     return fi @ cnot @ fi
+
+
+@lru_cache(maxsize=None)
+def _kraus(n: int) -> np.ndarray:
+    """O^x's Kraus columns at input Y = 0: the isometry D_x -> (Y, D_x)."""
+    big_n, cd = 2**n, 2**n + 1
+    return build_o_small(n).reshape(big_n, cd, big_n, cd)[:, :, 0, :].reshape(-1, cd) + 0j
 
 
 @dataclass(frozen=True)
@@ -124,30 +131,38 @@ class DenseOracleState(RegisterState):
             self.add_register(label, dim)
 
     def _queried(self, x: int) -> "DenseOracleState":
-        """This state with a response register _qY attached in |0> and O^x
-        applied on (_qY, D_x): a classical query at x before its measurement."""
+        """A new state: this one after a classical query's O^x at x, before its
+        measurement, with the response register _qY last.  _qY enters in |0>,
+        so O^x is one product of its Kraus columns there with the D_x axis."""
         if not 0 <= x < self.config.m:
             raise ValueError(f"x={x} out of domain range")
-        self.add_register("_qY", self.config.big_n, value=0)
-        self.apply(build_o_small(self.config.n), ["_qY", d_label(x)])
-        return self
+        self._check_cap(extra=self.config.big_n)
+        rows, order = self._rows([d_label(x)])
+        out = np.dot(_kraus(self.config.n), rows).reshape(
+            [self.config.big_n] + [self._dims[a] for a in order])
+        # out's axes are (_qY, D_x, rest): the plan that fronts those undoes it
+        _, back = _axes_plan(len(order) + 1, (len(order), order[0]))
+        return self._like(self._labels + ["_qY"], self._dims + [self.config.big_n],
+                          out.transpose(back))
 
     def classical_query(self, x: int, chooser) -> int:
         """Classical RO query: prepare |x>|0>, apply O, measure Y, collapse."""
-        (h,) = self._queried(x).measure_and_remove(["_qY"], chooser)
+        queried = self._queried(x)
+        (h,) = queried.measure_and_remove(["_qY"], chooser)
+        self.tensor = queried.tensor
         return h
 
     def classical_query_probs(self, x: int) -> np.ndarray:
         """Response distribution of a classical query, without performing it."""
-        return self.copy()._queried(x).born_probs(["_qY"])
+        return self._queried(x).born_probs(["_qY"])
 
     def classical_query_branches(self, x: int) -> list[tuple[float, "DenseOracleState", int]]:
         """(probability, post-query state, h) for every response h above
-        PROB_FLOOR of a classical query at x.  O^x is applied once; each child
-        is the _qY = h slice of that state, renormalized.  This state is left
-        as it was."""
+        PROB_FLOOR of a classical query at x.  The Kraus product runs once;
+        each child is the _qY = h slice of that state, renormalized.  This
+        state is left as it was."""
         return [(q, child, h) for q, child, (h,)
-                in self.copy()._queried(x).measured_branches(["_qY"])]
+                in self._queried(x).measured_branches(["_qY"])]
 
     def quantum_query(self, x_label: str, y_label: str) -> None:
         """Apply O_XYD jointly on the X, Y registers and D: O^x on (Y, D_x)
@@ -164,13 +179,10 @@ class DenseOracleState(RegisterState):
     def d_vector(self) -> np.ndarray:
         return self.subvector([d_label(x) for x in range(self.config.m)])
 
-    def d_rows(self) -> tuple[np.ndarray, list[int]]:
+    def d_rows(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """The joint state as a matrix with one row per database basis state,
         and the axis order (D axes first) it was flattened in."""
-        axes = [self.axis(d_label(x)) for x in range(self.config.m)]
-        order = axes + [a for a in range(self.tensor.ndim) if a not in axes]
-        rows = np.transpose(self.tensor, order).reshape(self.config.d_dim(), -1)
-        return rows, order
+        return self._rows([d_label(x) for x in range(self.config.m)])
 
 
 def oracle_state(backend: str, n: int, m: int, prefix=(), q_cap: int = 64):

@@ -246,15 +246,12 @@ def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> Extraction
     """Projective {Sigma^x} measurement on a DenseOracleState; collapses in place."""
     config = oracle_state.config
     arr = outcome_array(rel, config)
-    moved, order = oracle_state.d_rows()
-    mass = np.sum(np.abs(moved) ** 2, axis=1)
-    probs = np.zeros(config.m + 1)
-    np.add.at(probs, arr, mass)
+    rows, order = oracle_state.d_rows()
+    mass = np.sum(np.abs(rows) ** 2, axis=1)
+    probs = np.bincount(arr, weights=mass, minlength=config.m + 1)
     code = chooser.choose(probs)  # 0..m-1 are x outcomes, m is empty
-    keep = arr == code
-    moved[~keep, :] = 0.0
-    nrm = np.linalg.norm(moved)
-    moved /= nrm
-    back = moved.reshape([oracle_state.dims[a] for a in order])
+    # one product writes a new array: rows may be a view of the state's tensor
+    collapsed = rows * ((arr == code) / np.sqrt(probs[code]))[:, None]
+    back = collapsed.reshape([oracle_state.dims[a] for a in order])
     oracle_state.tensor = np.transpose(back, np.argsort(order))
     return ExtractionOutcome(None if code == config.m else code, config.m)

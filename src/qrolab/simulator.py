@@ -10,7 +10,6 @@ Extraction queries are classical: S.E measures and returns an outcome.
 
 from __future__ import annotations
 
-import copy
 import json
 
 import numpy as np
@@ -52,7 +51,8 @@ class SimulatorS:
         return self._child(self.backend.copy(), chooser)
 
     def _child(self, backend, chooser) -> "SimulatorS":
-        out = copy.copy(self)
+        out = type(self).__new__(type(self))
+        out.__dict__.update(self.__dict__)
         out.chooser = chooser
         out.backend = backend
         out.log = list(self.log)

@@ -87,6 +87,31 @@ class TestApplyOnAxes:
         want = embedded(mat, dims, targets) @ cols
         assert np.abs(got.reshape(12, batch) - want).max() <= ATOL
 
+    def test_matrix_of_the_wrong_side_raises(self):
+        # 20 x 20 on axis 0 of a (4, 5, 5) tensor: a flat product would take
+        # it as acting on axes (0, 1)
+        tensor = np.ones((4, 5, 5), dtype=complex)
+        with pytest.raises(LayoutError):
+            apply_on_axes(np.eye(20), tensor, [0])
+        with pytest.raises(LayoutError):
+            apply_on_axes(np.eye(4)[:, :2], tensor, [0])
+        with pytest.raises(LayoutError):
+            apply_on_axes(np.ones(16), tensor, [0])
+
+    @pytest.mark.parametrize("axes", [[0, 0], [1, -2], [3], [-4], [0, 5]])
+    def test_repeated_or_out_of_range_axes_raise(self, axes):
+        tensor = np.ones((4, 5, 5), dtype=complex)
+        k = int(np.prod([5] * len(axes)))
+        with pytest.raises(LayoutError):
+            apply_on_axes(np.eye(k), tensor, axes)
+
+    def test_negative_axes_count_from_the_end(self):
+        rng = np.random.default_rng(4)
+        tensor = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        mat = random_matrix(rng, 8)
+        assert np.array_equal(apply_on_axes(mat, tensor, [-1, 0]),
+                              apply_on_axes(mat, tensor, [2, 0]))
+
 
 class TestDimCap:
     # every size here is above DIM_CAP = 2^22 and each guard raises before
