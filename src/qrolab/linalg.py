@@ -144,11 +144,11 @@ def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
 
 
 def density_from_branches(branches) -> np.ndarray:
-    """Density operator sum_k p_k |psi_k><psi_k| from (prob, vector) pairs,
-    as one product (V^T diag(p)) conj(V) over the rows psi_k of V."""
-    probs, vecs = zip(*((p, np.asarray(vec).reshape(-1)) for p, vec in branches))
-    v = np.array(vecs)
-    return (v.T * np.array(probs)) @ v.conj()
+    """Density operator sum_k p_k B_k B_k^dag from (prob, B_k) pairs, B_k a vector or a
+    D x r block (d_rows()), as one product (V^T diag(w)) conj(V), V's rows all B_k's columns."""
+    probs, rows = zip(*((p, np.asarray(b).reshape(len(b), -1).T) for p, b in branches))
+    v = np.concatenate(rows)
+    return (v.T * np.repeat(probs, [len(r) for r in rows])) @ v.conj()
 
 
 def total_variation(p: dict, q: dict) -> float:

@@ -7,22 +7,26 @@ suite runner sweeps the standard grid n in {1,2}, m in {2,3} with the three
 bundled commit functions.
 
 The tree checks (2.c, 3 and 4) walk each preparation's tree once per report
-(enumerate_paths, as a closure replay: each leaf re-runs the preparation's
-S.RO queries) and extend its (prob, simulator, outcomes) leaves with
-branching.branch, for every x and t: only the new step runs per leaf, never
-the preparation.  An S.RO step is the native split SimulatorS.ro_branches,
-which evolves the query once and slices it per response; an S.E step is
-branching.replayed, one fork per outcome.  2.c applies O_XYD once per leaf
-to a tensor that holds all its query states, and reuses it for every t.
-tests/properties_reference.py keeps the replay versions as the oracle.
+(enumerate_paths, a closure replay) and extend it with branching.branch for
+every x and t: S.RO by the native split SimulatorS.ro_branches, S.E by
+branching.replayed.  Checks 3 and 4 measure mixtures, so _purified folds a
+preparation's leaves (p_i, psi_i) into one root sum_i sqrt(p_i) |psi_i>_D |i>_L,
+with a leaf register _L after D.  A step acts as K_o (x) 1_L, so outcome o has
+the per-leaf mass sum_i p_i ||K_o psi_i||^2, and its child traced over _L is the
+per-leaf mixture sum_i p_i K_o psi_i psi_i^dag K_o^dag / Pr[o] on D; by induction
+so is every branch, from <= 2^n or m+1 children per step (without _L, cross
+terms psi_i psi_j^dag would enter).  2.c stays per leaf: it maximizes over pure
+leaves.  tests/properties_reference.py is the replay oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .bounds import Report, timed
-from .branching import branch, enumerate_paths, replayed
+from .branching import ReplayChooser, branch, enumerate_paths, replayed
 from .linalg import apply_on_axes, density_from_branches, operator_norm, \
     pure_trace_distance, trace_distance
 from .oracle import OracleConfig, build_o_small
@@ -158,11 +162,6 @@ def _prep_leaves(f: CommitFunction):
             for prep in _preps_for(f.m)]
 
 
-def _then(leaves, split_for):
-    """Branch each leaf by the split that its last outcome selects."""
-    return [kid for leaf in leaves for kid in branch([leaf], split_for(leaf[2][-1]))]
-
-
 def _xy_states(config: OracleConfig, seed: int = 31):
     rng = np.random.default_rng(seed)
     dim = config.m * config.big_n
@@ -242,89 +241,115 @@ def property_2c_report(f: CommitFunction) -> Report:
 # -- properties 3.a / 3.b: idempotence ---------------------------------------------------
 
 
+def _purified(f: CommitFunction, leaves):
+    """The root leaf sum_i sqrt(p_i) |psi_i>_D |i>_L of a preparation's leaves."""
+    sim = SimulatorS(f, backend="dense", chooser=ReplayChooser(), prefix=[("_L", len(leaves))])
+    sim.backend.set_vector(np.stack([np.sqrt(p) * s.backend.d_vector() for p, s, _ in leaves], -1))
+    return [(1.0, sim, ())]
+
+
+class _Trees(Counter):
+    """A report's tree counts: prep_leaves folded into roots, split_children of splits."""
+
+    def roots(self, f: CommitFunction):
+        preps = _prep_leaves(f)
+        self["prep_leaves"] += sum(map(len, preps))
+        return [_purified(f, leaves) for leaves in preps]
+
+    def branch(self, leaves, split):
+        kids = branch(leaves, split)
+        self["split_children"] += len(kids)
+        return kids
+
+    def then(self, leaves, split_for):
+        """Branch each leaf by the split that its last outcome selects."""
+        return [kid for leaf in leaves for kid in self.branch([leaf], split_for(leaf[2][-1]))]
+
+    def report(self, experiment, f: CommitFunction, check, bound=0.0, **params) -> Report:
+        """check(f, self), timed, as a Report with these counts as its stats."""
+        (val, ms) = timed(lambda: check(f, self))
+        return Report(experiment, dict(n=f.n, M=f.m, f=f.name, **params), val, bound,
+                      runtime_ms=ms, stats=dict(self))
+
+
 def _density(leaves) -> np.ndarray:
-    """Density operator on D of a tree's leaves."""
-    return density_from_branches((p, sim.backend.d_vector()) for p, sim, _ in leaves)
+    """Density operator on D of a tree's leaves, tracing out _L."""
+    return density_from_branches((p, sim.backend.d_rows()[0]) for p, sim, _ in leaves)
 
 
-def ro_idempotence(f: CommitFunction) -> float:
+def ro_idempotence(f: CommitFunction, trees=None) -> float:
+    trees = _Trees() if trees is None else trees
     worst = 0.0
-    for base in _prep_leaves(f):
+    for base in trees.roots(f):
         for x in range(f.m):
             split = lambda sim: sim.ro_branches(x)
-            once = branch(base, split)
-            worst = max(worst, trace_distance(_density(once), _density(branch(once, split))))
+            once = trees.branch(base, split)
+            worst = max(worst, trace_distance(_density(once), _density(trees.branch(once, split))))
     return worst
 
 
-def e_idempotence(f: CommitFunction) -> tuple[float, float]:
+def e_idempotence(f: CommitFunction, trees=None) -> tuple[float, float]:
     """(max trace distance, max repeat-outcome disagreement probability)."""
-    worst_td = 0.0
-    worst_outcome = 0.0
-    for base in _prep_leaves(f):
+    trees = _Trees() if trees is None else trees
+    worst_td = worst_outcome = 0.0
+    for base in trees.roots(f):
         for t in f.t_values:
             split = replayed(lambda sim: sim.e_query(t).value)
-            once = branch(base, split)
-            twice = branch(once, split)
+            once = trees.branch(base, split)
+            twice = trees.branch(once, split)
             worst_td = max(worst_td, trace_distance(_density(once), _density(twice)))
-            disagree = sum(p for p, _, (a, b) in twice if a != b)
-            worst_outcome = max(worst_outcome, disagree)
+            worst_outcome = max(worst_outcome, sum(p for p, _, (a, b) in twice if a != b))
     return worst_td, worst_outcome
 
 
 def property_3a_report(f: CommitFunction) -> Report:
-    (val, ms) = timed(lambda: ro_idempotence(f))
-    return Report("theorem2-3a-ro-idempotent",
-                  dict(n=f.n, M=f.m, f=f.name), val, 0.0, runtime_ms=ms)
+    return _Trees().report("theorem2-3a-ro-idempotent", f, ro_idempotence)
 
 
 def property_3b_report(f: CommitFunction) -> Report:
-    ((td, outcome), ms) = timed(lambda: e_idempotence(f))
+    trees = _Trees()
+    ((td, outcome), ms) = timed(lambda: e_idempotence(f, trees))
     return Report("theorem2-3b-e-idempotent",
                   dict(n=f.n, M=f.m, f=f.name, outcome_disagreement=outcome),
-                  max(td, outcome), 0.0, runtime_ms=ms)
+                  max(td, outcome), 0.0, runtime_ms=ms, stats=dict(trees))
 
 
 # -- properties 4.a / 4.b: classical consistency -----------------------------------------
 
 
-def prop_4a_worst(f: CommitFunction) -> float:
+def prop_4a_worst(f: CommitFunction, trees=None) -> float:
     """max over preps and t of Pr[f(x_hat, h_hat) != t and x_hat != empty]."""
+    trees = _Trees() if trees is None else trees
     worst = 0.0
-    for base in _prep_leaves(f):
+    for base in trees.roots(f):
         for t in f.t_values:
-            found = [leaf for leaf in branch(base, replayed(lambda sim: sim.e_query(t).value))
+            found = [leaf for leaf in trees.branch(base, replayed(lambda sim: sim.e_query(t).value))
                      if leaf[2][-1] is not None]
-            checked = _then(found, lambda x_hat: lambda sim: sim.ro_branches(x_hat))
-            bad = sum(p for p, _, (x_hat, h_hat) in checked if f(x_hat, h_hat) != t)
-            worst = max(worst, bad)
+            checked = trees.then(found, lambda x_hat: lambda sim: sim.ro_branches(x_hat))
+            worst = max(worst, sum(p for p, _, (x_hat, h_hat) in checked if f(x_hat, h_hat) != t))
     return worst
 
 
-def prop_4b_worst(f: CommitFunction) -> float:
+def prop_4b_worst(f: CommitFunction, trees=None) -> float:
     """max over preps (no prior extraction) and x of Pr[S.E(f(x, h)) = empty]."""
+    trees = _Trees() if trees is None else trees
     worst = 0.0
-    for base in _prep_leaves(f):
+    for base in trees.roots(f):
         for x in range(f.m):
-            queried = branch(base, lambda sim: sim.ro_branches(x))
-            checked = _then(queried, lambda h: replayed(lambda sim: sim.e_query(f(x, h)).is_empty))
-            bad = sum(p for p, _, (_, empty) in checked if empty)
-            worst = max(worst, bad)
+            queried = trees.branch(base, lambda sim: sim.ro_branches(x))
+            checked = trees.then(
+                queried, lambda h: replayed(lambda sim: sim.e_query(f(x, h)).is_empty))
+            worst = max(worst, sum(p for p, _, (_, empty) in checked if empty))
     return worst
 
 
 def property_4a_report(f: CommitFunction) -> Report:
-    (val, ms) = timed(lambda: prop_4a_worst(f))
-    bound = 2.0 * f.gamma / 2.0**f.n
-    return Report("theorem2-4a-extract-then-ro",
-                  dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma), val, bound,
-                  runtime_ms=ms)
+    return _Trees().report("theorem2-4a-extract-then-ro", f, prop_4a_worst,
+                           2.0 * f.gamma / 2.0**f.n, gamma=f.gamma)
 
 
 def property_4b_report(f: CommitFunction) -> Report:
-    (val, ms) = timed(lambda: prop_4b_worst(f))
-    return Report("theorem2-4b-ro-then-extract",
-                  dict(n=f.n, M=f.m, f=f.name), val, 2.0 / 2.0**f.n, runtime_ms=ms)
+    return _Trees().report("theorem2-4b-ro-then-extract", f, prop_4b_worst, 2.0 / 2.0**f.n)
 
 
 # -- the suite -----------------------------------------------------------------------------
