@@ -386,7 +386,8 @@ def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
     vectors; h_i from S.RO(x_i), hat
     x_i from S.E(t_i); success if some i has hat x_i != x_i yet f(x_i,h_i)=t_i.
     The tree is walked once from a dense SimulatorS root: the walk's node
-    answers S.RO and S.E, so each is evolved once per tree edge.
+    answers S.RO and S.E, so each is evolved once per distinct (state, step)
+    of the walk.
     """
     from .simulator import SimulatorS
 

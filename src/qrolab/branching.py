@@ -15,9 +15,15 @@ applying a *split* to its state: a function state -> [(q, child, result)]
 that returns every outcome of one step at once (branch applies one to a
 list of leaves).  SimulatorS.ro_branches evolves an S.RO query once and
 slices its responses; replayed(step) runs any other step on one fork per
-outcome.  So dense work runs once per tree edge, and a re-run that answers
-from its script does none.  A state is never mutated once a child or
-sibling holds it, which is what makes sharing safe.
+outcome.  A re-run that answers from its script does no dense work.
+
+A walk is a DAG, not a tree: a draw leaves the state alone, so the sibling
+subtrees below it make the same S.RO and S.E calls on the same state object.
+Each walk owns one memo, (id(state), step) -> (state, children), shared by
+all its nodes, so dense work runs once per distinct (state, step) of a walk,
+and a repeated call hands out the same children.  A state is never mutated
+once a child or sibling holds it, which is what makes sharing safe; the memo
+keeps every state it keys, so no id is reused while the walk runs.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ def _clean_probs(probs) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _uniform(count: int) -> np.ndarray:
-    """The read-only uniform distribution over count outcomes."""
-    p = np.full(count, 1.0 / count)
+    """The read-only cleaned uniform distribution over count outcomes."""
+    p = _clean_probs(np.full(count, 1.0 / count))
     p.flags.writeable = False
     return p
 
@@ -139,23 +145,40 @@ class ReplayChooser:
     script the node continues on the first live child and pushes every
     sibling onto pending as (prob x q, state, script): a draw's siblings
     share the node's state, a split's siblings each hold their own child.
-    path_prob is the leaf's probability, one left fold of the q's from the
-    root; edges counts the children the node's calls past its script made,
-    so that over a walk's runs it sums to the tree's edges.  branch_probs
-    records the cleaned distribution of every draw, scripted or not.
+    A split is looked up in memo, the walk's (id(state), step) -> (state,
+    children) dict, and computed only on a miss.  path_prob is the leaf's
+    probability, one left fold of the q's from the root; edges counts the
+    children the node's calls past its script made, so that over a walk's
+    runs it sums to the tree's edges.  branch_probs records the cleaned
+    distribution of every draw, scripted or not.
     """
 
-    def __init__(self, script: tuple = (), prob: float = 1.0, state=None, pending=None):
+    def __init__(self, script: tuple = (), prob: float = 1.0, state=None, pending=None,
+                 memo=None):
         self.script = script
         self.path_prob = prob
         self.state = state
         self.pending = [] if pending is None else pending
+        self.memo = {} if memo is None else memo
         self.taken: list = []
         self.branch_probs: list[np.ndarray] = []
         self.edges = 0
 
     def choose(self, probs) -> int:
-        p = _clean_probs(probs)
+        return self._draw(_clean_probs(probs))
+
+    def choose_uniform(self, count: int) -> int:
+        return self._draw(_uniform(count).copy())
+
+    def choose_spiked(self, count: int, base: float, spikes: dict) -> int:
+        _spiked_mass(count, base, spikes)
+        probs = np.full(count, float(base))
+        for i, p in spikes.items():
+            probs[i] = p
+        return self.choose(probs)
+
+    def _draw(self, p: np.ndarray) -> int:
+        """A draw from the cleaned distribution p."""
         self.branch_probs.append(p)
         i = len(self.taken)
         if i < len(self.script):
@@ -171,30 +194,27 @@ class ReplayChooser:
         self.taken.append(outcome)
         return outcome
 
-    def choose_uniform(self, count: int) -> int:
-        return self.choose(_uniform(count))
-
-    def choose_spiked(self, count: int, base: float, spikes: dict) -> int:
-        _spiked_mass(count, base, spikes)
-        probs = np.full(count, float(base))
-        for i, p in spikes.items():
-            probs[i] = p
-        return self.choose(probs)
-
     def ro_classical(self, x: int):
-        return self._split(lambda s: s.ro_branches(x))
+        return self._split(("RO", x), lambda s: s.ro_branches(x))
 
     def e_query(self, t):
-        return self._split(replayed(lambda s: s.e_query(t)))
+        return self._split(("E", t), replayed(lambda s: s.e_query(t)))
 
-    def _split(self, split):
+    def _split(self, key, split):
         """A call on the state: its scripted answer, or every outcome of
-        split(state), continuing on the first child."""
+        split(state), continuing on the first child.  key names the step, so
+        that (id(state), key) names the split in the walk's memo."""
         i = len(self.taken)
         if i < len(self.script):
             answer = self.script[i]
         else:
-            kids = branch([(self.path_prob, self.state, tuple(self.taken))], split)
+            def memoized(state):
+                hit = self.memo.get((id(state), key))
+                if hit is None:
+                    hit = self.memo[id(state), key] = (state, split(state))
+                return hit[1]
+
+            kids = branch([(self.path_prob, self.state, tuple(self.taken))], memoized)
             self.path_prob, self.state, (*_, answer) = kids[0]
             self.pending.extend(kids[1:])
             self.edges += len(kids)
@@ -205,12 +225,14 @@ class ReplayChooser:
 def enumerate_paths(run, root=None) -> list[tuple[float, object]]:
     """All (probability, result) leaves of run(chooser), pruning branches
     below PROB_FLOOR; the chooser is a ReplayChooser on a state grown from
-    root.  The leaves must carry mass 1 within ATOL."""
+    root, sharing the walk's pending list and split memo.  The leaves must
+    carry mass 1 within ATOL."""
     out: list[tuple[float, object]] = []
     pending = [(1.0, root, ())]
+    memo: dict = {}
     while pending:
         prob, state, script = pending.pop()
-        ch = ReplayChooser(script, prob, state, pending)
+        ch = ReplayChooser(script, prob, state, pending, memo)
         result = run(ch)
         out.append((ch.path_prob, result))
     _check_mass(sum(p for p, _ in out))

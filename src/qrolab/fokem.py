@@ -17,8 +17,10 @@ drawn as a coin): a re-run answers its path's calls from the script, with no
 dense work, and each call past it is split once.  A coin's children share
 the node's simulator, which is never mutated once made; an S.RO query is
 evolved once and sliced per response (SimulatorS.ro_branches); an S.E query
-runs once per outcome on a SimulatorS.fork copy (branching.replayed).  So
-dense operations run at most once per tree edge, never per leaf and depth.
+runs once per outcome on a SimulatorS.fork copy (branching.replayed).  The
+sibling subtrees of a coin make the same calls on the same simulator, and
+the walk's memo answers the repeats, so dense operations run once per
+distinct (state, step) of a walk, never per edge, leaf or depth.
 """
 
 from __future__ import annotations
@@ -308,15 +310,17 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
     almost-commutation term 8 sqrt(2 Gamma(f)/2^n) per extraction query that
     precedes a later RO query in the run.  The report measures the TV
     against the budget; stats hold q_d (Decaps queries), swaps (E-before-RO
-    pairs), and, summed over both backends, leaves (terminal games) and
-    steps (oracle-call outcomes, the tree's edges).  Each tree is walked once,
+    pairs), and, summed over both backends, leaves (terminal games), steps
+    (oracle-call outcomes, the tree's edges) and splits (the distinct dense
+    splits computed, the size of the walk's memo).  Each tree is walked once,
     splitting the game's simulator per oracle call (see the module
     docstring); enumerate_paths checks that its leaves carry mass 1 within
     ATOL.
     """
     _, pk = pke.gen(0)
     f = pke.enc_commit(pk)
-    stats = {"q_d": 0, "swaps": 0, "leaves": 0, "steps": 0}
+    stats = {"q_d": 0, "swaps": 0, "leaves": 0, "steps": 0, "splits": 0}
+    splits = {}
 
     def walk(backend):
         def run(ch):
@@ -337,10 +341,12 @@ def backend_agreement_experiment(pke: PKESpec, adversary,
             indcca_game(pke, adversary, backend, ch, key_bits=key_bits,
                         keep_ro_query=keep_ro_query, collect=collect, sim=ch)
             stats["steps"] += ch.edges
+            splits[backend] = len(ch.memo)  # the walk's memo, so far
             return seen["row"]
 
         leaves = enumerate_paths(run, SimulatorS(f, backend="dense"))
         stats["leaves"] += len(leaves)
+        stats["splits"] += splits[backend]
         return distribution(leaves)
 
     dists, ms = timed(lambda: {b: walk(b) for b in ("real-decaps", "simulated-decaps")})

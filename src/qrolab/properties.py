@@ -76,20 +76,25 @@ def property_1_report(n: int, m: int) -> Report:
 
 
 def independent_ro_commutation(n: int, m: int) -> float:
-    """max over (x, x') of ||[O^x_{Y D_x}, O^{x'}_{Y' D_{x'}}]||."""
+    """max over (x, x') of ||[O^x_{Y D_x}, O^{x'}_{Y' D_{x'}}]||.
+
+    O^x is real orthogonal, so both products are built in real arithmetic.
+    """
     big_n, cd = 2**n, 2**n + 1
     o_small = build_o_small(n)
+    if np.iscomplexobj(o_small):
+        raise TypeError(f"O^x at n={n} is not real ({o_small.dtype})")
     # same register: both act on D_x
     dims = [big_n, big_n, cd]
     dim = int(np.prod(dims))
-    eye = np.eye(dim, dtype=complex).reshape(dims + [dim])
+    eye = np.eye(dim).reshape(dims + [dim])
     o1 = apply_on_axes(o_small, eye, [0, 2]).reshape(dim, dim)
     o2 = apply_on_axes(o_small, eye, [1, 2]).reshape(dim, dim)
     same = operator_norm(o1 @ o2 - o2 @ o1)
     # disjoint registers
     dims = [big_n, big_n, cd, cd]
     dim = int(np.prod(dims))
-    eye = np.eye(dim, dtype=complex).reshape(dims + [dim])
+    eye = np.eye(dim).reshape(dims + [dim])
     o1 = apply_on_axes(o_small, eye, [0, 2]).reshape(dim, dim)
     o2 = apply_on_axes(o_small, eye, [1, 3]).reshape(dim, dim)
     disjoint = operator_norm(o1 @ o2 - o2 @ o1)

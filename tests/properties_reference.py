@@ -5,7 +5,9 @@ prefix is replayed for each x and t, and enumerate_paths replays it again for
 each leaf.  properties.py walks each preparation tree once and splits the
 simulator at every decision instead; tests/test_property_trees.py checks
 that both give the same numbers.  roe_almost_commutation applies O_XYD per
-(leaf, xy state, t), where properties.py applies it once per leaf.
+(leaf, xy state, t), where properties.py applies it once per leaf, and
+independent_ro_commutation builds its operators in complex arithmetic, where
+properties.py builds them in real arithmetic.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from qrolab.branching import enumerate_paths
-from qrolab.linalg import density_from_branches, pure_trace_distance, trace_distance
-from qrolab.oracle import OracleConfig
+from qrolab.linalg import apply_on_axes, density_from_branches, operator_norm, \
+    pure_trace_distance, trace_distance
+from qrolab.oracle import OracleConfig, build_o_small
 from qrolab.properties import (
     _apply_m_full,
     _apply_o_full,
@@ -25,6 +28,20 @@ from qrolab.properties import (
 )
 from qrolab.relations import CommitFunction, purified_m_permutation
 from qrolab.simulator import SimulatorS
+
+
+def independent_ro_commutation(n: int, m: int) -> float:
+    """max over (x, x') of ||[O^x_{Y D_x}, O^{x'}_{Y' D_{x'}}]||, complex."""
+    big_n, cd = 2**n, 2**n + 1
+    o_small = build_o_small(n)
+    norms = []
+    for dims, axes in (([big_n, big_n, cd], [1, 2]), ([big_n, big_n, cd, cd], [1, 3])):
+        dim = int(np.prod(dims))
+        eye = np.eye(dim, dtype=complex).reshape(dims + [dim])
+        o1 = apply_on_axes(o_small, eye, [0, 2]).reshape(dim, dim)
+        o2 = apply_on_axes(o_small, eye, axes).reshape(dim, dim)
+        norms.append(operator_norm(o1 @ o2 - o2 @ o1))
+    return max(norms)
 
 
 def _prep_branches(f: CommitFunction, prep):

@@ -3,7 +3,9 @@
 fokem.backend_agreement_experiment walks each game tree once and splits the
 simulator at every oracle call; the reference re-runs the whole game per
 leaf.  Both must give the same TV, budget, stats and verdict, reach the same
-leaves, and the Monte-Carlo game must draw in the same order as before.
+leaves, and the Monte-Carlo game must draw in the same order as before.  The
+walk splits each distinct (simulator, oracle call) once and shares its
+children between the sibling subtrees of a coin.
 """
 
 import pytest
@@ -66,11 +68,15 @@ def _assert_same(pke, adversary, keep):
     assert {k: new.stats[k] for k in ("q_d", "swaps")} == old.stats
     assert new.stats["leaves"] == leaves
     assert new.stats["steps"] >= leaves
+    assert 0 < new.stats["splits"] <= new.stats["steps"]
+    return new
 
 
 @pytest.mark.parametrize("name", sorted(BATTERY))
 def test_battery_trees_match_reference(name):
-    _assert_same(*BATTERY[name])
+    rep = _assert_same(*BATTERY[name])
+    if name.startswith("key-check"):
+        assert rep.stats["splits"] < rep.stats["steps"]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -99,11 +105,13 @@ def test_monte_carlo_draw_order(backend, keep, adversary):
 
 
 def test_only_extraction_children_fork(monkeypatch):
-    """Each S.E child is made by one fork; a coin child is its node's
-    simulator, shared, and an S.RO child is a slice with no fork."""
+    """A coin child is its node's simulator, shared; an S.RO child is a slice
+    with no fork; each S.E child of a distinct (state, t) split is made by one
+    fork, and a repeated (state, step) hands out the same child objects."""
     forks = []
     original_fork = SimulatorS.fork
     kinds = {"coin": 0, "RO": 0, "E": 0}
+    splits = {}  # (id(state), method, args) -> (state, children)
 
     def counting_fork(self, chooser):
         forks.append(1)
@@ -118,25 +126,35 @@ def test_only_extraction_children_fork(monkeypatch):
             sim, pushed, before = node.state, len(node.pending), len(forks)
             out = original(node, *args)
             kids = [node.state] + [state for _, state, _ in node.pending[pushed:]]
-            if all(child is sim for child in kids):
-                kind = "coin"
+            if method.startswith("choose"):
+                assert all(child is sim for child in kids)
+                kind, fresh = "coin", False
             else:
                 (kind,) = {child.log[-1]["interface"] for child in kids}
                 assert all(len(child.log) == len(sim.log) + 1 for child in kids)
+                key = (id(sim), method, args)
+                fresh = key not in splits
+                if fresh:
+                    splits[key] = (sim, kids)
+                else:
+                    assert all(a is b for a, b in zip(kids, splits[key][1], strict=True))
             kinds[kind] += len(kids)
-            assert len(forks) - before == (len(kids) if kind == "E" else 0), kind
+            assert len(forks) - before == (len(kids) if kind == "E" and fresh else 0), kind
             return out
 
         return call
 
     monkeypatch.setattr(SimulatorS, "fork", counting_fork)
-    for method in ("choose", "ro_classical", "e_query"):
+    for method in ("choose", "choose_uniform", "ro_classical", "e_query"):
         monkeypatch.setattr(ReplayChooser, method, classifying(method))
     rep = fokem.backend_agreement_experiment(PKE22, wrong_randomness_adversary((0, 1)),
                                              key_bits=1)
     assert all(kinds.values()), kinds
-    assert len(forks) == kinds["E"]
+    assert len(forks) == sum(len(kids) for (sim, kids) in splits.values()
+                             if kids[0].log[-1]["interface"] == "E")
+    assert len(forks) < kinds["E"]  # some S.E splits were repeated, and shared
     assert sum(kinds.values()) == rep.stats["steps"]
+    assert len(splits) == rep.stats["splits"]
 
 
 def test_dropped_child_raises(monkeypatch):

@@ -8,6 +8,7 @@ branch must give the distribution enumerate_paths gives from a per-leaf and a
 purified start alike, and a branched leaf must come out untouched.  A
 coherent sum of the leaves without _L passes every mass check, so the root's
 reduced density on D is checked against the per-leaf tree's outright.
+Property 2a's real-arithmetic commutator must match the complex one.
 """
 
 import numpy as np
@@ -79,6 +80,18 @@ def test_coherent_sum_without_leaf_register_fails_the_density_check(n, m):
             ((_, root, _),) = _coherent(f, leaves)
             assert abs(root.backend.norm() - 1.0) <= ATOL
         assert _root_density_gap(f, _coherent) > 0.1, f.name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_real_ro_commutation_matches_complex(n):
+    new, old = properties.independent_ro_commutation(n, 2), ref.independent_ro_commutation(n, 2)
+    assert abs(new - old) <= 1e-15, (new, old)
+
+
+def test_ro_commutation_refuses_a_complex_oracle(monkeypatch):
+    monkeypatch.setattr(properties, "build_o_small", lambda n: np.eye(2 * 3) + 0j)
+    with pytest.raises(TypeError, match="not real"):
+        properties.independent_ro_commutation(1, 2)
 
 
 def test_tree_reports_count_purified_leaves_and_children():

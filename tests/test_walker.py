@@ -5,8 +5,12 @@ tests/branching_reference.py on closures of draws: the same results in the
 same order, with bit-equal probabilities.  With a dense SimulatorS root, the
 interface-soundness and early-extraction reports must match the replay
 versions in tests/bounds_reference.py, and every tree's leaves must carry
-mass 1 within ATOL.
+mass 1 within ATOL.  The walk's split memo must give the leaves of a walk
+that splits every (state, step) afresh, and must die with its walk.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,9 +20,11 @@ from hypothesis import strategies as st
 import bounds_reference as ref
 import branching_reference
 from qrolab import bounds, experiments
-from qrolab.branching import PROB_FLOOR, enumerate_paths
+from qrolab.branching import PROB_FLOOR, ReplayChooser, enumerate_paths
 from qrolab.config import ATOL
+from qrolab.properties import toy_encryption_commit
 from qrolab.relations import identity_commit
+from qrolab.simulator import SimulatorS
 
 
 def random_closure(seed: int, depth: int):
@@ -135,3 +141,89 @@ def test_sibling_probabilities_carry_their_q():
     leaves = enumerate_paths(lambda ch: (ch.choose([0.25, 0.75]), ch.choose_uniform(2)))
     assert leaves == [(0.125, (0, 0)), (0.125, (0, 1)), (0.375, (1, 0)), (0.375, (1, 1))]
 
+
+
+def memo_free_paths(run, root):
+    """enumerate_paths with a fresh memo per node, so that no split is ever
+    reused: every (state, step) a run reaches is split again."""
+    out, pending = [], [(1.0, root, ())]
+    while pending:
+        prob, state, script = pending.pop()
+        ch = ReplayChooser(script, prob, state, pending)
+        result = run(ch)
+        out.append((ch.path_prob, result))
+    return out
+
+
+def simulator_closure(seed: int, f, depth: int):
+    """A run of depth steps on a SimulatorS node: coin draws interleaved with
+    S.RO and S.E calls.  Each step's kind and argument are seeded by the
+    outcomes so far, but a step may ignore the coin outcomes, so that the
+    sibling subtrees of a coin repeat the same calls on the same state."""
+
+    def run(ch):
+        outs, calls = [], []
+        for _ in range(depth):
+            rng = np.random.default_rng([seed, len(outs), *calls])
+            history = outs if rng.random() < 0.5 else calls
+            rng = np.random.default_rng([seed, len(outs), 7, *history])
+            kind = int(rng.integers(3))
+            if kind == 0:
+                outs.append(ch.choose_uniform(int(rng.integers(2, 4))))
+            elif kind == 1:
+                outs.append(ch.ro_classical(int(rng.integers(f.m))))
+                calls.append(outs[-1])
+            else:
+                t = f.t_values[int(rng.integers(len(f.t_values)))]
+                value = ch.e_query(t).value
+                outs.append(f.m if value is None else value)
+                calls.append(outs[-1])
+        return tuple(outs)
+
+    return run
+
+
+def _count_splits(monkeypatch) -> list:
+    """Patch SimulatorS so that each S.RO split and each fork (one per S.E
+    outcome) appends to the returned list."""
+    calls = []
+    ro_branches, fork = SimulatorS.ro_branches, SimulatorS.fork
+    monkeypatch.setattr(SimulatorS, "ro_branches",
+                        lambda self, x: calls.append("RO") or ro_branches(self, x))
+    monkeypatch.setattr(SimulatorS, "fork",
+                        lambda self, ch: calls.append("fork") or fork(self, ch))
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_memoized_simulator_walk_matches_memo_free_walk(seed, monkeypatch):
+    f = toy_encryption_commit(1, 3)
+    calls = _count_splits(monkeypatch)
+    run = simulator_closure(seed, f, depth=5)
+    new = enumerate_paths(run, SimulatorS(f, backend="dense"))
+    memo_calls = len(calls)
+    old = memo_free_paths(run, SimulatorS(f, backend="dense"))
+    assert [res for _, res in new] == [res for _, res in old]
+    assert [p for p, _ in new] == [p for p, _ in old]
+    assert memo_calls < len(calls) - memo_calls  # the coins' subtrees shared splits
+
+
+def test_memo_does_not_outlive_its_walk(monkeypatch):
+    f = identity_commit(1, 2)
+    root = SimulatorS(f, backend="dense")
+    children = []
+
+    def run(ch):
+        coin = ch.choose_uniform(2)
+        h = ch.ro_classical(0)
+        children.append(weakref.ref(ch.state))
+        return coin, h
+
+    calls = _count_splits(monkeypatch)
+    first = enumerate_paths(run, root)
+    assert calls == ["RO"]  # both coin subtrees share the one split of the root
+    assert enumerate_paths(run, root) == first
+    assert calls == ["RO", "RO"]  # the second walk splits afresh
+    assert ReplayChooser().memo is not ReplayChooser().memo
+    gc.collect()
+    assert children and all(child() is None for child in children)
