@@ -118,10 +118,16 @@ def _check_density(matrix: np.ndarray) -> None:
         raise ValueError(f"density operator trace {tr} not 1 within {ATOL}")
 
 
+def _real_if_exact(matrix) -> np.ndarray:
+    """The matrix, in real arithmetic when its imaginary part is exactly 0."""
+    matrix = np.asarray(matrix)
+    return matrix if matrix.imag.any() else matrix.real
+
+
 def trace_distance(rho, sigma) -> float:
-    """Half the Schatten-1 norm of rho - sigma for two density operators."""
-    r = np.asarray(rho, dtype=complex)
-    s = np.asarray(sigma, dtype=complex)
+    """Half the Schatten-1 norm of rho - sigma for two density operators, in
+    real arithmetic when both are real-valued."""
+    r, s = _real_if_exact(rho), _real_if_exact(sigma)
     if r.shape != s.shape:
         raise LayoutError("trace_distance requires equal shapes")
     _check_density(r)
@@ -131,23 +137,12 @@ def trace_distance(rho, sigma) -> float:
     return float(min(max(0.5 * np.sum(np.abs(eigs)), 0.0), 1.0))
 
 
-def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
-    """Trace distance of two pure states: sqrt(1 - |<phi|psi>|^2).  Raises
-    ValueError unless both norms are finite and non-zero."""
-    a = np.asarray(phi).reshape(-1)
-    b = np.asarray(psi).reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if not (0.0 < na < np.inf and 0.0 < nb < np.inf):
-        raise ValueError(f"pure states need finite non-zero norms, got {na!r} and {nb!r}")
-    ov = abs(np.vdot(a, b)) / (na * nb)
-    return float(np.sqrt(max(0.0, 1.0 - min(ov, 1.0) ** 2)))
-
-
 def density_from_branches(branches) -> np.ndarray:
     """Density operator sum_k p_k B_k B_k^dag from (prob, B_k) pairs, B_k a vector or a
-    D x r block (d_rows()), as one product (V^T diag(w)) conj(V), V's rows all B_k's columns."""
+    D x r block (d_rows()), as one product (V^T diag(w)) conj(V), V's rows all B_k's columns;
+    real when every B_k is real-valued."""
     probs, rows = zip(*((p, np.asarray(b).reshape(len(b), -1).T) for p, b in branches))
-    v = np.concatenate(rows)
+    v = _real_if_exact(np.concatenate(rows))
     return (v.T * np.repeat(probs, [len(r) for r in rows])) @ v.conj()
 
 

@@ -15,8 +15,20 @@ with a leaf register _L after D.  A step acts as K_o (x) 1_L, so outcome o has
 the per-leaf mass sum_i p_i ||K_o psi_i||^2, and its child traced over _L is the
 per-leaf mixture sum_i p_i K_o psi_i psi_i^dag K_o^dag / Pr[o] on D; by induction
 so is every branch, from <= 2^n or m+1 children per step (without _L, cross
-terms psi_i psi_j^dag would enter).  2.c stays per leaf: it maximizes over pure
-leaves.  tests/properties_reference.py is the replay oracle.
+terms psi_i psi_j^dag would enter).
+
+2.c maximizes over pure leaves the trace distance sqrt(1 - |<A,B>|^2 / |A|^2 |B|^2)
+of A = M O psi and B = O M psi, psi = phi_k (x) d (x) |0>_P: phi_k a query state
+on X (x) Y, d a leaf's D vector, O = sum_x |x><x| (x) O^x_{Y D_x}, M writing e_t(d)
+into P.  Split D as (D_x = a, rest = r) and let G = O^x (phi_{k,x} (x) 1_{D_x}).
+A's (x, y', a', r) entry is sum_a G[y', a', a] d[a, r] at P = e_t(a', r), B's is
+the same sum with each term at P = e_t(a, r), and entries at different P are
+orthogonal, so with Q_{x,k}[a', b, a] = sum_y' conj(G[y', a', b]) G[y', a', a]
+    <A, B> = sum_{x, a', b, a, r} Q_{x,k}[a', b, a] conj(d[b, r]) d[a, r] 1[e_t(a, r) = e_t(a', r)];
+|A|^2 drops the mask and |B|^2 masks the input indices, 1[e_t(a, r) = e_t(b, r)].
+Q (cd^3 entries per (x, k)) and the masks depend on no leaf: a report folds them
+into weights once, and a preparation's leaves take two products for all t and k.
+tests/properties_reference.py applies O_XYD and M_DP outright per (leaf, t, k).
 """
 
 from __future__ import annotations
@@ -27,10 +39,9 @@ import numpy as np
 
 from .bounds import Report, timed
 from .branching import ReplayChooser, branch, enumerate_paths, replayed
-from .linalg import apply_on_axes, density_from_branches, operator_norm, \
-    pure_trace_distance, trace_distance
+from .linalg import apply_on_axes, density_from_branches, operator_norm, trace_distance
 from .oracle import OracleConfig, build_o_small
-from .relations import CommitFunction, constant_commit, identity_commit, \
+from .relations import CommitFunction, constant_commit, identity_commit, outcome_array, \
     purified_m_permutation
 from .simulator import SimulatorS
 
@@ -178,69 +189,59 @@ def _xy_states(config: OracleConfig, seed: int = 31):
     return [uniform, basis, rand]
 
 
-def _apply_o_full(config: OracleConfig, tensor: np.ndarray) -> np.ndarray:
-    """O_XYD on a tensor with axes (X, Y, D_0..D_{m-1}, P, ...)."""
-    o_small = build_o_small(config.n)
-    out = np.empty_like(tensor)
-    for x in range(config.m):
-        out[x] = apply_on_axes(o_small, tensor[x], [0, 1 + x])
-    return out
+def _per_cell(config: OracleConfig, arr: np.ndarray) -> np.ndarray:
+    """arr[..., d] as [..., x, a, r] for every x: D split as (D_x = a, rest = r)."""
+    m, cells = config.m, arr.reshape(arr.shape[:-1] + (config.cell_dim,) * config.m)
+    return np.stack([np.moveaxis(cells, x - m, -m).reshape(arr.shape[:-1] + (config.cell_dim, -1))
+                     for x in range(m)], axis=-3)
 
 
-def _apply_m_full(config: OracleConfig, dest: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """M_DP on the same tensor layout (P follows the D axes; trailing axes
-    after P ride along)."""
-    shape = tensor.shape
-    flat = tensor.reshape(config.m * config.big_n, dest.size, -1)
-    out = np.empty_like(flat)
-    out[:, dest] = flat
-    return out.reshape(shape)
+def _roe_weights(config: OracleConfig, xy_states, relations) -> tuple[np.ndarray, ...]:
+    """The 2.c forms of the module docstring with their masks folded in, as
+    weights on conj(d[x, b, r]) d[x, a, r]: rows [k, t] of <A, B> and of |B|^2
+    over (x, b, a, r), and rows [k] of |A|^2 over (x, b, a), which has no mask."""
+    cd = config.cell_dim
+    o4 = build_o_small(config.n).reshape(config.big_n, cd, config.big_n, cd)
+    g = np.einsum("pqya,kxy->kxpqa", o4, np.reshape(xy_states, (-1, config.m, config.big_n)))
+    forms = np.einsum("kxpqb,kxpqa->kxqba", g.conj(), g)  # Q_{x,k}[a', b, a]
+    e = _per_cell(config, np.stack([outcome_array(rel, config) for rel in relations]))
+    masks = (e[:, :, :, None] == e[:, :, None]).astype(float)  # [t, x, a', a, r], symmetric
+    full = forms.sum(axis=2)
+    rows = (len(forms) * len(masks), -1)
+    return (np.einsum("kxqba,txqar->ktxbar", forms, masks, optimize=True).reshape(rows),
+            (full[:, None, ..., None] * masks).reshape(rows), full.reshape(len(full), -1))
 
 
-def roe_almost_commutation(f: CommitFunction) -> float:
-    """max trace distance between the two orders of one S.E and one S.RO query.
+def _roe_distances(config: OracleConfig, weights, d_vecs) -> np.ndarray:
+    """Trace distances [leaf, k, t] of M O psi and O M psi for D vectors d_vecs[leaf],
+    one product per weight array; ValueError unless every norm is finite and non-zero."""
+    w_inner, w_b, w_a = weights
+    d = _per_cell(config, np.asarray(d_vecs))
+    outer = d.conj()[:, :, :, None] * d[:, :, None]  # [leaf, x, b, a, r]
+    flat, shape = outer.reshape(len(d), -1), (len(d), len(w_a), -1)
+    norm_a = np.sqrt((outer.sum(-1).reshape(len(d), -1) @ w_a.T).real)[..., None]
+    norm_b = np.sqrt((flat @ w_b.T).real).reshape(shape)
+    if not all(np.all(np.isfinite(v) & (v > 0.0)) for v in (norm_a, norm_b)):
+        raise ValueError(f"pure states need finite non-zero norms, got {norm_a.min()!r} "
+                         f"and {norm_b.min()!r}")
+    overlap = np.minimum(np.abs(flat @ w_inner.T).reshape(shape) / (norm_a * norm_b), 1.0)
+    return np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
 
-    Per preparation leaf, one joint tensor with axes (X, Y, D_0..D_{m-1}, P, K)
-    holds the K query states of _xy_states side by side, so O_XYD is applied
-    to it once and reused for every t.
-    """
+
+def roe_almost_commutation(f: CommitFunction, trees=None) -> float:
+    """max trace distance between the two orders of one S.E and one S.RO query over
+    every preparation leaf, t and query state: the 2.c form, one batch per preparation."""
+    trees = _Trees() if trees is None else trees
     config = OracleConfig(f.n, f.m)
-    xy_states = _xy_states(config)
-    xys = np.stack(xy_states, axis=-1).reshape(
-        (config.m, config.big_n) + (1,) * (config.m + 1) + (len(xy_states),))
-    dests = {t: purified_m_permutation(f.relation_for(t), config) for t in f.t_values}
-    worst = 0.0
-    for leaves in _prep_leaves(f):
-        for p, sim, _ in leaves:
-            if p <= 1e-12:
-                continue
-            dp = np.multiply.outer(
-                sim.backend.d_vector().reshape([config.cell_dim] * config.m),
-                _p_zero(config),
-            )
-            joint = xys * dp[..., None]
-            o_first = _apply_o_full(config, joint)
-            for t in f.t_values:
-                a = _apply_m_full(config, dests[t], o_first)
-                b = _apply_o_full(config, _apply_m_full(config, dests[t], joint))
-                for k in range(len(xy_states)):
-                    worst = max(worst, pure_trace_distance(a[..., k], b[..., k]))
-    return worst
-
-
-def _p_zero(config: OracleConfig) -> np.ndarray:
-    p = np.zeros(config.m + 1, dtype=complex)
-    p[0] = 1.0
-    return p
+    weights = _roe_weights(config, _xy_states(config), [f.relation_for(t) for t in f.t_values])
+    return float(max(
+        _roe_distances(config, weights, [sim.backend.d_vector() for _, sim, _ in leaves]).max()
+        for leaves in trees.leaves(f)))
 
 
 def property_2c_report(f: CommitFunction) -> Report:
-    (val, ms) = timed(lambda: roe_almost_commutation(f))
-    bound = 8.0 * np.sqrt(2.0 * f.gamma / 2.0**f.n)
-    return Report(
-        "theorem2-2c-roe-almost-commute",
-        dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma), val, bound, runtime_ms=ms,
-    )
+    return _Trees().report("theorem2-2c-roe-almost-commute", f, roe_almost_commutation,
+                           8.0 * np.sqrt(2.0 * f.gamma / 2.0**f.n), gamma=f.gamma)
 
 
 # -- properties 3.a / 3.b: idempotence ---------------------------------------------------
@@ -254,12 +255,16 @@ def _purified(f: CommitFunction, leaves):
 
 
 class _Trees(Counter):
-    """A report's tree counts: prep_leaves folded into roots, split_children of splits."""
+    """A report's tree counts: prep_leaves walked (3a-4b fold them into roots) and
+    split_children of splits."""
 
-    def roots(self, f: CommitFunction):
+    def leaves(self, f: CommitFunction):
         preps = _prep_leaves(f)
         self["prep_leaves"] += sum(map(len, preps))
-        return [_purified(f, leaves) for leaves in preps]
+        return preps
+
+    def roots(self, f: CommitFunction):
+        return [_purified(f, leaves) for leaves in self.leaves(f)]
 
     def branch(self, leaves, split):
         kids = branch(leaves, split)

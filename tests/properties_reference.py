@@ -4,10 +4,11 @@ Every leaf of every tree is rebuilt from a fresh SimulatorS: the preparation
 prefix is replayed for each x and t, and enumerate_paths replays it again for
 each leaf.  properties.py walks each preparation tree once and splits the
 simulator at every decision instead; tests/test_property_trees.py checks
-that both give the same numbers.  roe_almost_commutation applies O_XYD per
-(leaf, xy state, t), where properties.py applies it once per leaf, and
-independent_ro_commutation builds its operators in complex arithmetic, where
-properties.py builds them in real arithmetic.
+that both give the same numbers.  roe_almost_commutation applies O_XYD and
+M_DP outright per (leaf, xy state, t) and compares the two orders with
+pure_trace_distance, where properties.py evaluates one exact form per
+preparation, and independent_ro_commutation builds its operators in complex
+arithmetic, where properties.py builds them in real arithmetic.
 """
 
 from __future__ import annotations
@@ -15,17 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from qrolab.branching import enumerate_paths
-from qrolab.linalg import apply_on_axes, density_from_branches, operator_norm, \
-    pure_trace_distance, trace_distance
+from qrolab.linalg import apply_on_axes, density_from_branches, operator_norm, trace_distance
 from qrolab.oracle import OracleConfig, build_o_small
-from qrolab.properties import (
-    _apply_m_full,
-    _apply_o_full,
-    _p_zero,
-    _prep_leaves,
-    _preps_for,
-    _xy_states,
-)
+from qrolab.properties import _prep_leaves, _preps_for, _xy_states
 from qrolab.relations import CommitFunction, purified_m_permutation
 from qrolab.simulator import SimulatorS
 
@@ -150,27 +143,63 @@ def prop_4b_worst(f: CommitFunction) -> float:
     return worst
 
 
+def pure_trace_distance(phi: np.ndarray, psi: np.ndarray) -> float:
+    """Trace distance of two pure states: sqrt(1 - |<phi|psi>|^2).  Raises
+    ValueError unless both norms are finite and non-zero."""
+    a = np.asarray(phi).reshape(-1)
+    b = np.asarray(psi).reshape(-1)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if not (0.0 < na < np.inf and 0.0 < nb < np.inf):
+        raise ValueError(f"pure states need finite non-zero norms, got {na!r} and {nb!r}")
+    ov = abs(np.vdot(a, b)) / (na * nb)
+    return float(np.sqrt(max(0.0, 1.0 - min(ov, 1.0) ** 2)))
+
+
+def _apply_o_full(config: OracleConfig, tensor: np.ndarray) -> np.ndarray:
+    """O_XYD on a tensor with axes (X, Y, D_0..D_{m-1}, P, ...)."""
+    o_small = build_o_small(config.n)
+    out = np.empty_like(tensor)
+    for x in range(config.m):
+        out[x] = apply_on_axes(o_small, tensor[x], [0, 1 + x])
+    return out
+
+
+def _apply_m_full(config: OracleConfig, dest: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """M_DP on the same tensor layout (P follows the D axes; trailing axes
+    after P ride along)."""
+    shape = tensor.shape
+    flat = tensor.reshape(config.m * config.big_n, dest.size, -1)
+    out = np.empty_like(flat)
+    out[:, dest] = flat
+    return out.reshape(shape)
+
+
+def _p_zero(config: OracleConfig) -> np.ndarray:
+    p = np.zeros(config.m + 1, dtype=complex)
+    p[0] = 1.0
+    return p
+
+
+def roe_distances(config: OracleConfig, relations, d_vec: np.ndarray) -> np.ndarray:
+    """Trace distances [k, t] of M O psi and O M psi, psi = xy_k (x) d_vec (x) |0>_P,
+    one relation per t: both orders applied outright."""
+    dests = [purified_m_permutation(rel, config) for rel in relations]
+    out = np.empty((len(_xy_states(config)), len(dests)))
+    for k, xy in enumerate(_xy_states(config)):
+        joint = np.multiply.outer(
+            xy.reshape(config.m, config.big_n),
+            np.multiply.outer(d_vec.reshape([config.cell_dim] * config.m), _p_zero(config)),
+        )
+        for t, dest in enumerate(dests):
+            a = _apply_m_full(config, dest, _apply_o_full(config, joint))
+            b = _apply_o_full(config, _apply_m_full(config, dest, joint))
+            out[k, t] = pure_trace_distance(a, b)
+    return out
+
+
 def roe_almost_commutation(f: CommitFunction) -> float:
     """max trace distance between the two orders of one S.E and one S.RO query."""
     config = OracleConfig(f.n, f.m)
-    worst = 0.0
-    xy_states = _xy_states(config)
-    dests = {t: purified_m_permutation(f.relation_for(t), config) for t in f.t_values}
-    for leaves in _prep_leaves(f):
-        for p, sim, _ in leaves:
-            if p <= 1e-12:
-                continue
-            d_vec = sim.backend.d_vector()
-            for t in f.t_values:
-                for xy in xy_states:
-                    joint = np.multiply.outer(
-                        xy.reshape(config.m, config.big_n),
-                        np.multiply.outer(
-                            d_vec.reshape([config.cell_dim] * config.m),
-                            _p_zero(config),
-                        ),
-                    )
-                    a = _apply_m_full(config, dests[t], _apply_o_full(config, joint))
-                    b = _apply_o_full(config, _apply_m_full(config, dests[t], joint))
-                    worst = max(worst, pure_trace_distance(a.reshape(-1), b.reshape(-1)))
-    return worst
+    relations = [f.relation_for(t) for t in f.t_values]
+    return max(roe_distances(config, relations, sim.backend.d_vector()).max()
+               for leaves in _prep_leaves(f) for _, sim, _ in leaves)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qrolab
+from properties_reference import pure_trace_distance
 from qrolab.config import ATOL, DENSE_SVD_CUTOFF, DIM_CAP
 from qrolab.engine import RegisterState
 from qrolab.linalg import (
@@ -16,7 +17,6 @@ from qrolab.linalg import (
     apply_on_axes,
     density_from_branches,
     operator_norm,
-    pure_trace_distance,
     trace_distance,
 )
 from qrolab.oracle import build_f
@@ -345,3 +345,36 @@ def test_density_from_branches_matches_sum_of_outer_products():
         got = density_from_branches(zip(probs, vecs.reshape(k, d, 1)))
         assert got.shape == (d, d)
         assert np.abs(got - want).max() <= 1e-15
+
+
+def test_real_valued_inputs_take_the_real_path():
+    """Real-valued complex arrays give real densities and the same distances
+    as the complex path within 1e-15; a non-zero imaginary part stays complex."""
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        d, k = int(rng.integers(2, 20)), int(rng.integers(1, 8))
+        vecs = rng.normal(size=(2, k, d)) + 0j
+        vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+        probs = rng.random((2, k))
+        probs /= probs.sum(axis=1, keepdims=True)
+        rho, sigma = (density_from_branches(zip(p, v.reshape(k, d, 1)))
+                      for p, v in zip(probs, vecs))
+        assert not np.iscomplexobj(rho) and not np.iscomplexobj(sigma)
+        diff = rho - sigma
+        want = 0.5 * np.abs(np.linalg.eigvalsh(diff.astype(complex))).sum()
+        assert abs(trace_distance(rho + 0j, sigma + 0j) - want) <= 1e-15
+    phase = density_from_branches([(1.0, np.array([1.0, 1j]) / np.sqrt(2))])
+    assert np.iscomplexobj(phase) and abs(phase[0, 1] + 0.5j) <= 1e-15
+    flat = np.eye(2) / 2
+    assert abs(trace_distance(phase, flat) - 0.5) <= 1e-15
+
+
+def test_real_path_still_rejects_nan():
+    bad = np.eye(2, dtype=complex) / 2
+    bad[1, 0] = np.nan  # real part NaN, imaginary part 0: the real path
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_distance(bad, np.eye(2) / 2)
+    bad = np.eye(2) / 2
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        trace_distance(np.eye(2) / 2, bad)

@@ -8,7 +8,8 @@ branch must give the distribution enumerate_paths gives from a per-leaf and a
 purified start alike, and a branched leaf must come out untouched.  A
 coherent sum of the leaves without _L passes every mass check, so the root's
 reduced density on D is checked against the per-leaf tree's outright.
-Property 2a's real-arithmetic commutator must match the complex one.
+Property 2a's real-arithmetic commutator must match the complex one, and so
+must 3a and 3b, whose densities are real-valued on the grid.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import properties_reference as ref
-from qrolab import properties
+from qrolab import linalg, properties
 from qrolab.branching import ReplayChooser, branch, distribution, enumerate_paths, replayed
 from qrolab.config import ATOL
 from qrolab.linalg import density_from_branches, total_variation, trace_distance
@@ -92,6 +93,18 @@ def test_ro_commutation_refuses_a_complex_oracle(monkeypatch):
     monkeypatch.setattr(properties, "build_o_small", lambda n: np.eye(2 * 3) + 0j)
     with pytest.raises(TypeError, match="not real"):
         properties.independent_ro_commutation(1, 2)
+
+
+@pytest.mark.parametrize("n,m", GRID)
+def test_real_idempotence_matches_complex_path(n, m, monkeypatch):
+    fs = properties.bundled_commits(n, m)
+    root = properties._purified(fs[1], properties._prep_leaves(fs[1])[-1])
+    checks = lambda: [(properties.ro_idempotence(f), *properties.e_idempotence(f)) for f in fs]
+    assert not np.iscomplexobj(properties._density(root))
+    real = checks()
+    monkeypatch.setattr(linalg, "_real_if_exact", lambda a: np.asarray(a, dtype=complex))
+    assert np.iscomplexobj(properties._density(root))
+    assert np.abs(np.subtract(real, checks())).max() <= 1e-15
 
 
 def test_tree_reports_count_purified_leaves_and_children():

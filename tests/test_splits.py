@@ -3,8 +3,9 @@
 SimulatorS.ro_branches evolves an S.RO query once and slices its responses;
 replayed(ro_classical) runs the query once per response on a fork.  Both
 must give the same children.  A coin's children must each get prob / count
-and the parent's own state, and the batched 2c check must match the
-per-(leaf, xy state, t) one in properties_reference.py.
+and the parent's own state, and the 2c form must match the loop over
+(leaf, xy state, t) in properties_reference.py that applies O_XYD and M_DP
+outright, on the grid and on complex D vectors under random relations.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ import branching_reference
 import properties_reference as ref
 from qrolab import properties
 from qrolab.branching import enumerate_paths, replayed
+from qrolab.experiments import random_relations
+from qrolab.oracle import OracleConfig
 
 GRID = [(1, 2), (1, 3), (2, 2), (2, 3)]
 
@@ -70,3 +73,41 @@ def test_batched_2c_matches_reference(n, m):
     for f in properties.bundled_commits(n, m):
         new, old = properties.roe_almost_commutation(f), ref.roe_almost_commutation(f)
         assert abs(new - old) <= 1e-15, (f.name, new, old)
+
+
+@pytest.mark.parametrize("n,m", GRID)
+def test_2c_form_matches_reference_on_complex_states(n, m):
+    """Seeded complex D vectors under random relations: the preparation
+    states are real, so only complex ones catch a misplaced conjugate.
+    Squared distances are compared, since sqrt magnifies rounding near 0;
+    each overlap sums some 2,000 complex terms on both sides, in different
+    orders, so they agree within 1e-14 (2.7e-15 seen at (2, 3))."""
+    rng = np.random.default_rng([n, m, 2])
+    config = OracleConfig(n, m)
+    relations = random_relations(n, m, 4, rng)
+    weights = properties._roe_weights(config, properties._xy_states(config), relations)
+    d_vecs = rng.normal(size=(3, config.d_dim())) + 1j * rng.normal(size=(3, config.d_dim()))
+    d_vecs /= np.linalg.norm(d_vecs, axis=1, keepdims=True)
+    new = properties._roe_distances(config, weights, d_vecs)
+    old = np.stack([ref.roe_distances(config, relations, d) for d in d_vecs])
+    assert new.shape == old.shape == (3, 3, 4)
+    assert np.abs(new**2 - old**2).max() <= 1e-14, np.abs(new**2 - old**2).max()
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+def test_2c_form_rejects_zero_and_non_finite_states(bad):
+    f = properties.bundled_commits(1, 2)[1]
+    config = OracleConfig(1, 2)
+    weights = properties._roe_weights(config, properties._xy_states(config),
+                                      [f.relation_for(t) for t in f.t_values])
+    d_vecs = np.zeros((2, config.d_dim()), dtype=complex)
+    d_vecs[:, 0] = [1.0, bad]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite non-zero"):
+        properties._roe_distances(config, weights, d_vecs)
+
+
+def test_2c_report_counts_its_preparation_leaves():
+    for f in (properties.bundled_commits(1, 3)[1], properties.bundled_commits(2, 2)[0]):
+        report = properties.property_2c_report(f)
+        assert report.stats == {"prep_leaves": sum(map(len, properties._prep_leaves(f)))}
+        assert report.params == dict(n=f.n, M=f.m, f=f.name, gamma=f.gamma)
