@@ -29,22 +29,22 @@ over the whole space).
 
 Pi^empty = (x)_x' (1 - Pi^x') and O^x acts on (Y, D_x) only, so up to the order
 of the cells [O^x, 1_Y (x) Pi^empty] = [O^x, 1_Y (x) (1 - Pi^x)] (x) (x)_{x'!=x}
-(1 - Pi^x'), whose norm is ||[O^x, 1_Y (x) (1 - Pi^x)]|| * prod_{x'!=x} ||1 - Pi^x'||:
-matrices of side 2^n (2^n + 1) suffice.
+(1 - Pi^x'), whose norm is ||[O^x, 1_Y (x) (1 - Pi^x)]|| * prod_{x'!=x} ||1 - Pi^x'||.
+Each factor ||1 - Pi^x'|| is exactly 1: Pi^x' is a diagonal 0/1 projector and
+bot is in no relation, so 1 - Pi^x' keeps |bot>.  Hence ||[O^x, 1_Y (x) Pi^empty]||
+= ||[O^x, 1_Y (x) (1 - Pi^x)]||, on matrices of side 2^n (2^n + 1).
 
-`verify_local_bounds` computes the 3m lemma norms of one relation in three
+`verify_local_bounds` computes the 3m lemma norms of one relation in two
 stacked SVDs.  The Pi^x form one (m, 2^n + 1, 2^n + 1) stack, lifted to
 1_Y (x) Pi^x and 1_Y (x) (1 - Pi^x) by one einsum against 1_Y.  One call
-takes the m matrices [F, Pi^x], one the 2m matrices [O^x, 1_Y (x) Pi^x] and
-[O^x, 1_Y (x) (1 - Pi^x)], and one the m matrices 1 - Pi^x', which every
-Pi^empty product above reads, so each ||1 - Pi^x'|| is computed once.
-Every norm is still an SVD of its own matrix: none is derived from another
-(not even ||[O, 1 (x) (1 - Pi)]|| = ||[O, 1 (x) Pi]||).
+takes the m matrices [F, Pi^x], the other the 2m matrices [O^x, 1_Y (x) Pi^x]
+and [O^x, 1_Y (x) (1 - Pi^x)].  Every norm is still an SVD of its own matrix:
+none is derived from another (not even ||[O, 1 (x) (1 - Pi)]|| =
+||[O, 1 (x) Pi]||).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -223,15 +223,13 @@ def _local_norms(n: int, pis: np.ndarray) -> tuple:
     lifted = lifted.reshape(2 * m, 2**n * cd, 2**n * cd)
     f_pi = operator_norm(f @ pis - pis @ f)
     o_lifted = operator_norm(o_small @ lifted - lifted @ o_small)
-    comp = operator_norm(comps).tolist()
-    o_empty = [o_lifted[m + x] * math.prod(comp[:x] + comp[x + 1:]) for x in range(m)]
-    return f_pi, o_lifted[:m], o_empty
+    return f_pi, o_lifted[:m], o_lifted[m:]
 
 
 def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
     """Lemma-level bounds [F, Pi^x], [O^x, Pi^x], [O^x, Pi^empty] (factored) per x.
 
-    All 3m norms come from three stacked SVDs, so every local row carries the
+    All 3m norms come from two stacked SVDs, so every local row carries the
     wall time of that one computation as its runtime_ms: the rows of one
     relation share it, and it is not to be summed over them.
     """

@@ -97,28 +97,17 @@ def _invert_spiked_cdf(count: int, base: float, spikes: dict, target: float) -> 
 
 
 class RandomChooser:
-    """Draws branch indices from a seeded numpy Generator, logging each draw."""
+    """Draws branch indices from a seeded numpy Generator."""
 
     def __init__(self, rng_or_seed):
-        if isinstance(rng_or_seed, np.random.Generator):
-            self.rng = rng_or_seed
-        else:
-            self.rng = np.random.default_rng(rng_or_seed)
-        self.calls = 0
-        self.log: list[tuple[int, int]] = []
+        self.rng = np.random.default_rng(rng_or_seed)  # a Generator passes through
 
     def choose(self, probs) -> int:
         p = _clean_probs(probs)
-        outcome = int(self.rng.choice(len(p), p=p))
-        self.log.append((self.calls, outcome))
-        self.calls += 1
-        return outcome
+        return int(self.rng.choice(len(p), p=p))
 
     def choose_uniform(self, count: int) -> int:
-        outcome = int(self.rng.integers(count))
-        self.log.append((self.calls, outcome))
-        self.calls += 1
-        return outcome
+        return int(self.rng.integers(count))
 
     def choose_spiked(self, count: int, base: float, spikes: dict) -> int:
         """Draw from `count` outcomes of probability `base`, except the indices
@@ -131,10 +120,7 @@ class RandomChooser:
         vector, in O(#spikes) instead of O(count).
         """
         total = _spiked_mass(count, base, spikes)
-        outcome = _invert_spiked_cdf(count, base, spikes, self.rng.random() * total)
-        self.log.append((self.calls, outcome))
-        self.calls += 1
-        return outcome
+        return _invert_spiked_cdf(count, base, spikes, self.rng.random() * total)
 
 
 class ReplayChooser:

@@ -72,12 +72,13 @@ def write_outputs(rows, runtimes, out_dir: Path, meta: dict) -> None:
         json.dump(meta, fh, indent=1, sort_keys=True, default=_json_default)
 
 
-# Every battery setting with its one default.
+# Every battery setting with its one default and its one check: a least
+# value for a count or a seed, or the choices.
 SETTINGS = {
-    "seed": dict(type=int, default=0),
-    "relations": dict(type=int, default=40,
+    "seed": dict(type=int, default=0, least=0),
+    "relations": dict(type=int, default=40, least=0,
                       help="random relations in the commutator sweep"),
-    "trials": dict(type=int, default=1000),
+    "trials": dict(type=int, default=1000, least=1),
     "backend": dict(type=str, choices=["dense", "sparse"], default="dense"),
 }
 
@@ -106,9 +107,10 @@ def list_fixtures_command(args) -> int:
 
 
 def load_config(path: str, command: str) -> dict:
-    """The settings a config file gives battery `command`, checked: `out`,
-    and only settings the battery reads, at the top level or under `params`
-    (the top level wins)."""
+    """The settings a config file gives battery `command`: `out`, and only
+    settings the battery reads, at the top level or under `params` (the top
+    level wins).  main checks their values with _checked, as it checks the
+    command line's."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -127,7 +129,7 @@ def load_config(path: str, command: str) -> dict:
     for key in [*top, *params]:
         if key not in reads:
             raise ConfigError(f"{command} reads no setting {key!r}")
-    settings = {name: _checked(name, val) for name, val in {**params, **top}.items()}
+    settings = {**params, **top}
     if "out" in cfg:
         if not isinstance(cfg["out"], str):
             raise ConfigError("config 'out' must be a string")
@@ -136,11 +138,14 @@ def load_config(path: str, command: str) -> dict:
 
 
 def _checked(name: str, value):
+    """value, if it has the setting's type and passes its check."""
     spec = SETTINGS[name]
     if type(value) is not spec["type"]:
         raise ConfigError(f"{name} must be a JSON {spec['type'].__name__}, not {value!r}")
     if "choices" in spec and value not in spec["choices"]:
         raise ConfigError(f"{name} must be one of {spec['choices']}, not {value!r}")
+    if "least" in spec and value < spec["least"]:
+        raise ConfigError(f"{name} must be at least {spec['least']}, not {value!r}")
     return value
 
 
@@ -155,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file overriding flags")
         p.add_argument("--out", default="qrolab-out")
         for setting in reads:
-            p.add_argument(f"--{setting}", **SETTINGS[setting])
+            spec = {k: v for k, v in SETTINGS[setting].items() if k != "least"}
+            p.add_argument(f"--{setting}", **spec)
     lf = sub.add_parser("list-fixtures")
     lf.add_argument("--kind", default=None,
                     help="filter by fixture type (relation, commit, sigma, "
@@ -168,15 +174,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "list-fixtures":
         return list_fixtures_command(args)
-    if args.config:
-        try:
+    reads, runner = BATTERIES[args.command]
+    try:
+        if args.config:
             for key, val in load_config(args.config, args.command).items():
                 setattr(args, key, val)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    reads, runner = BATTERIES[args.command]
-    settings = {name: getattr(args, name) for name in reads}
+        settings = {name: _checked(name, getattr(args, name)) for name in reads}
+    except ConfigError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     start = time.time()
     reports = runner(**settings)
     rows = [rep.row() for rep in reports]

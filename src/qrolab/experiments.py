@@ -112,7 +112,8 @@ def commutator_relation_reports(n: int, m: int, rel: Relation) -> list[Report]:
 
 
 def run_commutator_battery(seed: int, random_count: int) -> list[Report]:
-    """Exhaustive n=1 sweeps (m=2 and m=3) plus random relations at n=2,
+    """Exhaustive n=1 sweeps (m=2 and m=3) plus random_count random
+    relations at n=2, half at m=2 and half at m=3 (m=2 takes an odd one),
     then two checks at n=1, m=2: the block reduction against the direct
     dense build, and the monotonicity probe."""
     rng = np.random.default_rng(seed)
@@ -121,9 +122,9 @@ def run_commutator_battery(seed: int, random_count: int) -> list[Report]:
         for rel in all_relations(1, m):
             reports.extend(commutator_relation_reports(1, m, rel))
     grid = [(2, 2), (2, 3)]
-    per = random_count // len(grid)
-    for n, m in grid:
-        for rel in random_relations(n, m, per, rng):
+    per, extra = divmod(random_count, len(grid))
+    for i, (n, m) in enumerate(grid):
+        for rel in random_relations(n, m, per + (extra if i == 0 else 0), rng):
             reports.extend(commutator_relation_reports(n, m, rel))
     rel = Relation.from_pairs(1, 2, [(0, 0)])
     config = OracleConfig(1, 2)

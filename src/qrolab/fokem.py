@@ -224,13 +224,6 @@ def simulated_decaps(pke: PKESpec, sim: SimulatorS, g_query, c):
 # -- games -------------------------------------------------------------------------
 
 
-def game_trace_jsonl(trace: list) -> str:
-    """Serialize a game trace (every oracle/Decaps call) as JSON lines."""
-    import json
-
-    return "\n".join(json.dumps(e, sort_keys=True, default=str) for e in trace)
-
-
 def indcca_game(pke: PKESpec, adversary, backend: str, chooser, key_bits: int = 2,
                 keep_ro_query: bool = True, collect=None,
                 trace: list | None = None, sim=None) -> bool:

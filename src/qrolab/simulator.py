@@ -10,8 +10,6 @@ Extraction queries are classical: S.E measures and returns an outcome.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .branching import RandomChooser
@@ -23,17 +21,6 @@ from .relations import (
 )
 
 
-def _short_seed_repr(seed) -> str:
-    if seed is None:
-        return "none"
-    if isinstance(seed, (int, np.integer)):
-        return str(int(seed))
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        return f"ss:{ent}:{'.'.join(map(str, seed.spawn_key))}"
-    return type(seed).__name__
-
-
 class SimulatorS:
     def __init__(self, commit: CommitFunction, backend: str = "dense", *,
                  seed=None, chooser=None, q_cap: int = 64, prefix=()):
@@ -42,7 +29,6 @@ class SimulatorS:
         if chooser is None:
             chooser = RandomChooser(np.random.default_rng(seed))
         self.chooser = chooser
-        self._seed_repr = _short_seed_repr(seed)
         self.log: list[dict] = []
         self.backend = oracle_state(backend, commit.n, commit.m, prefix, q_cap)
 
@@ -58,40 +44,30 @@ class SimulatorS:
         out.log = list(self.log)
         return out
 
-    # -- logging ---------------------------------------------------------------
-
-    def _record(self, **entry) -> None:
-        entry["index"] = len(self.log)
-        entry["rng"] = [self._seed_repr, getattr(self.chooser, "calls", None)]
-        self.log.append(entry)
-
-    def export_log_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True, default=str) for e in self.log)
-
     # -- S.RO --------------------------------------------------------------------
 
     def ro_classical(self, x: int) -> int:
         h = self.backend.classical_query(x, self.chooser)
-        self._record(interface="RO", mode="classical", x=int(x), h=int(h))
+        self.log.append(dict(interface="RO", mode="classical", x=int(x), h=int(h)))
         return h
 
     def ro_branches(self, x: int) -> list[tuple[float, "SimulatorS", int]]:
         """The split of one classical S.RO query at x (dense backend):
         (probability, child, h) per response h, each child this simulator after
         the query with its own backend and log.  O^x is applied once for all
-        responses; this simulator is left as it was.  A child has no chooser,
-        so its log entry carries the rng field a replayed query's does."""
+        responses; this simulator is left as it was.  A child has no chooser;
+        its log entry is the one a replayed query writes."""
         kids = []
         for q, backend, h in self.backend.classical_query_branches(x):
             child = self._child(backend, None)
-            child._record(interface="RO", mode="classical", x=int(x), h=int(h))
+            child.log.append(dict(interface="RO", mode="classical", x=int(x), h=int(h)))
             kids.append((q, child, h))
         return kids
 
     def ro_quantum(self, x_label: str = "X", y_label: str = "Y") -> None:
         """Apply O_XYD on the prefix query registers (dense/sparse only)."""
         self.backend.quantum_query(x_label, y_label)
-        self._record(interface="RO", mode="quantum", x=x_label, y=y_label)
+        self.log.append(dict(interface="RO", mode="quantum", x=x_label, y=y_label))
 
     # -- S.E ----------------------------------------------------------------------
 
@@ -105,6 +81,6 @@ class SimulatorS:
             pick = self.backend.measure_relation(
                 lambda x: self.commit.preimages(x, t), self.chooser)
             out = ExtractionOutcome(pick, self.config.m)
-        self._record(interface="E", mode="classical", t=t,
-                     outcome=None if out.is_empty else int(out.value))
+        self.log.append(dict(interface="E", mode="classical", t=t,
+                             outcome=None if out.is_empty else int(out.value)))
         return out

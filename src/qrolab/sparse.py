@@ -22,7 +22,9 @@ codes and works in numpy (one block product per prefix unitary or register
 column, one `np.where` permutation per quantum query).  Operations build new
 arrays and never write into the ones they were given, so `copy` shares them.
 `amps`, the dict from (prefix tuple, db tuple) to amplitude, is derived on
-each read.
+each read; assigning one loads a whole state.  That setter and
+`to_dense_vector` are the two bridges the cross-checks against the dense
+backend go through.
 
 On supports of 10^4 to 10^5 entries numpy's slow paths, not the arithmetic,
 would set the cost, so row operations avoid them (numpy 2.4.6, one core of a
@@ -52,7 +54,6 @@ the representation.  ProductState's docstring gives the update formulas.
 
 from __future__ import annotations
 
-import json
 import math
 from types import MappingProxyType
 
@@ -67,11 +68,7 @@ HADAMARD = "hadamard"
 
 
 class QCapError(RuntimeError):
-    """A query or encoding needs more non-bot cells than q_cap allows."""
-
-
-class BasisError(RuntimeError):
-    """Operation requires the other active basis."""
+    """A query or a loaded key needs more non-bot cells than q_cap allows."""
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
@@ -192,8 +189,10 @@ class SparseState:
     def amps(self, mapping) -> None:
         """Load the whole state from a map (prefix tuple, db tuple) -> amplitude."""
         keys = list(mapping)
-        reg = np.full((len(keys), max((len(db) for _, db in keys), default=0)), self.m,
-                      dtype=np.int64)
+        width = max((len(db) for _, db in keys), default=0)
+        if width > self.q_cap:
+            raise QCapError(f"a key holds {width} cells > q_cap={self.q_cap}")
+        reg = np.full((len(keys), width), self.m, dtype=np.int64)
         cell = np.zeros_like(reg)
         for i, (_, db) in enumerate(keys):
             for j, (x, c) in enumerate(db):
@@ -480,7 +479,7 @@ class SparseState:
         self.prune()
         return None if pick == self.m else pick
 
-    # -- dense interop and serialization ------------------------------------------
+    # -- dense interop ------------------------------------------------------------
 
     def to_dense_vector(self) -> np.ndarray:
         """Decode into a dense vector over prefix (x) D (row-major, bot = 2^n)."""
@@ -495,70 +494,6 @@ class SparseState:
         vec = np.zeros(total, dtype=complex)
         vec[np.ravel_multi_index(tuple(self.pre.T) + tuple(cells.T), dims)] = self.amp
         return vec
-
-    @classmethod
-    def from_dense_vector(cls, vec, n: int, m: int, q_cap: int, prefix=()) -> "SparseState":
-        out = cls(n, m, q_cap, prefix=prefix)
-        width = len(out.prefix)
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        flat = np.flatnonzero(vec)
-        index = np.unravel_index(flat, [d for _, d in out.prefix] + [2**n + 1] * m)
-        amps = {}
-        for f, key in zip(flat.tolist(), zip(*(a.tolist() for a in index))):
-            db = tuple((x, c) for x, c in enumerate(key[width:]) if c != 2**n)
-            if len(db) > q_cap:
-                raise QCapError(f"dense support needs {len(db)} cells > q_cap={q_cap}")
-            amps[(key[:width], db)] = complex(vec[f])
-        out.amps = amps
-        return out
-
-    def inner(self, other: "SparseState") -> complex:
-        """<self|other> over shared keys."""
-        if self.basis != other.basis:
-            raise BasisError("inner product requires a common basis")
-        theirs = other.amps
-        return complex(sum(np.conj(a) * theirs[k] for k, a in self.amps.items() if k in theirs))
-
-    def dump_json_lines(self) -> str:
-        lines = []
-        for (pre, db), amp in sorted(self.amps.items()):
-            lines.append(json.dumps({
-                "prefix": list(pre),
-                "db": [[int(x), int(c)] for x, c in db],
-                "re": float(amp.real),
-                "im": float(amp.imag),
-            }, sort_keys=True))
-        return "\n".join(lines)
-
-    @classmethod
-    def load_json_lines(cls, text: str, n: int, m: int, q_cap: int, prefix=()) -> "SparseState":
-        out = cls(n, m, q_cap, prefix=prefix)
-        recs = [json.loads(line) for line in text.splitlines() if line.strip()]
-        out.amps = {(tuple(rec["prefix"]), tuple(map(tuple, rec["db"]))):
-                    complex(rec["re"], rec["im"]) for rec in recs}
-        return out
-
-
-# -- spec-facing functional wrappers ---------------------------------------------
-
-
-def sparse_encode(dense_state, q_cap: int) -> SparseState:
-    """Encode a DenseOracleState (database registers only) sparsely."""
-    config = dense_state.config
-    vec = dense_state.d_vector()
-    return SparseState.from_dense_vector(vec, config.n, config.m, q_cap)
-
-
-def sparse_decode(sparse: SparseState):
-    """Densify into a DenseOracleState over the same oracle config."""
-    from .oracle import DenseOracleState, OracleConfig
-
-    if sparse.prefix:
-        raise ValueError("decode only defined for pure database states")
-    config = OracleConfig(sparse.n, sparse.m)
-    out = DenseOracleState(config)
-    out.set_vector(sparse.to_dense_vector())
-    return out
 
 
 # -- product-of-columns backend ---------------------------------------------------

@@ -9,12 +9,12 @@ n.  Every method it overrides walks the amplitude map one entry at a time:
 grouping keys into columns in Python, one small matmul or FWHT per group, and
 one dict write per output entry.  Norms, pruning, prefix measurement and
 interop come from `DictSparseState`, so the oracle shares no code with the
-array-form class beyond `fwht` and the shared constants.
+array-form class beyond `fwht` and the shared constants.  `encoded` and
+`dict_form` carry states between the two forms through `SparseState.amps`.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import chain, compress, repeat
@@ -24,7 +24,11 @@ import numpy as np
 
 from qrolab.config import DIM_CAP, PRUNE_EPS
 from qrolab.oracle import walsh as _walsh_matrix
-from qrolab.sparse import BOT, COMPUTATIONAL, HADAMARD, QCapError, fwht
+from qrolab.sparse import BOT, COMPUTATIONAL, HADAMARD, QCapError, SparseState, fwht
+
+
+class BasisError(RuntimeError):
+    """An operation needs both states in the same cell basis."""
 
 
 def _normalized(amp: np.ndarray) -> np.ndarray:
@@ -411,30 +415,22 @@ class DictSparseState:
                 acc += np.conj(a) * b
         return complex(acc)
 
-    def dump_json_lines(self) -> str:
-        lines = []
-        for (pre, db), amp in sorted(self.amps.items()):
-            lines.append(json.dumps({
-                "prefix": list(pre),
-                "db": [[int(x), int(c)] for x, c in db],
-                "re": float(amp.real),
-                "im": float(amp.imag),
-            }, sort_keys=True))
-        return "\n".join(lines)
 
-    @classmethod
-    def load_json_lines(cls, text: str, n: int, m: int, q_cap: int, prefix=()) -> "DictSparseState":
-        out = cls(n, m, q_cap, prefix=prefix)
-        out.amps = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            key = (tuple(rec["prefix"]), tuple((x, c) for x, c in rec["db"]))
-            out.amps[key] = complex(rec["re"], rec["im"])
-        return out
+def encoded(dense_state, q_cap: int) -> SparseState:
+    """A DenseOracleState's D vector as a SparseState: encoded by
+    DictSparseState.from_dense_vector with room for a cell in every register,
+    and loaded through `SparseState.amps`, which enforces q_cap."""
+    n, m = dense_state.config.n, dense_state.config.m
+    out = SparseState(n, m, q_cap)
+    out.amps = DictSparseState.from_dense_vector(dense_state.d_vector(), n, m, m).amps
+    return out
 
 
+def dict_form(state) -> DictSparseState:
+    """A DictSparseState with state's map, read through `amps`, and basis."""
+    out = DictSparseState(state.n, state.m, state.q_cap, prefix=state.prefix)
+    out.basis, out.amps = state.basis, dict(state.amps)
+    return out
 
 
 class ReferenceSparseState(DictSparseState):

@@ -128,7 +128,7 @@ def test_criterion_4_theorem_properties(theorem2_reports):
 
 def test_criterion_5_sparse_dense_equivalence():
     from qrolab.oracle import DenseOracleState, OracleConfig
-    from qrolab.sparse import sparse_encode
+    from sparse_reference import dict_form, encoded
 
     start = time.perf_counter()
     # criterion-1 suite, identical on the sparse backend
@@ -142,7 +142,7 @@ def test_criterion_5_sparse_dense_equivalence():
             a = _two_query_state(s1)
             b = _two_query_state(s2 + 7)
             ip_dense = complex(np.vdot(a.d_vector(), b.d_vector()))
-            ip_sparse = sparse_encode(a, 2).inner(sparse_encode(b, 2))
+            ip_sparse = dict_form(encoded(a, 2)).inner(dict_form(encoded(b, 2)))
             worst_ip = max(worst_ip, abs(ip_dense - ip_sparse))
 
     # large-domain smoke test: M = 2^20, n = 16, q = 4 in < 1 s

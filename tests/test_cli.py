@@ -36,6 +36,9 @@ FLAG_VALUES = {"seed": "1", "relations": "2", "trials": "5", "backend": "sparse"
                "bound-scale": "1e-6"}
 UNREAD_FLAGS = [(battery, flag) for battery in READS for flag in FLAG_VALUES
                 if flag not in READS[battery]]
+# values below a setting's least value: each once crashed or ran nothing
+BAD_COUNTS = [("sigma", "trials", 0), ("fo", "trials", 0), ("sigma", "trials", -3),
+              ("verify-commutator", "relations", -2), ("sweep", "seed", -1)]
 
 
 class TestFixtures:
@@ -126,6 +129,15 @@ class TestCommands:
         rows = [json.loads(l) for l in (out / "results.jsonl").read_text().splitlines()]
         assert len({frozenset(r) for r in rows}) == 1
 
+    @pytest.mark.parametrize("relations", [0, 1, 3])
+    def test_commutator_sweep_runs_every_random_relation(self, tmp_path, relations):
+        # m = 2 takes the odd relation of an odd count
+        assert run_cli(["verify-commutator", "--relations", str(relations),
+                        "--out", str(tmp_path)]) == 0
+        rows = [json.loads(l) for l in (tmp_path / "results.jsonl").read_text().splitlines()]
+        ms = [r["M"] for r in rows if r["experiment"] == "commutator-theorem" and r["n"] == 2]
+        assert ms == [2] * (relations - relations // 2) + [3] * (relations // 2)
+
     def test_wrong_constant_fails(self, tmp_path, monkeypatch):
         theorem_bound = experiments.theorem_bound
         monkeypatch.setattr(experiments, "theorem_bound",
@@ -204,6 +216,17 @@ class TestSettings:
         with pytest.raises(SystemExit) as exc:
             run_cli([battery, f"--{flag}", FLAG_VALUES[flag], "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("battery,flag,value", BAD_COUNTS,
+                             ids=[f"{b}-{f}{v}" for b, f, v in BAD_COUNTS])
+    def test_count_below_least_exit_2(self, tmp_path, battery, flag, value):
+        out = tmp_path / "o"
+        assert run_cli([battery, f"--{flag}", str(value), "--out", str(out)]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": battery, "params": {flag: value},
+                                   "out": str(out)}))
+        assert run_cli([battery, "--config", str(cfg)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("battery,cfg", [

@@ -213,10 +213,6 @@ class TestGames:
             Tripwire().get(3)
 
     def test_game_trace_log(self):
-        import json
-
-        from qrolab.fokem import game_trace_jsonl
-
         trace = []
         indcca_game(PKE22, wrong_randomness_adversary((0,)), "real-decaps",
                     RandomChooser(1), key_bits=1, trace=trace)
@@ -224,8 +220,6 @@ class TestGames:
         oracle_calls = [e for e in trace if e.get("interface") == "RO"]
         assert decaps_calls and oracle_calls
         assert decaps_calls[0]["backend"] == "real-decaps"
-        for line in game_trace_jsonl(trace).splitlines():
-            json.loads(line)
 
 
 class TestBackendAgreement:

@@ -5,7 +5,7 @@ Checked on all 80 relations at n=1 (m=2, 3) and seeded relations at (2,2),
 (2,3) and (3,2).  Three mutants of the stack restate it with a bug each: the
 loop tells the first two apart, and the third is no bug on any relation,
 because every ||1 - Pi^x'|| is 1 (bot is in no relation, so 1 - Pi^x' keeps
-it).
+it).  That identity is why `bounds._local_norms` leaves the factors out.
 """
 
 import math

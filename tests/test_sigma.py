@@ -151,7 +151,7 @@ class TestToyProtocolSoundness:
         sim = SimulatorS(identity_commit(8, TINY.domain_size),
                          backend="product", seed=4)
         _, transcript = online_extract(prover, TINY, T2, HOOK, instance, sim)
-        e_indices = [e["index"] for e in transcript.log if e["interface"] == "E"]
+        e_indices = [i for i, e in enumerate(transcript.log) if e["interface"] == "E"]
         assert e_indices and max(e_indices) < transcript.challenge_log_index
 
     def test_round_structure_enforced(self):

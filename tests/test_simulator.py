@@ -1,7 +1,5 @@
 """Simulator interface tests: S.RO / S.E semantics, logging, and backends."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -82,9 +80,16 @@ class TestLogging:
         assert [e["interface"] for e in sim.log] == ["RO", "E"]
         assert sim.log[0]["x"] == 1 and sim.log[0]["h"] == h
         assert sim.log[1]["t"] == h
-        for line in sim.export_log_jsonl().splitlines():
-            rec = json.loads(line)
-            assert "rng" in rec and "index" in rec
+
+    def test_entries_carry_only_what_is_read(self):
+        # the call and its answer; an entry's index is its list position
+        sim = SimulatorS(identity_commit(1, 2), seed=3, prefix=[("X", 2), ("Y", 2)])
+        sim.ro_quantum("X", "Y")
+        sim.e_query(sim.ro_classical(0))
+        (_, kid, _), *_ = sim.ro_branches(1)
+        assert [set(e) for e in kid.log] == [
+            {"interface", "mode", "x", "y"}, {"interface", "mode", "x", "h"},
+            {"interface", "mode", "t", "outcome"}, {"interface", "mode", "x", "h"}]
 
     def test_seed_reproducibility(self):
         def transcript(seed):

@@ -1,7 +1,5 @@
 """Sparse-backend tests: encoding round trips and dense/sparse/product agreement."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -15,9 +13,8 @@ from qrolab.sparse import (
     QCapError,
     SparseState,
     fwht,
-    sparse_decode,
-    sparse_encode,
 )
+from sparse_reference import BasisError, DictSparseState, dict_form, encoded
 
 
 def random_two_query_dense(seed, n=1, m=2):
@@ -51,7 +48,7 @@ class TestFwht:
 class TestEncodeDecode:
     def test_fresh_state_is_empty_key(self):
         oracle = DenseOracleState(OracleConfig(1, 2))
-        sp = sparse_encode(oracle, q_cap=2)
+        sp = encoded(oracle, q_cap=2)
         assert sp.amps == {((), ()): pytest.approx(1.0)}
 
     def test_f_h_column_encodes_directly(self):
@@ -63,7 +60,7 @@ class TestEncodeDecode:
         bot = np.zeros(3)
         bot[2] = 1.0
         oracle.set_vector(np.kron(bot, f[:, h]))
-        sp = sparse_encode(oracle, q_cap=2)
+        sp = encoded(oracle, q_cap=2)
         want = {
             ((), ((1, 0),)): f[0, h],
             ((), ((1, 1),)): f[1, h],
@@ -76,23 +73,28 @@ class TestEncodeDecode:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_round_trip_on_two_query_states(self, seed):
         oracle = random_two_query_dense(seed)
-        sp = sparse_encode(oracle, q_cap=2)
+        sp = encoded(oracle, q_cap=2)
         assert max(len(db) for _, db in sp.amps) <= 2
-        back = sparse_decode(sp)
-        assert np.abs(back.d_vector() - oracle.d_vector()).max() <= ATOL
+        assert np.abs(sp.to_dense_vector() - oracle.d_vector()).max() <= ATOL
 
     def test_isometry_inner_products(self):
         for s1 in range(3):
             for s2 in range(3):
                 a, b = random_two_query_dense(s1), random_two_query_dense(s2 + 10)
-                sa, sb = sparse_encode(a, 2), sparse_encode(b, 2)
+                sa, sb = dict_form(encoded(a, 2)), dict_form(encoded(b, 2))
                 dense_ip = complex(np.vdot(a.d_vector(), b.d_vector()))
                 assert abs(sa.inner(sb) - dense_ip) <= ATOL
 
     def test_qcap_violation_rejected(self):
         oracle = random_two_query_dense(0)
         with pytest.raises(QCapError):
-            sparse_encode(oracle, q_cap=1)
+            encoded(oracle, q_cap=1)
+
+    def test_inner_across_bases_rejected(self):
+        a, b = DictSparseState(1, 2, 2), DictSparseState(1, 2, 2)
+        b.basis_switch()
+        with pytest.raises(BasisError):
+            a.inner(b)
 
 
 class TestClassicalQueryAgreement:
@@ -264,20 +266,6 @@ class TestFunctionalWrappers:
         sp.classical_query(0, RandomChooser(2))
         out = sp.measure_relation(lambda x: [0, 1], RandomChooser(3))
         assert out in (0, None)
-
-
-class TestJsonDump:
-    def test_round_trip(self):
-        sp = SparseState(1, 2, q_cap=2)
-        ch = RandomChooser(9)
-        sp.classical_query(0, ch)
-        text = sp.dump_json_lines()
-        for line in text.splitlines():
-            json.loads(line)
-        back = SparseState.load_json_lines(text, 1, 2, 2)
-        assert set(back.amps) == set(sp.amps)
-        for k in sp.amps:
-            assert abs(back.amps[k] - sp.amps[k]) <= ATOL
 
 
 class TestRuntimeScaling:
