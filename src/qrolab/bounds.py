@@ -154,9 +154,11 @@ class OxMCommutator:
         return self._apply_m_dag(self._apply_o(v)) - self._apply_o(self._apply_m_dag(v))
 
     def norm(self) -> float:
+        """The blocks at dim <= DENSE_SVD_CUTOFF, else Lanczos on `apply` in real
+        arithmetic: O^x is real orthogonal and M_DP a permutation."""
         if self.dim <= DENSE_SVD_CUTOFF:
             return self.block_norm()
-        return spectral_norm_linop(self.apply, self.apply_adj, self.dim)
+        return spectral_norm_linop(self.apply, self.apply_adj, self.dim, self.o_small.dtype)
 
     def block_norm(self) -> float:
         """max ||K_{j,r}|| over j = 1 .. floor((m+1)/2) and the distinct rows

@@ -16,7 +16,3 @@ DIM_CAP = 2**22
 
 # Exact SVD below this dimension; iterative spectral norm above it.
 DENSE_SVD_CUTOFF = 1024
-
-# Iterative spectral-norm settings (power iteration fallback).
-POWER_TOL = 1e-12
-POWER_MAXITER = 100_000

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ATOL, DENSE_SVD_CUTOFF, POWER_MAXITER, POWER_TOL
+from .config import ATOL, DENSE_SVD_CUTOFF
 
 
 class LayoutError(ValueError):
@@ -55,7 +55,7 @@ def operator_norm(matrix) -> float | np.ndarray:
     A 2-D matrix gives a float.  A stack of shape (..., d, d) gives an array
     of shape (...), one norm per matrix from one batched SVD; stacks are
     taken only at d <= DENSE_SVD_CUTOFF, since above it the norm is Lanczos
-    on one matrix at a time.
+    (`spectral_norm_linop`, real when the matrix is) on one matrix at a time.
     """
     matrix = np.asarray(matrix)
     if not np.isfinite(matrix).all():
@@ -68,44 +68,41 @@ def operator_norm(matrix) -> float | np.ndarray:
         raise ValueError(f"a stack of matrices of side {d} is above the dense cutoff "
                          f"{DENSE_SVD_CUTOFF}")
     return spectral_norm_linop(
-        lambda v: matrix @ v, lambda v: matrix.conj().T @ v, d
+        lambda v: matrix @ v, lambda v: matrix.conj().T @ v, d, matrix.dtype
     )
 
 
-def spectral_norm_linop(apply, apply_adj, dim: int) -> float:
-    """Largest singular value of an implicitly given operator.
+def spectral_norm_linop(apply, apply_adj, dim: int, dtype) -> float:
+    """Largest singular value of an implicitly given operator A.
 
-    Runs Lanczos (scipy eigsh) on A^dag A and falls back to plain power
-    iteration when Lanczos does not converge.  Both start from the same
-    seeded complex vector, so the result is the same in every run.  scipy is
-    imported here, its only use, so importing qrolab does not load it.
+    Lanczos on A^dag A, fully reorthogonalized (two Gram-Schmidt passes per
+    step), from a seeded start vector, in real arithmetic when `dtype` is real,
+    so apply and apply_adj then only ever see real vectors.  It stops at the
+    first step j where the top Ritz pair's residual |beta_j s_j| is at most
+    1e-14 theta_j, or where beta_j = 0: the Krylov space is used up, and A = 0
+    gives exactly 0.0.  A non-finite A^dag A v raises ValueError.  Until this
+    was numpy, scipy's eigsh ran ARPACK's non-symmetric Arnoldi driver on the
+    complex-typed operator, and its last bits changed from process to process.
     """
-    import scipy.sparse.linalg as spla
-
-    gram = spla.LinearOperator(
-        (dim, dim), matvec=lambda v: apply_adj(apply(v)), dtype=complex
-    )
     rng = np.random.default_rng(7)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    try:
-        vals = spla.eigsh(gram, k=1, which="LA", tol=1e-14, v0=v, return_eigenvectors=False)
-        return float(np.sqrt(max(vals[0].real, 0.0)))
-    except (spla.ArpackNoConvergence, RuntimeError):
-        pass
-    lam = 0.0
-    for _ in range(POWER_MAXITER):
-        w = apply_adj(apply(v))
-        lam_new = float(np.vdot(v, w).real)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= POWER_TOL * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    v = rng.normal(size=dim)
+    if np.dtype(dtype).kind == "c":
+        v = v + 1j * rng.normal(size=dim)
+    basis, alphas, betas = [v / np.linalg.norm(v)], [], []
+    while True:
+        w = apply_adj(apply(basis[-1]))
+        alphas.append(np.vdot(basis[-1], w).real)
+        q = np.array(basis)
+        for _ in range(2):
+            w = w - q.T @ (q.conj() @ w)
+        beta = np.linalg.norm(w)
+        if not np.isfinite(beta):
+            raise ValueError("operator returned non-finite values")
+        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        if beta == 0.0 or abs(beta * s[-1, -1]) <= 1e-14 * theta[-1] or len(basis) == dim:
+            return float(np.sqrt(max(theta[-1], 0.0)))
+        betas.append(beta)
+        basis.append(w / beta)
 
 
 def _check_density(matrix: np.ndarray) -> None:

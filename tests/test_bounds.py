@@ -79,6 +79,18 @@ class TestCommutatorNorms:
                 assert com.dim > DENSE_SVD_CUTOFF
                 assert abs(com.norm() - com.block_norm()) <= 1e-8, (x, list(rel.pairs()))
 
+    def test_empty_relation_lanczos_is_exactly_zero_at_n2_m3(self):
+        config = OracleConfig(2, 3)
+        rel = Relation.from_pairs(2, 3, [])
+        assert [OxMCommutator(rel, config, x).norm() for x in range(3)] == [0.0] * 3
+
+    def test_lanczos_matches_blocks_to_rounding_at_n2_m3(self):
+        config = OracleConfig(2, 3)
+        for rel in random_relations(2, 3, 21, np.random.default_rng(0)):
+            for x in range(3):
+                com = OxMCommutator(rel, config, x)
+                assert abs(com.norm() - com.block_norm()) <= 1e-13, (x, list(rel.pairs()))
+
 
 class TestLocalBounds:
     def test_lemma_values_at_n1(self):

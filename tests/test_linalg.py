@@ -17,6 +17,7 @@ from qrolab.linalg import (
     apply_on_axes,
     density_from_branches,
     operator_norm,
+    spectral_norm_linop,
     trace_distance,
 )
 from qrolab.oracle import build_f
@@ -219,6 +220,51 @@ class TestOperatorNorm:
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_no_scipy_after_a_lanczos_norm(self):
+        src = str(Path(qrolab.__file__).parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys\n"
+                "from qrolab.bounds import OxMCommutator\n"
+                "from qrolab.oracle import OracleConfig\n"
+                "from qrolab.relations import Relation\n"
+                "com = OxMCommutator(Relation(2, 3, lambda x, y: y == x), OracleConfig(2, 3), 0)\n"
+                "assert com.dim > 1024 and com.norm() > 0\n"
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_lanczos_matches_svd_on_random_operators(self, kind):
+        rng = np.random.default_rng(5)
+        side = DENSE_SVD_CUTOFF + 1
+        matrix = rng.normal(size=(side, side))
+        if kind == "complex":
+            matrix = matrix + 1j * rng.normal(size=(side, side))
+        exact = np.linalg.svd(matrix, compute_uv=False)[0]
+        assert abs(operator_norm(matrix) - exact) <= 1e-12 * exact
+
+    def test_lanczos_zero_operator_is_exactly_zero(self):
+        assert operator_norm(np.zeros((1500, 1500))) == 0.0
+
+    def test_lanczos_on_a_real_operator_stays_real(self):
+        diag = np.linspace(1.0, 2.0, 1500)
+        diag[7] = 4.0
+        matrix = np.diag(diag)
+
+        def real_only(v):
+            if np.iscomplexobj(v):
+                raise TypeError("complex vector given to a real operator")
+            return matrix @ v
+
+        assert abs(spectral_norm_linop(real_only, real_only, 1500, matrix.dtype) - 4.0) <= 1e-12
+
+    def test_lanczos_rejects_non_finite_output(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm_linop(lambda v: np.full_like(v, np.nan), lambda v: v, 1500, float)
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 2))
