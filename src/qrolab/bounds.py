@@ -158,7 +158,7 @@ class OxMCommutator:
         arithmetic: O^x is real orthogonal and M_DP a permutation."""
         if self.dim <= DENSE_SVD_CUTOFF:
             return self.block_norm()
-        return spectral_norm_linop(self.apply, self.apply_adj, self.dim, self.o_small.dtype)
+        return spectral_norm_linop(self.apply, self.apply_adj, self.dim)
 
     def block_norm(self) -> float:
         """max ||K_{j,r}|| over j = 1 .. floor((m+1)/2) and the distinct rows

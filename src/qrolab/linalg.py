@@ -67,18 +67,16 @@ def operator_norm(matrix) -> float | np.ndarray:
     if matrix.ndim != 2:
         raise ValueError(f"a stack of matrices of side {d} is above the dense cutoff "
                          f"{DENSE_SVD_CUTOFF}")
-    return spectral_norm_linop(
-        lambda v: matrix @ v, lambda v: matrix.conj().T @ v, d, matrix.dtype
-    )
+    return spectral_norm_linop(lambda v: matrix @ v, lambda v: matrix.conj().T @ v, d)
 
 
-def spectral_norm_linop(apply, apply_adj, dim: int, dtype) -> float:
+def spectral_norm_linop(apply, apply_adj, dim: int) -> float:
     """Largest singular value of an implicitly given operator A.
 
     Lanczos on A^dag A, fully reorthogonalized (two Gram-Schmidt passes per
-    step), from a seeded start vector, in real arithmetic when `dtype` is real,
-    so apply and apply_adj then only ever see real vectors.  It stops at the
-    first step j where the top Ritz pair's residual |beta_j s_j| is at most
+    step), from a seeded real start vector: a real operator only ever sees real
+    vectors, and a complex one turns the Krylov vectors complex.  It stops at
+    the first step j where the top Ritz pair's residual |beta_j s_j| is at most
     1e-14 theta_j, or where beta_j = 0: the Krylov space is used up, and A = 0
     gives exactly 0.0.  A non-finite A^dag A v raises ValueError.  Until this
     was numpy, scipy's eigsh ran ARPACK's non-symmetric Arnoldi driver on the
@@ -86,8 +84,6 @@ def spectral_norm_linop(apply, apply_adj, dim: int, dtype) -> float:
     """
     rng = np.random.default_rng(7)
     v = rng.normal(size=dim)
-    if np.dtype(dtype).kind == "c":
-        v = v + 1j * rng.normal(size=dim)
     basis, alphas, betas = [v / np.linalg.norm(v)], [], []
     while True:
         w = apply_adj(apply(basis[-1]))

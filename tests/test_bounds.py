@@ -71,25 +71,21 @@ class TestCommutatorNorms:
 
     def test_iterative_path_matches_blocks_at_n2_m3(self):
         # the blocks, called directly above the cutoff, as a second exact
-        # reference for Lanczos on seeded relations
+        # reference for Lanczos on seeded relations and the empty one, where
+        # Lanczos stops at beta = 0 with exactly 0.0
         config = OracleConfig(2, 3)
-        for rel in random_relations(2, 3, 3, np.random.default_rng(23)):
+        empty = Relation.from_pairs(2, 3, [])
+        cases = [(empty, 0.0)] + [
+            (rel, tol)
+            for seed, count, tol in ((23, 3, 1e-8), (0, 21, 1e-13))
+            for rel in random_relations(2, 3, count, np.random.default_rng(seed))
+        ]
+        for rel, tol in cases:
             for x in range(3):
                 com = OxMCommutator(rel, config, x)
                 assert com.dim > DENSE_SVD_CUTOFF
-                assert abs(com.norm() - com.block_norm()) <= 1e-8, (x, list(rel.pairs()))
-
-    def test_empty_relation_lanczos_is_exactly_zero_at_n2_m3(self):
-        config = OracleConfig(2, 3)
-        rel = Relation.from_pairs(2, 3, [])
-        assert [OxMCommutator(rel, config, x).norm() for x in range(3)] == [0.0] * 3
-
-    def test_lanczos_matches_blocks_to_rounding_at_n2_m3(self):
-        config = OracleConfig(2, 3)
-        for rel in random_relations(2, 3, 21, np.random.default_rng(0)):
-            for x in range(3):
-                com = OxMCommutator(rel, config, x)
-                assert abs(com.norm() - com.block_norm()) <= 1e-13, (x, list(rel.pairs()))
+                reference = 0.0 if rel is empty else com.block_norm()
+                assert abs(com.norm() - reference) <= tol, (x, list(rel.pairs()))
 
 
 class TestLocalBounds:

@@ -260,11 +260,11 @@ class TestOperatorNorm:
                 raise TypeError("complex vector given to a real operator")
             return matrix @ v
 
-        assert abs(spectral_norm_linop(real_only, real_only, 1500, matrix.dtype) - 4.0) <= 1e-12
+        assert abs(spectral_norm_linop(real_only, real_only, 1500) - 4.0) <= 1e-12
 
     def test_lanczos_rejects_non_finite_output(self):
         with pytest.raises(ValueError, match="non-finite"):
-            spectral_norm_linop(lambda v: np.full_like(v, np.nan), lambda v: v, 1500, float)
+            spectral_norm_linop(lambda v: np.full_like(v, np.nan), lambda v: v, 1500)
 
     def test_rejects_non_finite(self):
         bad = np.zeros((2, 2))
