@@ -27,20 +27,22 @@ one batched SVD over matrices of side 2^n (2^n + 1) replaces the SVD on
 Y (x) D (x) P.  Above the cutoff the norm is matrix-free (Lanczos on K^dag K
 over the whole space).
 
+Every norm of a commutator with a diagonal matrix is one Hadamard product.
+For D = diag d, (A D)[a, b] = A[a, b] d[b] and (D A)[a, b] = d[a] A[a, b], so
+[A, D] = A o (d[col] - d[row]), with d[col][a, b] = d[b] and d[row][a, b] =
+d[a]; `diagonal_commutator_norms` takes one stacked SVD of such products.
+K_{j,r} above is the case A = O^x, d = lambda_{j,r}, and the lemma norms are
+two more.  Pi^x is diag of the relation's mask row x, padded with a 0 for bot
+(bot is in no relation), so ||[F, Pi^x]|| takes d = that padded row.  Y is the
+major index of Y (x) D_x, so 1_Y (x) Pi^x is diag of the padded row tiled 2^n
+times, and ||[O^x, 1_Y (x) Pi^x]|| takes d = the tiled row.
+
 Pi^empty = (x)_x' (1 - Pi^x') and O^x acts on (Y, D_x) only, so up to the order
 of the cells [O^x, 1_Y (x) Pi^empty] = [O^x, 1_Y (x) (1 - Pi^x)] (x) (x)_{x'!=x}
-(1 - Pi^x'), whose norm is ||[O^x, 1_Y (x) (1 - Pi^x)]|| * prod_{x'!=x} ||1 - Pi^x'||.
-Each factor ||1 - Pi^x'|| is exactly 1: Pi^x' is a diagonal 0/1 projector and
-bot is in no relation, so 1 - Pi^x' keeps |bot>.  Hence ||[O^x, 1_Y (x) Pi^empty]||
-= ||[O^x, 1_Y (x) (1 - Pi^x)]||, on matrices of side 2^n (2^n + 1).
-
-`verify_local_bounds` computes the 3m lemma norms of one relation in two
-stacked SVDs.  The Pi^x form one (m, 2^n + 1, 2^n + 1) stack, lifted to
-1_Y (x) Pi^x and 1_Y (x) (1 - Pi^x) by one einsum against 1_Y.  One call
-takes the m matrices [F, Pi^x], the other the 2m matrices [O^x, 1_Y (x) Pi^x]
-and [O^x, 1_Y (x) (1 - Pi^x)].  Every norm is still an SVD of its own matrix:
-none is derived from another (not even ||[O, 1 (x) (1 - Pi)]|| =
-||[O, 1 (x) Pi]||).
+(1 - Pi^x').  The identity commutes with everything, so [A, 1 - Pi] = -[A, Pi],
+and each ||1 - Pi^x'|| is exactly 1: 1 - Pi^x' is a diagonal 0/1 projector
+that keeps |bot>.  Hence ||[O^x, 1_Y (x) Pi^empty]|| = ||[O^x, 1_Y (x) Pi^x]||,
+and the Pi^empty row is that norm, not another SVD.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .branching import distribution, enumerate_paths
 from .config import ATOL, DENSE_SVD_CUTOFF
 from .linalg import apply_on_axes, operator_norm, spectral_norm_linop
 from .oracle import OracleConfig, build_f, build_o_small
-from .relations import CommitFunction, Relation, encoded_outcomes, \
-    projectors_for_relation, purified_m_permutation
+from .relations import CommitFunction, Relation, encoded_outcomes, purified_m_permutation, \
+    require_same_shape
 
 
 @dataclass
@@ -111,6 +113,12 @@ def timed(fn):
 
 def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return operator_norm(a @ b - b @ a)
+
+
+def diagonal_commutator_norms(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """||[A, diag d]|| = ||A o (d[col] - d[row])|| (module docstring) for each
+    vector of the stack d, in one stacked operator_norm."""
+    return operator_norm(a * (d[..., None, :] - d[..., :, None]))
 
 
 # -- commutator norms ---------------------------------------------------------------
@@ -172,8 +180,7 @@ class OxMCommutator:
         p = config.m + 1
         js = np.arange(1, p // 2 + 1)[:, None, None]
         lam = np.exp(2j * np.pi / p * js * np.tile(rows, config.big_n))
-        blocks = self.o_small * (lam[..., None, :] - lam[..., :, None])
-        return float(operator_norm(blocks).max())
+        return float(diagonal_commutator_norms(self.o_small, lam).max())
 
 
 def theorem_commutator_norm(rel: Relation, config: OracleConfig) -> float:
@@ -214,31 +221,27 @@ def theorem_bound(n: int, gamma: int) -> float:
     return 8.0 * 2.0 ** (-n / 2) * np.sqrt(2 * gamma)
 
 
-def _local_norms(n: int, pis: np.ndarray) -> tuple:
-    """||[F, Pi^x]||, ||[O^x, 1_Y (x) Pi^x]|| and ||[O^x, 1_Y (x) Pi^empty]||
-    for every x, from the stack pis of the Pi^x (module docstring)."""
-    m, cd = len(pis), pis.shape[-1]
-    f = build_f(n)
-    o_small = build_o_small(n)
-    comps = np.eye(cd) - pis
-    lifted = np.einsum("ab,xij->xaibj", np.eye(2**n), np.concatenate([pis, comps]))
-    lifted = lifted.reshape(2 * m, 2**n * cd, 2**n * cd)
-    f_pi = operator_norm(f @ pis - pis @ f)
-    o_lifted = operator_norm(o_small @ lifted - lifted @ o_small)
-    return f_pi, o_lifted[:m], o_lifted[m:]
+def _local_norms(rel: Relation) -> tuple:
+    """||[F, Pi^x]|| and ||[O^x, 1_Y (x) Pi^x]|| for every x, one stacked SVD
+    each, from the relation's mask (module docstring)."""
+    cells = np.zeros((rel.m, 2**rel.n + 1))  # the last cell, bot, is in no relation
+    cells[:, :-1] = rel.mask
+    f_pi = diagonal_commutator_norms(build_f(rel.n), cells)
+    o_pi = diagonal_commutator_norms(build_o_small(rel.n), np.tile(cells, 2**rel.n))
+    return f_pi, o_pi
 
 
 def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
-    """Lemma-level bounds [F, Pi^x], [O^x, Pi^x], [O^x, Pi^empty] (factored) per x.
+    """Lemma-level bounds [F, Pi^x], [O^x, Pi^x], [O^x, Pi^empty] per x.
 
-    All 3m norms come from two stacked SVDs, so every local row carries the
-    wall time of that one computation as its runtime_ms: the rows of one
-    relation share it, and it is not to be summed over them.
+    The Pi^empty row is ||[O^x, 1_Y (x) Pi^x]||, equal to ||[O^x, 1_Y (x)
+    Pi^empty]|| by the module docstring.  The norms come from two stacked
+    SVDs, so every local row carries the wall time of that one computation as
+    its runtime_ms: the rows of one relation share it, and it is not to be
+    summed over them.
     """
-    config = OracleConfig(n, rel.m)
-    locals_ = projectors_for_relation(rel, config)
-    pis = np.stack([locals_[x] for x in range(rel.m)])
-    (f_pi, o_pi, o_empty), ms = timed(lambda: _local_norms(n, pis))
+    require_same_shape(rel, OracleConfig(n, rel.m))
+    (f_pi, o_pi), ms = timed(lambda: _local_norms(rel))
     reports = []
     for x in range(rel.m):
         gx = rel.gamma_x(x)
@@ -246,7 +249,7 @@ def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
         bound = local_bound(n, gx)
         reports.append(Report("local-F-Pi", base, float(f_pi[x]), bound, runtime_ms=ms))
         reports.append(Report("local-O-Pi", base, float(o_pi[x]), 2 * bound, runtime_ms=ms))
-        reports.append(Report("local-O-PiEmpty", base, float(o_empty[x]), 2 * bound,
+        reports.append(Report("local-O-PiEmpty", base, float(o_pi[x]), 2 * bound,
                               runtime_ms=ms))
     return reports
 
@@ -310,28 +313,27 @@ def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Rep
     )
 
 
+def collision_mask(config: OracleConfig, f: CommitFunction) -> np.ndarray:
+    """For every database basis index, whether two registers x != x' hold
+    cells c, c' with f(x, c) = f(x', c').
+
+    Each (x, cell) gets the code of its t value; bot gets a code of its own
+    per x, so it never collides.  A database collides when its m codes are
+    not all distinct.
+    """
+    codes: dict = {}
+    table = np.array([[codes.setdefault(f(x, c), len(codes)) for c in range(config.big_n)]
+                      + [-1 - x] for x in range(config.m)])
+    cells = np.indices([config.cell_dim] * config.m).reshape(config.m, -1)
+    held = np.sort(table[np.arange(config.m)[:, None], cells], axis=0)
+    return (held[1:] == held[:-1]).any(axis=0)
+
+
 def collision_mass(sim_state, f: CommitFunction) -> float:
     """tr(Pi^col rho) on a dense oracle state: mass on cross-register collisions."""
-    config = sim_state.config
-    cd = config.cell_dim
-    arr_mask = np.zeros(config.d_dim(), dtype=bool)
-    for idx in range(config.d_dim()):
-        rem = idx
-        cells = []
-        for x in reversed(range(config.m)):
-            rem, c = divmod(rem, cd)
-            if c != config.bot:
-                cells.append((x, c))
-        seen = {}
-        for x, c in cells:
-            t = f(x, c)
-            if t in seen and seen[t] != x:
-                arr_mask[idx] = True
-                break
-            seen[t] = x
     rows, _ = sim_state.d_rows()
     mass = np.sum(np.abs(rows) ** 2, axis=1)
-    return float(mass[arr_mask].sum())
+    return float(mass[collision_mask(sim_state.config, f)].sum())
 
 
 def collision_experiment(adversary, f: CommitFunction, q: int) -> Report:

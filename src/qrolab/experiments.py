@@ -99,14 +99,13 @@ def commutator_relation_reports(n: int, m: int, rel: Relation) -> list[Report]:
     )]
     local_reps = verify_local_bounds(n, rel)
     reps.extend(local_reps)
-    by_x: dict[int, dict[str, float]] = {}
-    for rep in local_reps:
-        by_x.setdefault(rep.params["x"], {})[rep.experiment] = rep.measured
-    for x, (norm, ms) in enumerate(per_x):
-        rhs = 3 * by_x[x]["local-O-Pi"] + by_x[x]["local-O-PiEmpty"]
+    # rows come in (F-Pi, O-Pi, O-PiEmpty) triples per x, and the Pi^empty
+    # norm is the Pi^x one, so the lifting rhs 3 ||[O, Pi]|| + ||[O, Pi^empty]||
+    # is 4 ||[O, Pi]||
+    for x, ((norm, ms), o_pi) in enumerate(zip(per_x, local_reps[1::3])):
         reps.append(Report(
             "lifting-inequality", dict(n=n, M=m, x=x, gamma=rel.gamma_x(x)),
-            norm, rhs, runtime_ms=ms,
+            norm, 4 * o_pi.measured, runtime_ms=ms,
         ))
     return reps
 

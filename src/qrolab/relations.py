@@ -31,17 +31,27 @@ class ExtractionOutcome:
 
 
 class Relation:
-    """A finite relation R subset of {0..m-1} x {0,1}^n."""
+    """A finite relation R subset of {0..m-1} x {0,1}^n, held as one read-only
+    boolean mask: mask[x, y] is whether (x, y) is in R.
+
+    `member` is a predicate member(x, y) or an iterable of (x, y) pairs; a pair
+    outside X x Y raises ValueError.
+    """
 
     def __init__(self, n: int, m: int, member):
         self.n = n
         self.m = m
         if callable(member):
-            self._member = member
-        else:
-            pairs = frozenset((int(x), int(y)) for x, y in member)
-            self._member = lambda x, y: (x, y) in pairs
-        self._ysets: dict[int, tuple[int, ...]] = {}
+            member = [(x, y) for x in range(m) for y in range(2**n) if member(x, y)]
+        mask = np.zeros((m, 2**n), dtype=bool)
+        for x, y in member:
+            # checked here: a negative index would wrap in the mask
+            if not (0 <= x < m and 0 <= y < 2**n):
+                raise ValueError(f"pair ({x}, {y}) lies outside X x Y = "
+                                 f"0..{m - 1} x 0..{2**n - 1}")
+            mask[x, y] = True
+        mask.flags.writeable = False
+        self.mask = mask
         self._outcomes: np.ndarray | None = None  # see outcome_array
 
     @classmethod
@@ -49,24 +59,20 @@ class Relation:
         return cls(n, m, list(pairs))
 
     def member(self, x: int, y: int) -> bool:
-        return bool(self._member(x, y))
+        return bool(self.mask[x, y])
 
     def y_set(self, x: int) -> tuple[int, ...]:
-        if x not in self._ysets:
-            self._ysets[x] = tuple(y for y in range(2**self.n) if self.member(x, y))
-        return self._ysets[x]
+        return tuple(np.flatnonzero(self.mask[x]).tolist())
 
     def gamma_x(self, x: int) -> int:
-        return len(self.y_set(x))
+        return int(np.count_nonzero(self.mask[x]))
 
     @property
     def gamma(self) -> int:
-        return max((self.gamma_x(x) for x in range(self.m)), default=0)
+        return int(self.mask.sum(axis=1).max(initial=0))
 
-    def pairs(self):
-        for x in range(self.m):
-            for y in self.y_set(x):
-                yield (x, y)
+    def pairs(self) -> list[tuple[int, int]]:
+        return [(x, y) for x, y in np.argwhere(self.mask).tolist()]
 
 
 def gamma_of_f(f, xs, n: int) -> int:
@@ -134,19 +140,23 @@ class CommitFunction:
     @classmethod
     def from_table(cls, table, name="table") -> "CommitFunction":
         """table[x][y] -> t for x in range(m), y in range(2^n)."""
-        m = len(table)
-        big_n = len(table[0])
+        rows = [list(row) for row in table]
+        big_n = len(rows[0])
         n = big_n.bit_length() - 1
         if 2**n != big_n:
             raise ValueError("table rows must have length 2^n")
-        rows = [list(row) for row in table]
-        return cls(n, m, lambda x, y: rows[x][y], name=name)
+        for x, row in enumerate(rows):
+            if len(row) != big_n:
+                raise ValueError(f"table row {x} has length {len(row)}, "
+                                 f"row 0 has {big_n}")
+        return cls(n, len(rows), lambda x, y: rows[x][y], name=name)
 
     def __call__(self, x: int, y: int):
         return self.fn(x, y)
 
     def relation_for(self, t) -> Relation:
-        """The relation f(x, y) = t, made once per t so its memos are kept."""
+        """The relation f(x, y) = t, made once per t so its mask and outcome
+        array are built once."""
         if t not in self._relations:
             self._relations[t] = Relation(self.n, self.m, lambda x, y: self.fn(x, y) == t)
         return self._relations[t]
@@ -173,27 +183,14 @@ def constant_commit(n: int, m: int) -> CommitFunction:
     )
 
 
-# -- projectors and the extraction measurement --------------------------------
+# -- the extraction measurement ----------------------------------------------
 
 
-def _require_same_shape(rel: Relation, config: OracleConfig) -> None:
+def require_same_shape(rel: Relation, config: OracleConfig) -> None:
     """Raise ValueError unless rel lives on the config's (n, m)."""
     if (rel.n, rel.m) != (config.n, config.m):
         raise ValueError(f"relation on (n, m) = ({rel.n}, {rel.m}) used with "
                          f"config ({config.n}, {config.m})")
-
-
-def projectors_for_relation(rel: Relation, config: OracleConfig) -> dict:
-    """The local projectors Pi^x on each D_x."""
-    _require_same_shape(rel, config)
-    cd = config.cell_dim
-    locals_ = {}
-    for x in range(config.m):
-        p = np.zeros((cd, cd))
-        for y in rel.y_set(x):
-            p[y, y] = 1.0
-        locals_[x] = p
-    return locals_
 
 
 def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
@@ -203,20 +200,18 @@ def outcome_array(rel: Relation, config: OracleConfig) -> np.ndarray:
     in the relation; value m encodes the empty outcome.  Built once per
     relation and returned read-only.
     """
-    _require_same_shape(rel, config)
+    require_same_shape(rel, config)
     if rel._outcomes is not None:
         return rel._outcomes
     cd = config.cell_dim
+    hits = np.zeros((config.m, cd), dtype=bool)  # the last cell, bot, is in no relation
+    hits[:, :-1] = rel.mask
     out = np.full(config.d_dim(), config.m, dtype=np.int64)
     # iterate x from the largest down so smaller x overwrite: smallest index wins
     for x in reversed(range(config.m)):
-        hit = np.zeros(cd, dtype=bool)
-        for y in rel.y_set(x):
-            hit[y] = True
         pre = cd**x
         post = cd ** (config.m - 1 - x)
-        mask = np.tile(np.repeat(hit, post), pre)
-        out[mask] = x
+        out[np.tile(np.repeat(hits[x], post), pre)] = x
     out.flags.writeable = False
     rel._outcomes = out
     return out

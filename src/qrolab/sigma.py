@@ -31,7 +31,6 @@ class AccessStructure:
 
     num_challenges: int
     member_fn: object
-    min_sets: tuple = ()
     name: str = "custom"
 
     def member(self, s) -> bool:
@@ -40,26 +39,15 @@ class AccessStructure:
 
 def threshold_structure(k: int, num_challenges: int) -> AccessStructure:
     """T_k: all challenge sets of size at least k."""
-    min_sets = tuple(
-        frozenset(c) for c in itertools.combinations(range(num_challenges), k)
-    )
-    return AccessStructure(num_challenges, lambda s: len(s) >= k, min_sets, f"T{k}")
+    return AccessStructure(num_challenges, lambda s: len(s) >= k, f"T{k}")
 
 
 def max_nonmember_size(access: AccessStructure) -> int:
-    """Largest |S| with S outside the structure (exhaustive, monotone-pruned)."""
+    """Largest |S| with S outside the structure: every size from nc down,
+    stopping at the first size that has a non-member."""
     nc = access.num_challenges
-    if access.min_sets:
-        # S is a non-member iff its complement hits every minimal member
-        for miss in range(0, nc + 1):
-            for comp in itertools.combinations(range(nc), miss):
-                comp_set = set(comp)
-                if all(comp_set & set(ms) for ms in access.min_sets):
-                    return nc - miss
-        return 0
     if nc > 20:
-        raise ValueError("challenge space too large for exhaustive search "
-                         "without min_sets")
+        raise ValueError("challenge space too large for exhaustive search")
     for size in range(nc, -1, -1):
         for s in itertools.combinations(range(nc), size):
             if not access.member(frozenset(s)):

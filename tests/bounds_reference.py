@@ -1,12 +1,14 @@
-"""Closure-replay interface soundness and early extraction: the test oracle
-for bounds.py.
+"""Closure-replay interface soundness and early extraction, and the
+collision mask as a loop: the test oracles for bounds.py.
 
 `interface_soundness_experiment` and `early_extraction_experiment` as they
 were before the simulated side walked the game tree: the reference
 enumerate_paths (tests/branching_reference.py) re-runs the whole closure,
 every dense S.RO and S.E included, once per leaf.  bounds.py walks each
 tree once from a dense SimulatorS root instead; tests/test_walker.py checks
-that both give the same reports.
+that both give the same reports.  `collision_mask` walks every database
+index and decodes its cells, where bounds.py compares (x, cell) t-codes as
+arrays; tests/test_bounds.py checks that both give the same mask.
 """
 
 from __future__ import annotations
@@ -19,9 +21,31 @@ from branching_reference import enumerate_paths
 from qrolab.bounds import Report, RoOnly, timed
 from qrolab.branching import distribution
 from qrolab.linalg import total_variation
-from qrolab.oracle import LazyRandomOracle
+from qrolab.oracle import LazyRandomOracle, OracleConfig
 from qrolab.relations import CommitFunction, Relation
 from qrolab.simulator import SimulatorS
+
+
+def collision_mask(config: OracleConfig, f: CommitFunction) -> np.ndarray:
+    """For every database basis index, whether two registers hold non-bot
+    cells with equal t values."""
+    cd = config.cell_dim
+    arr_mask = np.zeros(config.d_dim(), dtype=bool)
+    for idx in range(config.d_dim()):
+        rem = idx
+        cells = []
+        for x in reversed(range(config.m)):
+            rem, c = divmod(rem, cd)
+            if c != config.bot:
+                cells.append((x, c))
+        seen = {}
+        for x, c in cells:
+            t = f(x, c)
+            if t in seen and seen[t] != x:
+                arr_mask[idx] = True
+                break
+            seen[t] = x
+    return arr_mask
 
 
 def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,

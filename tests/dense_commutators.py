@@ -2,10 +2,11 @@
 
 These are the brute-force forms of `OxMCommutator.norm` and of the
 `local-O-PiEmpty` norm in `verify_local_bounds`, kept as the oracles the
-block norm, the Lanczos path and the factored [O^x, Pi^empty] are checked
-against, together with the dense Pi^empty itself.  `local_bounds_per_x` is
-`verify_local_bounds` as one loop over x with single SVDs and np.kron lifts,
-the oracle of the stacked form.  A second oracle for the
+block norm, the Lanczos path and the [O^x, Pi^empty] corollary are checked
+against, together with the dense Pi^x and Pi^empty themselves.
+`local_bounds_per_x` is `verify_local_bounds` as one loop over x with dense
+projectors, single SVDs, np.kron lifts and the factored [O^x, Pi^empty], the
+oracle of the stacked Hadamard form.  A second oracle for the
 block norm takes the P-Fourier blocks on the whole of Y (x) D, without the
 split over the spectator cells.  The Pi^empty matrix has side (2^n + 1)^m,
 and the commutator 2^n (2^n + 1)^m, so keep n, m tiny.
@@ -18,8 +19,7 @@ import numpy as np
 from qrolab.bounds import Report, _commutator_norm, local_bound, timed
 from qrolab.linalg import apply_on_axes, operator_norm
 from qrolab.oracle import OracleConfig, build_f, build_o_small
-from qrolab.relations import Relation, encoded_outcomes, projectors_for_relation, \
-    purified_m_permutation
+from qrolab.relations import Relation, encoded_outcomes, purified_m_permutation
 
 
 def oxm_norm_by_columns(rel: Relation, config: OracleConfig, x: int) -> float:
@@ -59,12 +59,22 @@ def oxm_norm_pfourier(rel: Relation, config: OracleConfig, x: int) -> float:
     return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
 
 
-def pi_empty(rel: Relation, config: OracleConfig) -> np.ndarray:
+def projectors(rel: Relation) -> list[np.ndarray]:
+    """The dense local projectors Pi^x on each D_x, built from y_set."""
+    locals_ = []
+    for x in range(rel.m):
+        p = np.zeros((2**rel.n + 1, 2**rel.n + 1))
+        for y in rel.y_set(x):
+            p[y, y] = 1.0
+        locals_.append(p)
+    return locals_
+
+
+def pi_empty(rel: Relation) -> np.ndarray:
     """The dense Pi^empty on D: the Kronecker product of every 1 - Pi^x."""
-    locals_ = projectors_for_relation(rel, config)
     empty = np.array([[1.0]])
-    for x in range(config.m):
-        empty = np.kron(empty, np.eye(config.cell_dim) - locals_[x])
+    for p in projectors(rel):
+        empty = np.kron(empty, np.eye(len(p)) - p)
     return empty
 
 
@@ -72,7 +82,7 @@ def o_pi_empty_norm_dense(n: int, rel: Relation, x: int) -> float:
     """||[O^x, 1_Y (x) Pi^empty]|| on Y (x) D with the dense Pi^empty matrix."""
     config = OracleConfig(n, rel.m)
     o_small = build_o_small(n)
-    empty = pi_empty(rel, config)
+    empty = pi_empty(rel)
     dims = [config.big_n] + [config.cell_dim] * rel.m
     dim = int(np.prod(dims))
     eye = np.eye(dim, dtype=complex).reshape(dims + [dim])
@@ -86,7 +96,7 @@ def local_bounds_per_x(n: int, rel: Relation) -> list[Report]:
     config = OracleConfig(n, rel.m)
     f = build_f(n)
     o_small = build_o_small(n)
-    locals_ = projectors_for_relation(rel, config)
+    locals_ = projectors(rel)
     eye_y = np.eye(config.big_n)
     eye_d = np.eye(config.cell_dim)
     reports = []

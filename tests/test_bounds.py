@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import bounds_reference
 from dense_commutators import oxm_norm_by_columns
 from qrolab.bounds import (
     OxMCommutator,
     Report,
     collision_experiment,
+    collision_mask,
     early_extraction_experiment,
     full_commutator_norm_direct,
     grover_experiment,
@@ -28,8 +30,9 @@ from qrolab.experiments import (
     grover_one_iteration_circuit,
     random_relations,
 )
+from qrolab.fixtures import list_fixtures, load
 from qrolab.oracle import OracleConfig
-from qrolab.properties import toy_encryption_commit
+from qrolab.properties import bundled_commits, toy_encryption_commit
 from qrolab.relations import Relation, identity_commit
 
 
@@ -172,6 +175,15 @@ class TestGrover:
 
 
 class TestCollision:
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 2), (2, 3), (1, 4)])
+    def test_mask_matches_loop_reference(self, n, m):
+        config = OracleConfig(n, m)
+        fixtures = [load(name) for name, _ in list_fixtures("commit")]
+        for f in bundled_commits(n, m) + [f for f in fixtures if (f.n, f.m) == (n, m)]:
+            got = collision_mask(config, f)
+            assert got.dtype == bool and got.shape == (config.d_dim(),)
+            assert np.array_equal(got, bounds_reference.collision_mask(config, f)), f.name
+
     def test_zero_queries_zero_mass(self):
         f = identity_commit(3, 2)
         rep = collision_experiment(lambda ro: None, f, q=0)

@@ -1,5 +1,5 @@
-"""The spectator-split block norm of [O^x, M_DP] and the factored
-[O^x, Pi^empty] against the references in `dense_commutators`: the
+"""The spectator-split block norm of [O^x, M_DP] and the [O^x, Pi^empty]
+corollary against the references in `dense_commutators`: the
 column-by-column build, the P-Fourier blocks on the whole of Y (x) D, and
 the dense Pi^empty.
 
@@ -37,12 +37,12 @@ def check_oxm(rel, config):
         assert abs(com.norm() - oxm_norm_by_columns(rel, config, x)) <= ATOL, (x, list(rel.pairs()))
 
 
-def check_pi_empty(n, rel):
+def check_pi_empty(n, rel, tol=ATOL):
     reps = [r for r in verify_local_bounds(n, rel) if r.experiment == "local-O-PiEmpty"]
     assert [r.params["x"] for r in reps] == list(range(rel.m))
     for rep in reps:
         dense = o_pi_empty_norm_dense(n, rel, rep.params["x"])
-        assert abs(rep.measured - dense) <= ATOL, (rep.params, list(rel.pairs()))
+        assert abs(rep.measured - dense) <= tol, (rep.params, list(rel.pairs()))
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2)])
@@ -54,8 +54,10 @@ def test_batched_oxm_norm_matches_columns(n, m):
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_factored_pi_empty_matches_dense(n, m):
+    # the seeded grid's gap is at most 5.6e-16; other random relations at
+    # n = 2 reach 1.9e-15, so the hypothesis sample below keeps ATOL
     for rel in relations(n, m):
-        check_pi_empty(n, rel)
+        check_pi_empty(n, rel, tol=1e-15)
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2), (2, 3)])

@@ -1,24 +1,24 @@
 """The stacked lemma norms of `verify_local_bounds` against the per-x loop in
-`dense_commutators.local_bounds_per_x` (single SVDs, np.kron lifts).
+`dense_commutators.local_bounds_per_x` (dense projectors, single SVDs,
+np.kron lifts, the factored [O^x, Pi^empty]).
 
 Checked on all 80 relations at n=1 (m=2, 3) and seeded relations at (2,2),
-(2,3) and (3,2).  Three mutants of the stack restate it with a bug each: the
-loop tells the first two apart, and the third is no bug on any relation,
-because every ||1 - Pi^x'|| is 1 (bot is in no relation, so 1 - Pi^x' keeps
-it).  That identity is why `bounds._local_norms` leaves the factors out.
+(2,3) and (3,2).  Three mutants of the Hadamard form restate it with a bug
+each, and the loop tells every one apart: the lift as np.repeat (Pi (x) 1_Y
+instead of 1_Y (x) Pi), bot marked as a member, and F's difference read
+from the lifted mask in Pi (x) 1_Y order.  The Pi^empty row is the Pi^x row
+(by [A, 1 - Pi] = -[A, Pi] and ||1 - Pi^x'|| = 1), which is exact in the
+library and within rounding of the factored oracle.
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from dense_commutators import local_bounds_per_x
+from dense_commutators import local_bounds_per_x, projectors
 from qrolab.bounds import verify_local_bounds
 from qrolab.experiments import all_relations, random_relations
 from qrolab.linalg import operator_norm
-from qrolab.oracle import OracleConfig, build_f, build_o_small
-from qrolab.relations import projectors_for_relation
+from qrolab.oracle import build_f, build_o_small
 
 GRID = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
 
@@ -48,36 +48,35 @@ def test_local_rows_share_one_runtime():
     assert len(reps) == 9 and len({r.runtime_ms for r in reps}) == 1
 
 
-MUTANTS = ("lift-pi-kron-eye", "pi-stacks-for-empty", "product-includes-x")
+def test_pi_empty_row_is_the_pi_row_exactly():
+    for n, rel in cases():
+        reps = verify_local_bounds(n, rel)
+        for x in range(rel.m):
+            f_pi, o_pi, o_empty = reps[3 * x:3 * x + 3]
+            assert (f_pi.experiment, o_pi.experiment, o_empty.experiment) == \
+                ("local-F-Pi", "local-O-Pi", "local-O-PiEmpty")
+            assert o_empty.params["x"] == x and o_empty.measured == o_pi.measured
+
+
+MUTANTS = ("lift-pi-kron-eye", "bot-member", "f-from-lifted-mask")
 
 
 def local_norms(n, rel, mutant=None):
-    """`bounds._local_norms` restated as (F-Pi, O-Pi, O-PiEmpty) per x, with
-    the named mutant's bug: lifting to Pi (x) 1_Y instead of 1_Y (x) Pi;
-    reading the Pi stacks instead of the 1 - Pi stacks for the Pi^empty row
-    (both the commutator and the product); or letting the product over x'
-    include x."""
-    config = OracleConfig(n, rel.m)
-    locals_ = projectors_for_relation(rel, config)
-    pis = np.stack([locals_[x] for x in range(rel.m)])
-    m, cd = rel.m, config.cell_dim
-    f, o_small = build_f(n), build_o_small(n)
-    comps = np.eye(cd) - pis
-    both = np.concatenate([pis, comps])
+    """`bounds._local_norms` restated as (F-Pi, O-Pi, O-PiEmpty) per x: each
+    norm is ||A o (d[col] - d[row])||, with the named mutant's bug: lifting
+    the padded mask by np.repeat (Pi (x) 1_Y); padding bot as a member; or
+    reading F's d from the lifted mask as if it were Pi (x) 1_Y."""
+    cells = np.pad(rel.mask, ((0, 0), (0, 1)), constant_values=mutant == "bot-member")
+    cells = cells.astype(float)
     if mutant == "lift-pi-kron-eye":
-        lifted = np.einsum("xij,ab->xiajb", both, np.eye(2**n))
+        lifted = np.repeat(cells, 2**n, axis=1)
     else:
-        lifted = np.einsum("ab,xij->xaibj", np.eye(2**n), both)
-    lifted = lifted.reshape(2 * m, 2**n * cd, 2**n * cd)
-    f_pi = operator_norm(f @ pis - pis @ f)
-    o_lifted = operator_norm(o_small @ lifted - lifted @ o_small)
-    factors = operator_norm(pis if mutant == "pi-stacks-for-empty" else comps).tolist()
-    first = 0 if mutant == "pi-stacks-for-empty" else m
-    out = []
-    for x in range(m):
-        others = factors if mutant == "product-includes-x" else factors[:x] + factors[x + 1:]
-        out.append((f_pi[x], o_lifted[x], o_lifted[first + x] * math.prod(others)))
-    return out
+        lifted = np.tile(cells, 2**n)
+    f_d = lifted[:, ::2**n] if mutant == "f-from-lifted-mask" else cells
+    f, o_small = build_f(n), build_o_small(n)
+    f_pi = operator_norm(f * (f_d[:, None, :] - f_d[:, :, None]))
+    o_pi = operator_norm(o_small * (lifted[:, None, :] - lifted[:, :, None]))
+    return [(f_pi[x], o_pi[x], o_pi[x]) for x in range(rel.m)]
 
 
 def loop_norms(n, rel):
@@ -97,14 +96,14 @@ def test_restated_stack_is_the_library_one():
         assert np.array(local_norms(n, rel)).ravel().tolist() == [r.measured for r in reps]
 
 
-@pytest.mark.parametrize("mutant", MUTANTS[:2])
+@pytest.mark.parametrize("mutant", MUTANTS)
 def test_per_x_loop_rejects_stack_mutants(mutant):
     assert caught(mutant) > 0, mutant
 
 
 def test_product_including_x_is_no_bug():
+    """Every factor ||1 - Pi^x'|| of the factored Pi^empty norm is exactly 1,
+    so a product over all x', x included, changes nothing."""
     for n, rel in cases():
-        comps = np.eye(2**n + 1) - np.stack(list(projectors_for_relation(
-            rel, OracleConfig(n, rel.m)).values()))
+        comps = np.eye(2**n + 1) - np.stack(projectors(rel))
         assert operator_norm(comps).tolist() == [1.0] * rel.m
-    assert caught("product-includes-x") == 0

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from dense_commutators import pi_empty
+from dense_commutators import pi_empty, projectors
 from qrolab.bounds import OxMCommutator, verify_local_bounds
 from qrolab.branching import RandomChooser, enumerate_distribution
 from qrolab.config import ATOL
 from qrolab.experiments import commutator_relation_reports
+from qrolab.fixtures import parse_fixture
 from qrolab.oracle import DenseOracleState, OracleConfig
 from qrolab.relations import (
     CommitFunction,
@@ -19,7 +20,6 @@ from qrolab.relations import (
     identity_commit,
     measure_extraction_dense,
     outcome_array,
-    projectors_for_relation,
     purified_m_permutation,
 )
 
@@ -45,28 +45,26 @@ class TestProjectors:
     def test_empty_relation(self):
         config = OracleConfig(1, 2)
         rel = Relation.from_pairs(1, 2, [])
-        locals_ = projectors_for_relation(rel, config)
-        empty = pi_empty(rel, config)
-        for x in range(2):
-            assert np.abs(locals_[x]).max() == 0.0
-        assert np.allclose(empty, np.eye(config.d_dim()))
-        assert rel.gamma == 0
+        assert not rel.mask.any() and rel.mask.shape == (2, 2)
+        for p in projectors(rel):
+            assert np.abs(p).max() == 0.0
+        assert np.allclose(pi_empty(rel), np.eye(config.d_dim()))
+        assert rel.gamma == 0 and rel.pairs() == []
 
     def test_all_zero_relation(self):
-        config = OracleConfig(1, 2)
         rel = Relation(1, 2, lambda x, y: y == 0)
-        locals_ = projectors_for_relation(rel, config)
+        assert rel.mask.tolist() == [[True, False], [True, False]]
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
-        for x in range(2):
-            assert np.allclose(locals_[x], want)
-        assert rel.gamma == 1
+        for p in projectors(rel):
+            assert np.allclose(p, want)
+        assert rel.gamma == 1 and rel.pairs() == [(0, 0), (1, 0)]
 
     def test_full_relation(self):
         config = OracleConfig(1, 2)
         rel = Relation(1, 2, lambda x, y: True)
         assert rel.gamma == 2
-        empty = pi_empty(rel, config)
+        empty = pi_empty(rel)
         # bar Pi^x = |bot><bot| each, so Pi^empty keeps only the all-bot state
         want = np.zeros(config.d_dim())
         want[-1] = 1.0  # all-bot basis index is last in row-major order
@@ -238,7 +236,6 @@ class TestShapeMismatch:
     REL = Relation.from_pairs(1, 2, [(0, 0), (1, 1)])
     ENTRY_POINTS = {
         "outcome_array": lambda rel, config: outcome_array(rel, config),
-        "projectors": lambda rel, config: projectors_for_relation(rel, config),
         "oxm-norm": lambda rel, config: OxMCommutator(rel, config, 0).norm(),
         "relation-reports": lambda rel, config: commutator_relation_reports(
             config.n, config.m, rel),
@@ -255,3 +252,34 @@ class TestShapeMismatch:
     def test_mismatched_config_raises(self, entry, n, m):
         with pytest.raises(ValueError, match="relation on"):
             self.ENTRY_POINTS[entry](self.REL, OracleConfig(n, m))
+
+
+class TestMask:
+    def test_predicate_and_pairs_give_one_read_only_mask(self):
+        rng = np.random.default_rng(17)
+        for n, m in [(1, 2), (2, 3), (3, 2)]:
+            pairs = [(x, y) for x in range(m) for y in range(2**n) if rng.random() < 0.5]
+            rels = [Relation.from_pairs(n, m, reversed(pairs)),
+                    Relation(n, m, lambda x, y: (x, y) in pairs)]
+            for rel in rels:
+                assert rel.mask.shape == (m, 2**n) and not rel.mask.flags.writeable
+                assert rel.pairs() == pairs
+                for x in range(m):
+                    ys = tuple(y for xp, y in pairs if xp == x)
+                    assert rel.y_set(x) == ys and rel.gamma_x(x) == len(ys)
+                    assert [rel.member(x, y) for y in range(2**n)] == \
+                        [y in ys for y in range(2**n)]
+            assert np.array_equal(rels[0].mask, rels[1].mask)
+
+    @pytest.mark.parametrize("pair", [[0, 7], [0, 2], [2, 0], [-1, 0], [0, -1]])
+    def test_pair_outside_x_times_y_raises(self, pair):
+        raw = {"type": "relation", "n": 1, "m": 2, "pairs": [[0, 0], pair]}
+        with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\)"):
+            parse_fixture(raw)
+
+    @pytest.mark.parametrize("table,row", [([[0, 1], [2, 3, 9]], 1), ([[0, 1], [2]], 1),
+                                           ([[0, 1], [2, 3], []], 2)])
+    def test_commit_table_row_of_wrong_length_raises(self, table, row):
+        raw = {"type": "commit", "n": 1, "m": len(table), "table": table}
+        with pytest.raises(ValueError, match=f"table row {row} has length"):
+            parse_fixture(raw)

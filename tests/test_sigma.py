@@ -47,22 +47,18 @@ def honest_factory(spec, instance, shares, rng):
 class TestAccessStructures:
     def test_threshold_monotone_and_min_sets(self):
         # exhaustive over all 2^5 subsets: adding an element never leaves
-        # the structure, and every listed minimal set is minimal
+        # the structure
         t2 = threshold_structure(2, 5)
         subsets = [frozenset(c) for size in range(6)
                    for c in itertools.combinations(range(5), size)]
         for s in subsets:
             if t2.member(s):
                 assert all(t2.member(s | {u}) for u in range(5))
-        for s in t2.min_sets:
-            assert t2.member(s)
-            assert not any(t2.member(s - {drop}) for drop in s)
 
     def test_max_nonmember(self):
         assert max_nonmember_size(threshold_structure(2, 3)) == 1
         assert max_nonmember_size(threshold_structure(2, 10)) == 1
         assert max_nonmember_size(threshold_structure(1, 4)) == 0
-        # without min_sets: brute force over subsets
         bare = AccessStructure(4, lambda s: len(s) >= 3)
         assert max_nonmember_size(bare) == 2
 
