@@ -43,6 +43,13 @@ of the cells [O^x, 1_Y (x) Pi^empty] = [O^x, 1_Y (x) (1 - Pi^x)] (x) (x)_{x'!=x}
 and each ||1 - Pi^x'|| is exactly 1: 1 - Pi^x' is a diagonal 0/1 projector
 that keeps |bot>.  Hence ||[O^x, 1_Y (x) Pi^empty]|| = ||[O^x, 1_Y (x) Pi^x]||,
 and the Pi^empty row is that norm, not another SVD.
+
+Each classical game (collision, the two interface propositions, the
+simulated side of early extraction) is one play(sim) body, walked once by
+enumerate_paths from a dense SimulatorS root, and each adversary is a plain
+function of the oracle callables it may use: a counting S.RO for collision
+and the propositions, so S.E is out of its reach, and (ro, announce) for an
+early-extraction committer.
 """
 
 from __future__ import annotations
@@ -55,10 +62,11 @@ import numpy as np
 
 from .branching import distribution, enumerate_paths
 from .config import ATOL, DENSE_SVD_CUTOFF
-from .linalg import apply_on_axes, operator_norm, spectral_norm_linop
-from .oracle import OracleConfig, build_f, build_o_small
+from .linalg import apply_on_axes, operator_norm, spectral_norm_linop, total_variation
+from .oracle import LazyRandomOracle, OracleConfig, build_f, build_o_small, oracle_state
 from .relations import CommitFunction, Relation, encoded_outcomes, purified_m_permutation, \
     require_same_shape
+from .simulator import SimulatorS
 
 
 @dataclass
@@ -231,7 +239,7 @@ def _local_norms(rel: Relation) -> tuple:
     return f_pi, o_pi
 
 
-def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
+def verify_local_bounds(rel: Relation) -> list[Report]:
     """Lemma-level bounds [F, Pi^x], [O^x, Pi^x], [O^x, Pi^empty] per x.
 
     The Pi^empty row is ||[O^x, 1_Y (x) Pi^x]||, equal to ||[O^x, 1_Y (x)
@@ -240,13 +248,12 @@ def verify_local_bounds(n: int, rel: Relation) -> list[Report]:
     its runtime_ms: the rows of one relation share it, and it is not to be
     summed over them.
     """
-    require_same_shape(rel, OracleConfig(n, rel.m))
     (f_pi, o_pi), ms = timed(lambda: _local_norms(rel))
     reports = []
     for x in range(rel.m):
         gx = rel.gamma_x(x)
-        base = dict(n=n, M=rel.m, x=x, gamma=gx)
-        bound = local_bound(n, gx)
+        base = dict(n=rel.n, M=rel.m, x=x, gamma=gx)
+        bound = local_bound(rel.n, gx)
         reports.append(Report("local-F-Pi", base, float(f_pi[x]), bound, runtime_ms=ms))
         reports.append(Report("local-O-Pi", base, float(o_pi[x]), 2 * bound, runtime_ms=ms))
         reports.append(Report("local-O-PiEmpty", base, float(o_pi[x]), 2 * bound,
@@ -279,12 +286,12 @@ def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Rep
     once; only the measurement of X branches, on copies of that state.
     """
     from .circuits import _run, circuit_registers, validate_circuit
-    from .oracle import oracle_state
 
     mats = validate_circuit(circ)
     if any(s["op"] == "measure" for s in circ["steps"]):
         raise ValueError("grover circuits must defer measurement to the end")
     config = OracleConfig(circ["n"], circ["m"])
+    require_same_shape(rel, config)
     q = sum(1 for s in circ["steps"] if s["op"] == "query")
 
     def success_probability():
@@ -336,27 +343,38 @@ def collision_mass(sim_state, f: CommitFunction) -> float:
     return float(mass[collision_mask(sim_state.config, f)].sum())
 
 
+def _counting(query):
+    """query as a plain function that counts its calls in `.calls`."""
+    def counted(x):
+        counted.calls += 1
+        return query(x)
+    counted.calls = 0
+    return counted
+
+
+def _walk(play, f: CommitFunction):
+    """The leaves of play(sim), walked once from a dense SimulatorS root of f,
+    and the walk's wall time."""
+    return timed(lambda: enumerate_paths(play, SimulatorS(f, backend="dense")))
+
+
+def hard_collision_bound(k: int, f: CommitFunction) -> float:
+    """(40 e^2 k^3 Gamma' + 2) / 2^n: the hard-collision bound after k queries."""
+    return (40.0 * np.e**2 * k**3 * f.gamma_prime + 2.0) / 2.0**f.n
+
+
 def collision_experiment(adversary, f: CommitFunction, q: int) -> Report:
-    """Cross-register collision mass of the final database vs the cubic bound."""
-    from .oracle import DenseOracleState
-
-    config = OracleConfig(f.n, f.m)
-
-    def run(ch):
-        oracle = DenseOracleState(config)
-        queries = 0
-
-        def ro(x):
-            nonlocal queries
-            queries += 1
-            return oracle.classical_query(x, ch)
-
+    """Cross-register collision mass of the final database vs the cubic bound;
+    adversary(ro) makes at most q S.RO queries."""
+    def play(sim):
+        ro = _counting(sim.ro_classical)
         adversary(ro)
-        if queries > q:
-            raise ValueError(f"adversary exceeded query budget: {queries} > {q}")
-        return collision_mass(oracle, f)
+        if ro.calls > q:
+            raise ValueError(f"adversary exceeded query budget: {ro.calls} > {q}")
+        return collision_mass(sim.state.backend, f)
 
-    mass, ms = timed(lambda: sum(p * v for p, v in enumerate_paths(run)))
+    paths, ms = _walk(play, f)
+    mass = sum(p * v for p, v in paths)
     bound = 40.0 * np.e**2 * q**2 * (q + 1) * f.gamma_prime / 2.0**f.n
     return Report(
         "collision", dict(n=f.n, M=f.m, q=q, gamma_prime=f.gamma_prime, f=f.name),
@@ -364,129 +382,98 @@ def collision_experiment(adversary, f: CommitFunction, q: int) -> Report:
     )
 
 
-class RoOnly:
-    """Restricted simulator facade handed to soundness-experiment adversaries."""
-
-    def __init__(self, sim):
-        self._sim = sim
-        self.queries = 0
-
-    def ro(self, x: int) -> int:
-        self.queries += 1
-        return self._sim.ro_classical(x)
-
-    def e_query(self, *_a, **_k):
-        raise PermissionError("the proposition forbids extraction queries here")
-
-
-def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
-                                   r_prime=None, in_run_ro: bool = False) -> Report:
-    """Hard-property / hard-collision propositions, exactly enumerated.
-
-    hard-property: adversary (S.RO only) emits t in T^ell; success if some
-    extraction (x_i, t_i) lands in R'.  hard-collision: adversary emits t, x
-    vectors; h_i from S.RO(x_i), hat
-    x_i from S.E(t_i); success if some i has hat x_i != x_i yet f(x_i,h_i)=t_i.
-    The tree is walked once from a dense SimulatorS root: the walk's node
-    answers S.RO and S.E, so each is evolved once per distinct (state, step)
-    of the walk.
-    """
-    from .simulator import SimulatorS
-
-    if mode not in ("hard-property", "hard-collision"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def run(sim):
-        facade = RoOnly(sim)
-        out = adversary(facade)
-        q = facade.queries
-        if mode == "hard-property":
-            ts = out if isinstance(out, (list, tuple)) else [out]
-            hits = []
-            for t in ts:
-                x_hat = sim.e_query(t)
-                hits.append((x_hat.value, t))
-            success = any(
-                x is not None and r_prime(x, t) for x, t in hits
-            )
-            return (q, len(ts), success)
-        ts, xs = out
-        hs = [sim.ro_classical(x) for x in xs]
-        xh = [sim.e_query(t).value for t in ts]
-        success = any(
-            xh[i] != xs[i] and f(xs[i], hs[i]) == ts[i] for i in range(len(ts))
-        )
-        return (q, len(ts), success)
-
-    paths, ms = timed(lambda: enumerate_paths(run, SimulatorS(f, backend="dense")))
+def _soundness(play, f: CommitFunction):
+    """Walk play, whose leaves are (q, ell, success): the success mass, the
+    largest q and ell over the leaves, and the walk's wall time."""
+    paths, ms = _walk(play, f)
     success = sum(p for p, (_, _, hit) in paths if hit)
     q = max(qq for _, (qq, _, _) in paths)
-    ell_seen = max(l for _, (_, l, _) in paths)
-    if mode == "hard-property":
-        rel = Relation(f.n, f.m, lambda x, y: bool(r_prime(x, f(x, y))))
-        bound = 128.0 * q**2 * rel.gamma / 2.0**f.n
-        params = dict(n=f.n, M=f.m, q=q, ell=ell_seen, gamma=rel.gamma, f=f.name)
-    else:
-        # in-run RO queries drop the ell term (remark after the proposition)
-        eff = q + 1 if in_run_ro else q + ell_seen + 1
-        bound = (40.0 * np.e**2 * eff**3 * f.gamma_prime + 2.0) / 2.0**f.n
-        params = dict(n=f.n, M=f.m, q=q, ell=ell_seen,
-                      gamma_prime=f.gamma_prime, f=f.name, in_run_ro=in_run_ro)
-    return Report(f"interface-{mode}", params, float(success), float(bound),
-                  vacuous=bound >= 1.0, runtime_ms=ms)
+    ell = max(l for _, (_, l, _) in paths)
+    return success, q, ell, ms
 
 
-def early_extraction_experiment(adversary, f: CommitFunction,
+def hard_property_experiment(adversary, f: CommitFunction, r_prime) -> Report:
+    """Hard-property proposition, exactly enumerated: adversary(ro) emits
+    t_1 .. t_ell; success if some S.E(t_i) = x_i has (x_i, t_i) in R'."""
+    def play(sim):
+        ro = _counting(sim.ro_classical)
+        ts = adversary(ro)
+        xs = [sim.e_query(t).value for t in ts]
+        return ro.calls, len(ts), any(
+            x is not None and r_prime(x, t) for x, t in zip(xs, ts))
+
+    success, q, ell, ms = _soundness(play, f)
+    rel = Relation(f.n, f.m, lambda x, y: bool(r_prime(x, f(x, y))))
+    bound = 128.0 * q**2 * rel.gamma / 2.0**f.n
+    return Report("interface-hard-property",
+                  dict(n=f.n, M=f.m, q=q, ell=ell, gamma=rel.gamma, f=f.name),
+                  float(success), float(bound), vacuous=bound >= 1.0, runtime_ms=ms)
+
+
+def hard_collision_experiment(adversary, f: CommitFunction, in_run_ro: bool = False) -> Report:
+    """Hard-collision proposition, exactly enumerated: adversary(ro) emits
+    vectors t and x; h_i = S.RO(x_i), hat x_i = S.E(t_i), and success if some
+    i has hat x_i != x_i yet f(x_i, h_i) = t_i."""
+    def play(sim):
+        ro = _counting(sim.ro_classical)
+        ts, xs = adversary(ro)
+        hs = [sim.ro_classical(x) for x in xs]
+        xh = [sim.e_query(t).value for t in ts]
+        return ro.calls, len(ts), any(
+            xh[i] != xs[i] and f(xs[i], hs[i]) == ts[i] for i in range(len(ts)))
+
+    success, q, ell, ms = _soundness(play, f)
+    # in-run RO queries drop the ell term (remark after the proposition)
+    bound = hard_collision_bound(q + 1 if in_run_ro else q + ell + 1, f)
+    return Report("interface-hard-collision",
+                  dict(n=f.n, M=f.m, q=q, ell=ell, gamma_prime=f.gamma_prime, f=f.name,
+                       in_run_ro=in_run_ro),
+                  float(success), float(bound), vacuous=bound >= 1.0, runtime_ms=ms)
+
+
+def early_extraction_experiment(committer, f: CommitFunction,
                                 multi: bool = False) -> tuple[Report, Report]:
-    """Early extraction vs the real oracle, on classical multi-round adversaries.
+    """Early extraction vs the real oracle, on classical multi-round committers.
 
-    The adversary object exposes run(ro, announce): it may query ro freely,
-    must call announce(t) when emitting a commitment, and returns (xs, w)
-    with None entries for refused openings (RO(None) = None and the mismatch
-    event never fires on them).  Outputs are classical, so the joint
-    [t, x, h, W] states are diagonal and the trace distance is the total
-    variation of the outcome tuples.  q, q2 and ell are each the largest
-    count over the real game's leaves.  The real side is coins only (the
-    lazy oracle draws fresh values as coins); the simulated side walks its
-    tree once from a dense SimulatorS root, whose node answers S.RO and S.E.
+    committer(ro, announce) may query ro freely, must call announce(t) when
+    emitting a commitment, and returns (xs, w) with None entries for refused
+    openings (RO(None) = None and the mismatch event never fires on them).
+    One game body runs it on both sides: the real side pairs the lazy RO
+    with recording t, the simulated side pairs S.RO with recording t and
+    extracting S.E(t).  Outputs are classical, so the joint [t, x, h, W]
+    states are diagonal and the trace distance is the total variation of the
+    outcome tuples.  q, q2 and ell are each the largest count over the real
+    game's leaves.  The real side is coins only (the lazy oracle draws fresh
+    values as coins); the simulated side is walked once from a dense
+    SimulatorS root.
     """
-    from .linalg import total_variation
-    from .oracle import LazyRandomOracle
-    from .simulator import SimulatorS
-
-    def run_real(ch):
-        ro = LazyRandomOracle(f.n, ch)
+    def game(ro, extract):
         ts: list = []
-        queries = [0, 0]
+        counts = [0, 0]  # queries, and queries after the first announcement
 
         def query(x):
-            queries[0] += 1
-            if ts:
-                queries[1] += 1
-            return ro.query(x)
-
-        xs, w = adversary.run(query, ts.append)
-        hs = tuple(None if x is None else ro.query(x) for x in xs)
-        return (tuple(ts), tuple(xs), hs, w), (*queries, len(ts))
-
-    def run_sim(sim):
-        ts: list = []
-        hats: list = []
+            counts[0] += 1
+            counts[1] += bool(ts)
+            return ro(x)
 
         def announce(t):
             ts.append(t)
-            hats.append(sim.e_query(t).value)
+            extract(t)
 
-        xs, w = adversary.run(sim.ro_classical, announce)
-        hs = tuple(None if x is None else sim.ro_classical(x) for x in xs)
-        mismatch = any(
-            x is not None and hat != x and f(x, h) == t
-            for x, hat, h, t in zip(xs, hats, hs, ts)
-        )
-        return (tuple(ts), tuple(xs), hs, w), mismatch
+        xs, w = committer(query, announce)
+        hs = tuple(None if x is None else ro(x) for x in xs)
+        return (tuple(ts), tuple(xs), hs, w), (*counts, len(ts))
 
-    real_paths, ms_real = timed(lambda: enumerate_paths(run_real))
-    sim_paths, ms_sim = timed(lambda: enumerate_paths(run_sim, SimulatorS(f, backend="dense")))
+    def play_sim(sim):
+        hats: list = []
+        out, _ = game(sim.ro_classical, lambda t: hats.append(sim.e_query(t).value))
+        ts, xs, hs, _ = out
+        return out, any(x is not None and hat != x and f(x, h) == t
+                        for x, hat, h, t in zip(xs, hats, hs, ts))
+
+    real_paths, ms_real = timed(lambda: enumerate_paths(
+        lambda ch: game(LazyRandomOracle(f.n, ch).query, lambda t: None)))
+    sim_paths, ms_sim = _walk(play_sim, f)
     real = distribution((p, out) for p, (out, _) in real_paths)
     sim_dist = distribution((p, out) for p, (out, _) in sim_paths)
     mismatch_prob = sum(p for p, (_, bad) in sim_paths if bad)
@@ -495,14 +482,10 @@ def early_extraction_experiment(adversary, f: CommitFunction,
     root = np.sqrt(2.0 * f.gamma / 2.0**f.n)
     if multi:
         td_bound = 8.0 * ell * (q + ell) * root
-        mm_bound = (8.0 * ell * (q + 1) * root
-                    + (40.0 * np.e**2 * (q + ell + 1) ** 3 * f.gamma_prime + 2.0)
-                    / 2.0**f.n)
+        mm_bound = 8.0 * ell * (q + 1) * root + hard_collision_bound(q + ell + 1, f)
     else:
         td_bound = 8.0 * (q2 + 1) * root
-        mm_bound = (8.0 * (q2 + 1) * root
-                    + (40.0 * np.e**2 * (q + 2) ** 3 * f.gamma_prime + 2.0)
-                    / 2.0**f.n)
+        mm_bound = 8.0 * (q2 + 1) * root + hard_collision_bound(q + 2, f)
     params = dict(n=f.n, M=f.m, q=q, q2=q2, ell=ell, f=f.name,
                   gamma=f.gamma, gamma_prime=f.gamma_prime, multi=multi)
     td = total_variation(real, sim_dist)

@@ -40,25 +40,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _json_default(value):
-    import numpy as np
-
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return str(value)
-
-
 def write_outputs(rows, runtimes, out_dir: Path, meta: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.jsonl", "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, default=_json_default) + "\n")
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
@@ -69,7 +55,7 @@ def write_outputs(rows, runtimes, out_dir: Path, meta: dict) -> None:
     meta = dict(meta)
     meta["runtimes_ms"] = [round(ms, 3) for ms in runtimes]
     with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(meta, fh, indent=1, sort_keys=True)
 
 
 # Every battery setting with its one default and its one check: a least

@@ -2,6 +2,8 @@
 
 Every battery returns a list of Reports.  Their runtimes go to the CLI's
 side channel, so the results.jsonl rows stay byte-deterministic per seed.
+The collision and interface adversaries are functions of a counting S.RO,
+`ro`, and the early-extraction committers functions of (ro, announce).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .bounds import (
     early_extraction_experiment,
     full_commutator_norm_direct,
     grover_experiment,
-    interface_soundness_experiment,
+    hard_collision_experiment,
+    hard_property_experiment,
     relation_chain_monotonicity,
     theorem_bound,
     theorem_commutator_norm,
@@ -88,7 +91,10 @@ def commutator_relation_reports(n: int, m: int, rel: Relation) -> list[Report]:
     """Theorem, local, and lifting reports for one relation.
 
     The per-x commutator norms are computed once and shared between the
-    theorem report and the lifting inequality.
+    theorem report and the lifting inequality.  n and m can only repeat
+    rel.n and rel.m (OxMCommutator refuses a mismatch); they stay because
+    the benchmark's commutator-sweep workload passes them positionally, until
+    the benchmark is revised (ROADMAP item 1).
     """
     config = OracleConfig(n, m)
     per_x = [timed(lambda: OxMCommutator(rel, config, x).norm()) for x in range(m)]
@@ -97,7 +103,7 @@ def commutator_relation_reports(n: int, m: int, rel: Relation) -> list[Report]:
         max(norm for norm, _ in per_x), theorem_bound(n, rel.gamma),
         runtime_ms=sum(ms for _, ms in per_x),
     )]
-    local_reps = verify_local_bounds(n, rel)
+    local_reps = verify_local_bounds(rel)
     reps.extend(local_reps)
     # rows come in (F-Pi, O-Pi, O-PiEmpty) triples per x, and the Pi^empty
     # norm is the Pi^x one, so the lifting rhs 3 ||[O, Pi]|| + ||[O, Pi^empty]||
@@ -239,92 +245,72 @@ def run_interfaces_battery() -> list[Report]:
         ident = identity_commit(n, m)
         toyenc = toy_encryption_commit(n, m)
 
-        def garbage_t(sim):
+        def garbage_t(ro):
             return [2**n - 1]  # t announced without any query
 
-        reports.append(interface_soundness_experiment(
-            "hard-property", garbage_t, ident,
-            r_prime=lambda x, t: True,
-        ))
+        reports.append(hard_property_experiment(garbage_t, ident, lambda x, t: True))
 
-        def honest_preimage_hunt(sim):
-            h = sim.ro(0)
-            return [h]
+        def honest_preimage_hunt(ro):
+            return [ro(0)]
 
-        reports.append(interface_soundness_experiment(
-            "hard-property", honest_preimage_hunt, ident,
-            r_prime=lambda x, t: t == 0,
-        ))
+        reports.append(hard_property_experiment(honest_preimage_hunt, ident,
+                                                lambda x, t: t == 0))
 
-        def honest_collision(sim):
-            h = sim.ro(m - 1)
+        def honest_collision(ro):
+            h = ro(m - 1)
             return ([toyenc(m - 1, h)], [m - 1])
 
-        reports.append(interface_soundness_experiment(
-            "hard-collision", honest_collision, toyenc, in_run_ro=False,
-        ))
+        reports.append(hard_collision_experiment(honest_collision, toyenc))
 
-        def honest_collision_ident(sim):
-            h = sim.ro(m - 1)
-            return ([h], [m - 1])
+        def honest_collision_ident(ro):
+            return ([ro(m - 1)], [m - 1])
 
-        reports.append(interface_soundness_experiment(
-            "hard-collision", honest_collision_ident, ident, in_run_ro=False,
-        ))
+        reports.append(hard_collision_experiment(honest_collision_ident, ident))
     return reports
 
 
 # -- early-extraction battery (acceptance 6 context / module op) -------------------------
 
 
-class HonestCommitter:
+def honest_committer(f: CommitFunction):
     """One commitment to x = 0, opened immediately; no extra second-round queries."""
-
-    def __init__(self, f: CommitFunction):
-        self.f = f
-
-    def run(self, ro, announce):
-        h = ro(0)
-        announce(self.f(0, h))
+    def commit(ro, announce):
+        announce(f(0, ro(0)))
         return [0], ()
+    return commit
 
 
-class RefusingCommitter:
+def refusing_committer(f: CommitFunction):
     """Announces a commitment but refuses to open (outputs None)."""
+    t0 = next(iter(f.t_values))
 
-    def __init__(self, f: CommitFunction):
-        self.t0 = next(iter(f.t_values))
-
-    def run(self, ro, announce):
-        announce(self.t0)
+    def commit(ro, announce):
+        announce(t0)
         return [None], ()
+    return commit
 
 
-class AdaptiveTwoQueryCommitter:
+def adaptive_two_query_committer(f: CommitFunction):
     """q = 2 adaptive queries around the announcement."""
-
-    def __init__(self, f: CommitFunction):
-        self.f = f
-
-    def run(self, ro, announce):
+    def commit(ro, announce):
         h0 = ro(0)
-        announce(self.f(0, h0))
-        x1 = 1 if h0 % 2 else 0
-        ro(x1)
+        announce(f(0, h0))
+        ro(1 if h0 % 2 else 0)
         return [0], (h0 % 2,)
+    return commit
 
 
 def run_early_extraction_battery() -> list[Report]:
     reports = []
     ident12 = identity_commit(1, 2)
     toyenc22 = toy_encryption_commit(2, 2)
-    for f, adv, multi in [
-        (toyenc22, HonestCommitter(toyenc22), False),
-        (ident12, RefusingCommitter(ident12), False),
-        (ident12, AdaptiveTwoQueryCommitter(ident12), False),
-        (toyenc22, HonestCommitter(toyenc22), True),
+    for f, committer, multi in [
+        (toyenc22, honest_committer, False),
+        (ident12, refusing_committer, False),
+        (ident12, adaptive_two_query_committer, False),
+        (toyenc22, honest_committer, True),
     ]:
-        reports.extend(early_extraction_experiment(adv, f, multi=multi))
+        reports.extend(early_extraction_experiment(committer(f), f, multi=multi))
     return reports
 
 

@@ -16,18 +16,13 @@ from .oracle import OracleConfig
 
 @dataclass(frozen=True)
 class ExtractionOutcome:
-    """Either a domain element x or the empty symbol, encoded in Z/(m+1)Z."""
+    """Either a domain element x or the empty symbol (None)."""
 
     value: int | None
-    m: int
 
     @property
     def is_empty(self) -> bool:
         return self.value is None
-
-    @property
-    def encoded(self) -> int:
-        return 0 if self.value is None else self.value + 1
 
 
 class Relation:
@@ -249,4 +244,4 @@ def measure_extraction_dense(oracle_state, rel: Relation, chooser) -> Extraction
     collapsed = rows * ((arr == code) / np.sqrt(probs[code]))[:, None]
     back = collapsed.reshape([oracle_state.dims[a] for a in order])
     oracle_state.tensor = np.transpose(back, np.argsort(order))
-    return ExtractionOutcome(None if code == config.m else code, config.m)
+    return ExtractionOutcome(None if code == config.m else code)

@@ -80,7 +80,7 @@ class SimulatorS:
         else:
             pick = self.backend.measure_relation(
                 lambda x: self.commit.preimages(x, t), self.chooser)
-            out = ExtractionOutcome(pick, self.config.m)
+            out = ExtractionOutcome(pick)
         self.log.append(dict(interface="E", mode="classical", t=t,
                              outcome=None if out.is_empty else int(out.value)))
         return out

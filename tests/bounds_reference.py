@@ -1,14 +1,13 @@
-"""Closure-replay interface soundness and early extraction, and the
-collision mask as a loop: the test oracles for bounds.py.
+"""Closure-replay collision, interface soundness and early extraction, and
+the collision mask as a loop: the test oracles for bounds.py.
 
-`interface_soundness_experiment` and `early_extraction_experiment` as they
-were before the simulated side walked the game tree: the reference
-enumerate_paths (tests/branching_reference.py) re-runs the whole closure,
-every dense S.RO and S.E included, once per leaf.  bounds.py walks each
-tree once from a dense SimulatorS root instead; tests/test_walker.py checks
-that both give the same reports.  `collision_mask` walks every database
-index and decodes its cells, where bounds.py compares (x, cell) t-codes as
-arrays; tests/test_bounds.py checks that both give the same mask.
+The games as they were before each was walked once from a dense SimulatorS
+root: the reference enumerate_paths (tests/branching_reference.py) re-runs
+the whole closure, every dense S.RO and S.E included, once per leaf, and
+collision re-runs a raw DenseOracleState.  tests/test_walker.py checks that
+both give the same reports.  `collision_mask` walks every database index
+and decodes its cells, where bounds.py compares (x, cell) t-codes as arrays;
+tests/test_bounds.py checks that both give the same mask.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ import time
 import numpy as np
 
 from branching_reference import enumerate_paths
-from qrolab.bounds import Report, RoOnly, timed
+from qrolab.bounds import Report, collision_mass, timed
 from qrolab.branching import distribution
 from qrolab.linalg import total_variation
-from qrolab.oracle import LazyRandomOracle, OracleConfig
+from qrolab.oracle import DenseOracleState, LazyRandomOracle, OracleConfig
 from qrolab.relations import CommitFunction, Relation
 from qrolab.simulator import SimulatorS
 
@@ -48,33 +47,55 @@ def collision_mask(config: OracleConfig, f: CommitFunction) -> np.ndarray:
     return arr_mask
 
 
+def collision_experiment(adversary, f: CommitFunction, q: int) -> Report:
+    """Cross-register collision mass of the final database vs the cubic bound."""
+    config = OracleConfig(f.n, f.m)
+
+    def run(ch):
+        oracle = DenseOracleState(config)
+        queries = 0
+
+        def ro(x):
+            nonlocal queries
+            queries += 1
+            return oracle.classical_query(x, ch)
+
+        adversary(ro)
+        if queries > q:
+            raise ValueError(f"adversary exceeded query budget: {queries} > {q}")
+        return collision_mass(oracle, f)
+
+    mass, ms = timed(lambda: sum(p * v for p, v in enumerate_paths(run)))
+    bound = 40.0 * np.e**2 * q**2 * (q + 1) * f.gamma_prime / 2.0**f.n
+    return Report(
+        "collision", dict(n=f.n, M=f.m, q=q, gamma_prime=f.gamma_prime, f=f.name),
+        float(mass), float(bound), vacuous=bound >= 1.0, runtime_ms=ms,
+    )
+
+
 def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
                                    r_prime=None, in_run_ro: bool = False) -> Report:
     """Hard-property / hard-collision propositions, exactly enumerated.
 
-    hard-property: adversary (S.RO only) emits t in T^ell; success if some
-    extraction (x_i, t_i) lands in R'.  hard-collision: adversary emits t, x
-    vectors; h_i from S.RO(x_i), hat
-    x_i from S.E(t_i); success if some i has hat x_i != x_i yet f(x_i,h_i)=t_i.
+    hard-property: adversary(ro) (S.RO only) emits t in T^ell; success if
+    some extraction (x_i, t_i) lands in R'.  hard-collision: adversary(ro)
+    emits t, x vectors; h_i from S.RO(x_i), hat x_i from S.E(t_i); success if
+    some i has hat x_i != x_i yet f(x_i,h_i)=t_i.
     """
-    if mode not in ("hard-property", "hard-collision"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     def run(ch):
         sim = SimulatorS(f, backend="dense", chooser=ch)
-        facade = RoOnly(sim)
-        out = adversary(facade)
-        q = facade.queries
+        queries = 0
+
+        def ro(x):
+            nonlocal queries
+            queries += 1
+            return sim.ro_classical(x)
+
+        out = adversary(ro)
+        q = queries
         if mode == "hard-property":
-            ts = out if isinstance(out, (list, tuple)) else [out]
-            hits = []
-            for t in ts:
-                x_hat = sim.e_query(t)
-                hits.append((x_hat.value, t))
-            success = any(
-                x is not None and r_prime(x, t) for x, t in hits
-            )
-            return (q, len(ts), success)
+            hits = [(sim.e_query(t).value, t) for t in out]
+            return (q, len(out), any(x is not None and r_prime(x, t) for x, t in hits))
         ts, xs = out
         hs = [sim.ro_classical(x) for x in xs]
         xh = [sim.e_query(t).value for t in ts]
@@ -103,11 +124,19 @@ def interface_soundness_experiment(mode: str, adversary, f: CommitFunction,
                   vacuous=bound >= 1.0, runtime_ms=ms)
 
 
-def early_extraction_experiment(adversary, f: CommitFunction,
-                                multi: bool = False) -> tuple[Report, Report]:
-    """Early extraction vs the real oracle, on classical multi-round adversaries.
+def hard_property_experiment(adversary, f: CommitFunction, r_prime) -> Report:
+    return interface_soundness_experiment("hard-property", adversary, f, r_prime=r_prime)
 
-    The adversary object exposes run(ro, announce): it may query ro freely,
+
+def hard_collision_experiment(adversary, f: CommitFunction, in_run_ro: bool = False) -> Report:
+    return interface_soundness_experiment("hard-collision", adversary, f, in_run_ro=in_run_ro)
+
+
+def early_extraction_experiment(committer, f: CommitFunction,
+                                multi: bool = False) -> tuple[Report, Report]:
+    """Early extraction vs the real oracle, on classical multi-round committers.
+
+    committer(ro, announce) may query ro freely,
     must call announce(t) when emitting a commitment, and returns (xs, w)
     with None entries for refused openings (RO(None) = None and the mismatch
     event never fires on them).  Outputs are classical, so the joint
@@ -127,7 +156,7 @@ def early_extraction_experiment(adversary, f: CommitFunction,
                 queries[1] += 1
             return ro.query(x)
 
-        xs, w = adversary.run(query, ts.append)
+        xs, w = committer(query, ts.append)
         hs = tuple(None if x is None else ro.query(x) for x in xs)
         return (tuple(ts), tuple(xs), hs, w), (*queries, len(ts))
 
@@ -140,7 +169,7 @@ def early_extraction_experiment(adversary, f: CommitFunction,
             ts.append(t)
             hats.append(sim.e_query(t).value)
 
-        xs, w = adversary.run(sim.ro_classical, announce)
+        xs, w = committer(sim.ro_classical, announce)
         hs = tuple(None if x is None else sim.ro_classical(x) for x in xs)
         mismatch = any(
             x is not None and hat != x and f(x, h) == t

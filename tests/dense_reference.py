@@ -103,4 +103,4 @@ def measure_extraction_dense(oracle_state, rel, chooser) -> ExtractionOutcome:
     moved /= nrm
     back = moved.reshape([oracle_state.dims[a] for a in order])
     oracle_state.tensor = np.transpose(back, np.argsort(order))
-    return ExtractionOutcome(None if code == config.m else code, config.m)
+    return ExtractionOutcome(None if code == config.m else code)

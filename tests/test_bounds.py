@@ -1,5 +1,7 @@
 """Bound-lab tests: norms, lemma bounds, and the query experiments."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from qrolab.bounds import (
     early_extraction_experiment,
     full_commutator_norm_direct,
     grover_experiment,
-    interface_soundness_experiment,
+    hard_collision_experiment,
+    hard_property_experiment,
     relation_chain_monotonicity,
     theorem_bound,
     theorem_commutator_norm,
@@ -21,14 +24,14 @@ from qrolab.bounds import (
 )
 from qrolab.config import ATOL, DENSE_SVD_CUTOFF
 from qrolab.experiments import (
-    AdaptiveTwoQueryCommitter,
-    HonestCommitter,
-    RefusingCommitter,
+    adaptive_two_query_committer,
     all_relations,
     commutator_relation_reports,
     grover_blind_circuit,
     grover_one_iteration_circuit,
+    honest_committer,
     random_relations,
+    refusing_committer,
 )
 from qrolab.fixtures import list_fixtures, load
 from qrolab.oracle import OracleConfig
@@ -94,7 +97,7 @@ class TestCommutatorNorms:
 class TestLocalBounds:
     def test_lemma_values_at_n1(self):
         rel = Relation.from_pairs(1, 2, [(0, 0)])
-        reports = verify_local_bounds(1, rel)
+        reports = verify_local_bounds(rel)
         by = {(r.experiment, r.params["x"]): r for r in reports}
         # Gamma_0 = 1: measured sqrt(3)/2 against bound 1
         assert abs(by[("local-F-Pi", 0)].measured - np.sqrt(3) / 2) <= ATOL
@@ -106,7 +109,7 @@ class TestLocalBounds:
 
     def test_full_relation_bound_at_n2(self):
         rel = Relation(2, 2, lambda x, y: True)
-        reports = verify_local_bounds(2, rel)
+        reports = verify_local_bounds(rel)
         for rep in reports:
             assert rep.satisfied
             if rep.experiment == "local-F-Pi":
@@ -213,57 +216,56 @@ class TestCollision:
 
 class TestInterfaceSoundness:
     def test_adversary_cannot_extract(self):
+        # in each game the adversary's one argument is a plain S.RO function:
+        # no object whose attributes could reach S.E
         f = identity_commit(1, 2)
+        seen = []
 
-        def cheater(sim):
-            sim.e_query(0)
-            return [0]
+        def adversary(ro):
+            seen.append(ro)
+            return [ro(0)]
 
-        with pytest.raises(PermissionError):
-            interface_soundness_experiment("hard-property", cheater, f,
-                                           r_prime=lambda x, t: True)
+        hard_property_experiment(adversary, f, lambda x, t: True)
+        hard_collision_experiment(lambda ro: (adversary(ro), [0]), f)
+        collision_experiment(adversary, f, q=1)
+        assert seen and all(inspect.isfunction(ro) and not hasattr(ro, "e_query")
+                            for ro in seen)
 
     def test_garbage_t_never_succeeds(self):
         f = identity_commit(2, 2)
-        rep = interface_soundness_experiment(
-            "hard-property", lambda sim: [3], f, r_prime=lambda x, t: True)
+        rep = hard_property_experiment(lambda ro: [3], f, lambda x, t: True)
         assert rep.measured == 0.0
         assert rep.bound == 0.0  # q = 0
 
     def test_hard_collision_collision_free(self):
         f = toy_encryption_commit(2, 2)
 
-        def honest(sim):
-            h = sim.ro(1)
+        def honest(ro):
+            h = ro(1)
             return ([f(1, h)], [1])
 
-        rep = interface_soundness_experiment("hard-collision", honest, f)
+        rep = hard_collision_experiment(honest, f)
         assert abs(rep.bound - 2.0 / 4.0) <= ATOL  # Gamma' = 0: bound 2/2^n
         assert rep.satisfied and not rep.vacuous
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            interface_soundness_experiment("nope", lambda sim: [0],
-                                           identity_commit(1, 2))
 
 
 class TestEarlyExtraction:
     def test_honest_committer_reports(self):
         f = toy_encryption_commit(2, 2)
-        td, mm = early_extraction_experiment(HonestCommitter(f), f)
+        td, mm = early_extraction_experiment(honest_committer(f), f)
         assert td.satisfied and mm.satisfied
         assert td.params["q2"] == 0
 
     def test_refusing_committer_never_mismatches(self):
         f = identity_commit(1, 2)
-        td, mm = early_extraction_experiment(RefusingCommitter(f), f)
+        td, mm = early_extraction_experiment(refusing_committer(f), f)
         # declared convention: f(None, h) != t, so the event cannot fire
         assert mm.measured == 0.0
         assert td.measured <= ATOL  # no oracle use at all: games identical
 
     def test_adaptive_two_query(self):
         f = identity_commit(1, 2)
-        td, mm = early_extraction_experiment(AdaptiveTwoQueryCommitter(f), f)
+        td, mm = early_extraction_experiment(adaptive_two_query_committer(f), f)
         assert td.params["q"] == 2
         assert td.satisfied and mm.satisfied
 
@@ -273,15 +275,14 @@ class TestEarlyExtraction:
         # whether the last leaf enumerated is one of them
         f = identity_commit(1, 2)
 
-        class Committer:
-            def run(self, ro, announce):
-                h0 = ro(0)
-                announce(f(0, h0))
-                if h0 % 2 == requery_parity:
-                    ro(1)
-                return [0], ()
+        def committer(ro, announce):
+            h0 = ro(0)
+            announce(f(0, h0))
+            if h0 % 2 == requery_parity:
+                ro(1)
+            return [0], ()
 
-        td, _ = early_extraction_experiment(Committer(), f)
+        td, _ = early_extraction_experiment(committer, f)
         assert (td.params["q"], td.params["q2"], td.params["ell"]) == (2, 1, 1)
         assert td.bound == 16.0
 
@@ -312,13 +313,12 @@ class TestInRunQueriesVariant:
         # ell term is dropped from the cubic factor
         f = toy_encryption_commit(2, 2)
 
-        def adversary(sim):
-            h = sim.ro(1)
-            sim.ro(1)  # in-run repeat of the opening query
+        def adversary(ro):
+            h = ro(1)
+            ro(1)  # in-run repeat of the opening query
             return ([f(1, h)], [1])
 
-        rep = interface_soundness_experiment("hard-collision", adversary, f,
-                                             in_run_ro=True)
+        rep = hard_collision_experiment(adversary, f, in_run_ro=True)
         # Gamma' = 0: the bound is 2/2^n regardless, and it must still hold
         assert abs(rep.bound - 0.5) <= ATOL
         assert rep.satisfied

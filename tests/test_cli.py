@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qrolab
 from qrolab import experiments
-from qrolab.cli import main
+from qrolab.cli import main, write_outputs
 from qrolab.fixtures import list_fixtures, load, parse_fixture
 
 
@@ -98,8 +99,10 @@ class TestCommands:
         (["equivalence"], ("1", "2")),
         (["equivalence", "--backend", "sparse"], ("1", "2")),
         (["sigma", "--trials", "200", "--seed", "0"], ("1", "2")),
+        (["collision"], ("1", "2")),
+        (["interfaces"], ("1", "2")),
     ], ids=["fo", "verify-commutator", "verify-commutator-200", "verify-theorem2", "equivalence",
-            "equivalence-sparse", "sigma"])
+            "equivalence-sparse", "sigma", "collision", "interfaces"])
     def test_fresh_processes_write_identical_results(self, tmp_path, args, hash_seeds):
         # total_variation once followed the set's hash order, and Lanczos
         # its own unseeded start vector, then ARPACK's last bits: each changed
@@ -147,6 +150,12 @@ class TestCommands:
         code = run_cli(["verify-commutator", "--relations", "2",
                         "--out", str(tmp_path / "bad")])
         assert code == 1
+
+    def test_non_json_value_raises(self, tmp_path):
+        # a value json cannot write is an error, not its str()
+        row = {"experiment": "x", "measured": 0.0, "detail": {"p": Fraction(1, 3)}}
+        with pytest.raises(TypeError):
+            write_outputs([row], [0.0], tmp_path, {})
 
     def test_config_file_dispatch(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -38,7 +38,7 @@ def check_oxm(rel, config):
 
 
 def check_pi_empty(n, rel, tol=ATOL):
-    reps = [r for r in verify_local_bounds(n, rel) if r.experiment == "local-O-PiEmpty"]
+    reps = [r for r in verify_local_bounds(rel) if r.experiment == "local-O-PiEmpty"]
     assert [r.params["x"] for r in reps] == list(range(rel.m))
     for rep in reps:
         dense = o_pi_empty_norm_dense(n, rel, rep.params["x"])

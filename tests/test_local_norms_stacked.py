@@ -36,7 +36,7 @@ def cases():
 @pytest.mark.parametrize("n,m", GRID)
 def test_stacked_local_bounds_match_per_x_loop(n, m):
     for rel in relations(n, m):
-        got = verify_local_bounds(n, rel)
+        got = verify_local_bounds(rel)
         want = local_bounds_per_x(n, rel)
         assert [(r.experiment, r.params, r.bound, r.satisfied) for r in got] == \
             [(r.experiment, r.params, r.bound, r.satisfied) for r in want]
@@ -44,13 +44,13 @@ def test_stacked_local_bounds_match_per_x_loop(n, m):
 
 
 def test_local_rows_share_one_runtime():
-    reps = verify_local_bounds(2, relations(2, 3)[0])
+    reps = verify_local_bounds(relations(2, 3)[0])
     assert len(reps) == 9 and len({r.runtime_ms for r in reps}) == 1
 
 
 def test_pi_empty_row_is_the_pi_row_exactly():
     for n, rel in cases():
-        reps = verify_local_bounds(n, rel)
+        reps = verify_local_bounds(rel)
         for x in range(rel.m):
             f_pi, o_pi, o_empty = reps[3 * x:3 * x + 3]
             assert (f_pi.experiment, o_pi.experiment, o_empty.experiment) == \
@@ -92,7 +92,7 @@ def caught(mutant):
 
 def test_restated_stack_is_the_library_one():
     for n, rel in cases():
-        reps = verify_local_bounds(n, rel)
+        reps = verify_local_bounds(rel)
         assert np.array(local_norms(n, rel)).ravel().tolist() == [r.measured for r in reps]
 
 

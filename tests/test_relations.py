@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from dense_commutators import pi_empty, projectors
-from qrolab.bounds import OxMCommutator, verify_local_bounds
+from qrolab.bounds import OxMCommutator, grover_experiment
 from qrolab.branching import RandomChooser, enumerate_distribution
 from qrolab.config import ATOL
-from qrolab.experiments import commutator_relation_reports
+from qrolab.experiments import commutator_relation_reports, grover_blind_circuit
 from qrolab.fixtures import parse_fixture
 from qrolab.oracle import DenseOracleState, OracleConfig
 from qrolab.relations import (
     CommitFunction,
-    ExtractionOutcome,
     Relation,
     constant_commit,
     gamma_of_f,
@@ -31,14 +30,6 @@ def brute_force_gammas(f):
 def random_relation(rng, n, m, p=0.4):
     pairs = [(x, y) for x in range(m) for y in range(2**n) if rng.random() < p]
     return Relation.from_pairs(n, m, pairs)
-
-
-class TestExtractionOutcome:
-    def test_encoding_bijective(self):
-        m = 5
-        outs = [ExtractionOutcome(None, m)] + [ExtractionOutcome(x, m) for x in range(m)]
-        codes = [o.encoded for o in outs]
-        assert sorted(codes) == list(range(m + 1))
 
 
 class TestProjectors:
@@ -239,16 +230,14 @@ class TestShapeMismatch:
         "oxm-norm": lambda rel, config: OxMCommutator(rel, config, 0).norm(),
         "relation-reports": lambda rel, config: commutator_relation_reports(
             config.n, config.m, rel),
-        "local-bounds": lambda rel, config: verify_local_bounds(config.n, rel),
+        "grover": lambda rel, config: grover_experiment(
+            grover_blind_circuit(config.n, config.m), rel, backend="dense"),
         "measure": lambda rel, config: measure_extraction_dense(
             DenseOracleState(config), rel, RandomChooser(0)),
     }
 
-    # verify_local_bounds takes m from the relation, so only n can disagree
-    CASES = [(entry, n, m) for entry in ENTRY_POINTS for n, m in ((2, 2), (1, 3))
-             if (entry, m) != ("local-bounds", 3)]
-
-    @pytest.mark.parametrize("entry,n,m", CASES)
+    @pytest.mark.parametrize("entry,n,m", [(entry, n, m) for entry in ENTRY_POINTS
+                                           for n, m in ((2, 2), (1, 3))])
     def test_mismatched_config_raises(self, entry, n, m):
         with pytest.raises(ValueError, match="relation on"):
             self.ENTRY_POINTS[entry](self.REL, OracleConfig(n, m))

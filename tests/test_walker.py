@@ -3,9 +3,9 @@
 branching.enumerate_paths must give the leaves of the replay walker in
 tests/branching_reference.py on closures of draws: the same results in the
 same order, with bit-equal probabilities.  With a dense SimulatorS root, the
-interface-soundness and early-extraction reports must match the replay
-versions in tests/bounds_reference.py, and every tree's leaves must carry
-mass 1 within ATOL.  The walk's split memo must give the leaves of a walk
+collision, interface-soundness and early-extraction reports must match the
+replay versions in tests/bounds_reference.py, and every tree's leaves must
+carry mass 1 within ATOL.  The walk's split memo must give the leaves of a walk
 that splits every (state, step) afresh, and must die with its walk.
 """
 
@@ -79,10 +79,18 @@ def _same_reports(new, old):
                                                        a.measured, b.measured)
 
 
+def test_collision_battery_matches_replay(monkeypatch):
+    new = experiments.run_collision_battery()
+    monkeypatch.setattr(experiments, "collision_experiment", ref.collision_experiment)
+    old = experiments.run_collision_battery()
+    _same_reports(new, old)
+    assert [a.measured for a in new] == [b.measured for b in old]
+
+
 def test_interfaces_battery_matches_replay(monkeypatch):
     new = experiments.run_interfaces_battery()
-    monkeypatch.setattr(experiments, "interface_soundness_experiment",
-                        ref.interface_soundness_experiment)
+    for name in ("hard_property_experiment", "hard_collision_experiment"):
+        monkeypatch.setattr(experiments, name, getattr(ref, name))
     _same_reports(new, experiments.run_interfaces_battery())
 
 
@@ -97,16 +105,15 @@ def test_early_extraction_battery_matches_replay(monkeypatch):
 def test_largest_count_committers_match_replay(requery_parity):
     f = identity_commit(1, 2)
 
-    class Committer:
-        def run(self, ro, announce):
-            h0 = ro(0)
-            announce(f(0, h0))
-            if h0 % 2 == requery_parity:
-                ro(1)
-            return [0], ()
+    def committer(ro, announce):
+        h0 = ro(0)
+        announce(f(0, h0))
+        if h0 % 2 == requery_parity:
+            ro(1)
+        return [0], ()
 
-    _same_reports(bounds.early_extraction_experiment(Committer(), f),
-                  ref.early_extraction_experiment(Committer(), f))
+    _same_reports(bounds.early_extraction_experiment(committer, f),
+                  ref.early_extraction_experiment(committer, f))
 
 
 class _Lossy:
