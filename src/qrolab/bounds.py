@@ -298,8 +298,8 @@ def grover_experiment(circ: dict, rel: Relation, backend: str = "sparse") -> Rep
         state = oracle_state(backend, config.n, config.m, circuit_registers(circ),
                              q_cap=q + 2)
         # evolve once through the steps alone: X is measured per branch below
-        _run({"steps": circ["steps"]}, mats, state,
-             lambda: state.quantum_query("X", "Y"), None)
+        _run({"steps": circ["steps"]}, mats, lambda: state,
+             lambda s: s.quantum_query("X", "Y"), None)
 
         def run(ch):
             st = state.copy()

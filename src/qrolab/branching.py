@@ -9,13 +9,17 @@ once per leaf.  Its chooser is a tree node (ReplayChooser) that answers the
 calls of its path's script, then takes the first live outcome of each
 further call and pushes every sibling onto the walk at once, as a pending
 (prob, state, script) entry.  A coin or probability draw leaves the state
-alone, so its children share it; that is all a closure-replay run (no root)
-uses.  With a root state, the node also answers S.RO and S.E calls by
-applying a *split* to its state: a function state -> [(q, child, result)]
-that returns every outcome of one step at once (branch applies one to a
-list of leaves).  SimulatorS.ro_branches evolves an S.RO query once and
-slices its responses; replayed(step) runs any other step on one fork per
-outcome.  A re-run that answers from its script does no dense work.
+alone, so its children share it; that is all a closure-replay run uses.
+Any other step is a *split* of the node's state (ReplayChooser.split): a
+function state -> [(q, child, result)] that returns every outcome of one
+step at once (branch applies one to a list of leaves).  The walk's root is
+a state, or None for a walk that builds its own state inside its first
+split.  Two kinds of user split: the game trees walk a dense SimulatorS
+root, whose S.RO and S.E calls the node answers (SimulatorS.ro_branches
+evolves an S.RO query once and slices its responses; replayed(step) runs
+any other step on one fork per outcome), and the circuits walk from None,
+each unitary, query and measurement step of circuits._run one split.  A
+re-run that answers from its script does no dense work.
 
 A walk is a DAG, not a tree: a draw leaves the state alone, so the sibling
 subtrees below it make the same S.RO and S.E calls on the same state object.
@@ -181,12 +185,12 @@ class ReplayChooser:
         return outcome
 
     def ro_classical(self, x: int):
-        return self._split(("RO", x), lambda s: s.ro_branches(x))
+        return self.split(("RO", x), lambda s: s.ro_branches(x))
 
     def e_query(self, t):
-        return self._split(("E", t), replayed(lambda s: s.e_query(t)))
+        return self.split(("E", t), replayed(lambda s: s.e_query(t)))
 
-    def _split(self, key, split):
+    def split(self, key, split):
         """A call on the state: its scripted answer, or every outcome of
         split(state), continuing on the first child.  key names the step, so
         that (id(state), key) names the split in the walk's memo."""

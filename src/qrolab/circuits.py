@@ -17,12 +17,23 @@ controlled-flip (|a,b> -> |a, b+a mod d>), phase (diag(1,-1,1,...), or
 diag(e^{i angle j}) when "angle" is given).
 
 Every circuit runs through one loop, `_run`, over three operations of its
-state: `state.apply(matrix, labels)` for a unitary step, a `query()` callable
-for a query step and `state.measure(labels, chooser)` for a measurement.  The
-compressed oracle's state is `oracle.oracle_state(backend, ...)` (a dense
-DenseOracleState measures a target list jointly, with one draw; a sparse
-SparseState measures it label by label) and its query is O_XYD.  Grover
-experiments evolve once through the same loop and measure X afterwards.
+state: `state.apply(matrix, labels)` for a unitary step, a `query(state)`
+callable for a query step and `state.measure(labels, chooser)` for a
+measurement.  The compressed oracle's state is `oracle.oracle_state(backend,
+...)` (a dense DenseOracleState measures a target list jointly, with one
+draw; a sparse SparseState measures it label by label) and its query is
+O_XYD.  Grover experiments evolve once through the same loop and measure X
+afterwards.
+
+A seeded run (a RandomChooser) applies every step in place to one fresh
+state.  Under a walk node (compressed_distribution and
+reference_distribution walk `enumerate_paths` from no root), the same loop
+makes each step one split of the node's state instead: a unitary or query
+step gives one child, a copy with the step applied, and a measurement every
+collapse above PROB_FLOOR (`state.collapses`, registers kept).  The first
+split builds the fresh state.  So each distinct prefix of the circuit tree
+evolves once, and the runner called once per leaf answers every step it
+shares with an earlier leaf from its script.
 
 The reference oracle is a RegisterState with a purified table register.  A
 uniformly random
@@ -38,10 +49,11 @@ Pr[run | table_t], for every prefix: one tree covers all T tables exactly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .branching import _check_mass, enumerate_distribution
+from .branching import ReplayChooser, _check_mass, enumerate_distribution
 from .config import ATOL
 from .engine import RegisterState
 from .linalg import total_variation
@@ -86,9 +98,11 @@ def gate_matrix(step: dict, dims: list[int]) -> np.ndarray:
 
 def validate_circuit(circ: dict) -> list:
     """Check a circuit; returns each step's gate matrix (None for other ops).
-    Register labels must be distinct, every target and output label a
-    register, every gate matrix finite, an explicit matrix square over its
-    targets and unitary within ATOL, and q_cap, when given, an int >= 1.
+    Every work register must be [label, int >= 1] with a label other than
+    _H (the reference oracle's table), register labels distinct, every
+    target and output label a register, every gate matrix finite, an
+    explicit matrix square over its targets and unitary within ATOL, and
+    q_cap, when given, an int >= 1.
     Raises ValueError naming the step, label or field at fault."""
     for key in ("n", "m", "steps"):
         if key not in circ:
@@ -96,6 +110,13 @@ def validate_circuit(circ: dict) -> list:
     q_cap = circ.get("q_cap", 8)
     if isinstance(q_cap, bool) or not isinstance(q_cap, int) or q_cap < 1:
         raise ValueError(f"q_cap must be an int >= 1, got {q_cap!r}")
+    for reg in circ.get("registers", []):
+        if (not isinstance(reg, (list, tuple)) or len(reg) != 2 or not isinstance(reg[0], str)
+                or isinstance(reg[1], bool) or not isinstance(reg[1], int) or reg[1] < 1):
+            raise ValueError(f"work register {reg!r} must be [label, int >= 1]")
+        if reg[0] == "_H":
+            raise ValueError(f"work register {reg!r}: label '_H' is the reference oracle's "
+                             f"table register")
     regs = circuit_registers(circ)
     dims_of = dict(regs)
     if len(dims_of) != len(regs):
@@ -143,21 +164,41 @@ def circuit_registers(circ: dict) -> list[tuple[str, int]]:
     return regs
 
 
-def _run(circ: dict, mats: list, state, query, chooser) -> tuple:
+def _run(circ: dict, mats: list, new_state, query, chooser) -> tuple:
     """The one step loop: every measured value of circ, mid-circuit and then
-    the output registers.  state.apply(matrix, labels) runs a unitary step,
-    query() a query step, state.measure(labels, chooser) a measurement."""
-    results: list[int] = []
-    for step, mat in zip(circ["steps"], mats):
-        if step["op"] == "unitary":
-            state.apply(mat, step["targets"])
-        elif step["op"] == "query":
-            query()
-        else:
-            results.extend(state.measure(step["targets"], chooser))
+    the output registers.  new_state() builds the fresh state;
+    state.apply(matrix, labels) runs a unitary step, query(state) a query
+    step, state.measure(labels, chooser) a measurement, each in place.
+    Under a walk node (a ReplayChooser) step i is one split of the node's
+    state instead, named ("circuit", i) in the walk's memo (see the module
+    docstring), so one walk runs one circuit."""
+    steps = [(step["op"], step.get("targets"), mat) for step, mat in zip(circ["steps"], mats)]
     if circ.get("output"):
-        results.extend(state.measure(circ["output"], chooser))
-    return tuple(results)
+        steps.append(("measure", circ["output"], None))
+
+    def act(state, op, targets, mat):
+        """One step on state, in place; the values it measured."""
+        if op == "unitary":
+            state.apply(mat, targets)
+        elif op == "query":
+            query(state)
+        else:
+            return state.measure(targets, chooser)
+        return ()
+
+    if not isinstance(chooser, ReplayChooser):
+        state = new_state()
+        return tuple(v for step in steps for v in act(state, *step))
+
+    def split(state, op, targets, mat):
+        if op == "measure":
+            return (new_state() if state is None else state).collapses(targets)
+        child = new_state() if state is None else state.copy()
+        act(child, op, targets, mat)
+        return [(1.0, child, ())]
+
+    return tuple(v for i, step in enumerate(steps)
+                 for v in chooser.split(("circuit", i), lambda s, step=step: split(s, *step)))
 
 
 def run_circuit_compressed(circ: dict, chooser, backend: str = "dense",
@@ -166,9 +207,22 @@ def run_circuit_compressed(circ: dict, chooser, backend: str = "dense",
     mats is validate_circuit(circ), computed here when not given."""
     if mats is None:
         mats = validate_circuit(circ)
-    state = oracle_state(backend, circ["n"], circ["m"], circuit_registers(circ),
-                         q_cap=circ.get("q_cap", 8))
-    return _run(circ, mats, state, lambda: state.quantum_query("X", "Y"), chooser)
+    return _run(circ, mats,
+                lambda: oracle_state(backend, circ["n"], circ["m"], circuit_registers(circ),
+                                     q_cap=circ.get("q_cap", 8)),
+                lambda state: state.quantum_query("X", "Y"), chooser)
+
+
+@lru_cache(maxsize=None)
+def _table_index(n_tables: int, m: int, big_n: int) -> tuple:
+    """The read-only gather that answers a query on the (_H, X, Y) axes:
+    amplitude (t, x, y) reads (t, x, y xor table_t[x]), table_t[x] digit x
+    of t in base big_n."""
+    t, x, y = np.ogrid[:n_tables, :m, :big_n]
+    index = (t, x, y ^ ((t // big_n**x) % big_n))
+    for a in index:
+        a.flags.writeable = False
+    return index
 
 
 def run_circuit_reference(circ: dict, chooser, mats: list | None = None) -> tuple:
@@ -182,16 +236,17 @@ def run_circuit_reference(circ: dict, chooser, mats: list | None = None) -> tupl
     config = OracleConfig(circ["n"], circ["m"])
     big_n, m = config.big_n, config.m
     n_tables = big_n**m
-    state = RegisterState([("_H", n_tables)] + circuit_registers(circ))
-    state.tensor[(slice(None),) + (0,) * (state.tensor.ndim - 1)] = n_tables**-0.5
-    # axes 0, 1, 2 are _H, X, Y: the query reads amplitude (t, x, y xor table_t[x])
-    t, x, y = np.ogrid[:n_tables, :m, :big_n]
-    index = (t, x, y ^ ((t // big_n**x) % big_n))
 
-    def query():
-        state.tensor = state.tensor[index]
+    def new_state():
+        state = RegisterState([("_H", n_tables)] + circuit_registers(circ))
+        state.tensor[(slice(None),) + (0,) * (state.tensor.ndim - 1)] = n_tables**-0.5
+        return state
 
-    return _run(circ, mats, state, query, chooser)
+    def query(state):
+        # axes 0, 1, 2 are _H, X, Y
+        state.tensor = state.tensor[_table_index(n_tables, m, big_n)]
+
+    return _run(circ, mats, new_state, query, chooser)
 
 
 def compressed_distribution(circ: dict, backend: str = "dense",

@@ -1,8 +1,9 @@
 """Mutable dense state over labeled registers: the joint-evolution workhorse.
 
 A RegisterState is single-owner and is mutated in place by gates, queries
-and measurement collapse.  Registers can be attached and detached on the fly
-(query ancillas, purification registers).
+and measurement collapse; collapses and measured_branches give every
+outcome of a measurement on new states instead.  Registers can be attached
+and detached on the fly (query ancillas, purification registers).
 """
 
 from __future__ import annotations
@@ -118,8 +119,26 @@ class RegisterState:
 
     def measure(self, labels, chooser) -> tuple[int, ...]:
         """Projective measurement of the named registers; collapses in place."""
+        outcome, self.tensor = self._collapsed(labels, chooser.choose(self.born_probs(labels)))
+        return outcome
+
+    def collapses(self, labels) -> list[tuple[float, "RegisterState", tuple[int, ...]]]:
+        """(probability, post-measurement state, outcome) for every outcome of
+        the named registers above PROB_FLOOR, those registers kept: measure's
+        collapses, on new states, from one Born vector cleaned as a chooser
+        cleans it."""
+        probs = _clean_probs(self.born_probs(labels))
+        out = []
+        for flat in np.nonzero(probs > PROB_FLOOR)[0]:
+            outcome, tensor = self._collapsed(labels, flat)
+            out.append((float(probs[flat]),
+                        self._like(list(self._labels), list(self._dims), tensor), outcome))
+        return out
+
+    def _collapsed(self, labels, flat) -> tuple[tuple[int, ...], np.ndarray]:
+        """Outcome number flat of the named registers, and the tensor
+        collapsed onto it: kept / ||kept|| there, zero elsewhere."""
         axes = [self.axis(lab) for lab in labels]
-        flat = chooser.choose(self.born_probs(labels))
         outcome = tuple(int(v) for v in np.unravel_index(flat, [self._dims[a] for a in axes]))
         idx: list = [slice(None)] * self.tensor.ndim
         for a, v in zip(axes, outcome):
@@ -128,9 +147,9 @@ class RegisterState:
         nrm = np.linalg.norm(kept)
         if nrm <= 0.0:
             raise ValueError("collapse onto zero-probability outcome")
-        self.tensor = np.zeros_like(self.tensor)
-        self.tensor[tuple(idx)] = kept / nrm
-        return outcome
+        tensor = np.zeros_like(self.tensor)
+        tensor[tuple(idx)] = kept / nrm
+        return outcome, tensor
 
     def measured_branches(self, labels) -> list[tuple[float, "RegisterState", tuple[int, ...]]]:
         """(probability, post-measurement state, outcome) for every outcome of

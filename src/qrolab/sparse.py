@@ -59,6 +59,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .branching import enumerate_paths
 from .config import DIM_CAP, PRUNE_EPS
 
 BOT = -1  # cell symbol for |bot> inside column dictionaries
@@ -405,6 +406,16 @@ class SparseState:
     def measure(self, labels, chooser) -> tuple[int, ...]:
         """The named prefix registers measured one after another."""
         return tuple(self.measure_prefix(lab, chooser) for lab in labels)
+
+    def collapses(self, labels) -> list[tuple[float, "SparseState", tuple[int, ...]]]:
+        """(probability, post-measurement state, outcome) for every outcome of
+        measure(labels) above PROB_FLOOR: measure on one copy per outcome
+        path under enumerate_paths, the copies sharing this state's arrays."""
+        def measured(ch):
+            child = self.copy()
+            return child, child.measure(labels, ch)
+
+        return [(q, child, outcome) for q, (child, outcome) in enumerate_paths(measured)]
 
     def measure_prefix(self, label: str, chooser) -> int:
         ax = self.prefix_axis(label)

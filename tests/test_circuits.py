@@ -70,6 +70,17 @@ MALFORMED = {
                                r"step 0 names unknown register 'Z'"),
     "unknown-output-label": ({"output": ["X", "Z"]}, r"output names unknown register 'Z'"),
     "work-register-named-X": ({"registers": [["X", 2]]}, r"register labels repeat"),
+    "work-register-float-dim": ({"registers": [["W", 2.7]]},
+                                r"work register \['W', 2.7\] must be \[label, int >= 1\]"),
+    "work-register-string-dim": ({"registers": [["W", "3"]]},
+                                 r"work register \['W', '3'\] must be \[label, int >= 1\]"),
+    "work-register-zero-dim": ({"registers": [["W", 0]]},
+                               r"work register \['W', 0\] must be \[label, int >= 1\]"),
+    "work-register-bool-dim": ({"registers": [["W", True]]},
+                               r"work register \['W', True\] must be \[label, int >= 1\]"),
+    # _H is the reference oracle's table register
+    "work-register-named-_H": ({"registers": [["_H", 2]]},
+                               r"work register \['_H', 2\]: label '_H' is the reference"),
     "target-named-twice": ({"steps": [{"op": "unitary", "targets": ["X", "X"], "gate": "flip"}]},
                            r"step 0 names a register twice"),
     "measure-without-targets": ({"steps": [{"op": "measure"}]}, r"step 0: measure step needs targets"),

@@ -48,6 +48,7 @@ def test_random_circuits_with_mid_circuit_measurement(seed, n, m, data):
     at = data.draw(st.integers(first_query + 1, len(steps)), label="position")
     target = data.draw(st.sampled_from(circ["output"]), label="target")
     steps.insert(at, {"op": "measure", "targets": [target]})
+    assert compressed_distribution(circ) == circuits_reference.compressed_distribution(circ)
     worst, gap_diff, tv = deviations(circ)
     assert worst <= TOL
     # a gap summed over many outcomes can move by up to TV(new, old) (the
