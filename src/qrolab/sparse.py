@@ -18,13 +18,28 @@ SparseState holds its E entries as arrays, the one representation: an E x L
 matrix of prefix values, E x W matrices of register ids and cells (each row
 sorted by register and padded with register m, cell 0; W is the longest db
 present) and the E amplitudes.  Every operation groups entries by integer
-codes and works in numpy (one block product per prefix unitary or register
-column, one `np.where` permutation per quantum query).  Operations build new
-arrays and never write into the ones they were given, so `copy` shares them.
+codes and works in numpy (one block product per run of prefix unitaries or
+per register column, one `np.where` permutation per quantum query).
+Operations build new arrays and never write into the ones they were given,
+so `copy` shares them.
 `amps`, the dict from (prefix tuple, db tuple) to amplitude, is derived on
 each read; assigning one loads a whole state.  That setter and
 `to_dense_vector` are the two bridges the cross-checks against the dense
 backend go through.
+
+Prefix unitaries wait in one pending slot: the axes of a run of
+`apply_prefix_unitary` calls on the same labels in the same order, and the
+product of their matrices.  Any other unitary applies the slot and takes
+it.  The arrays are read through the properties `pre`, `reg`, `cell` and
+`amp`, which apply the slot first, so every read sees it: `amps`,
+`to_dense_vector`, `norm_sq`, `support`, `prune`, the measurements, the
+classical queries, `basis_switch`, `measure_relation` and a quantum query's
+permutation.  A run costs one block product, then one prune; so in a Grover
+iteration one query's closing W_Y, the mark on Y and the next query's
+opening W_Y make one product.  `copy` applies the slot before it shares the
+arrays, so the children of a walk node (`collapses`, a circuit step's split,
+`grover_experiment`'s branches) never each repeat the product the node was
+left with.  Loading a map through the `amps` setter drops the slot.
 
 On supports of 10^4 to 10^5 entries numpy's slow paths, not the arithmetic,
 would set the cost, so row operations avoid them (numpy 2.4.6, one core of a
@@ -61,6 +76,7 @@ import numpy as np
 
 from .branching import enumerate_paths
 from .config import DIM_CAP, PRUNE_EPS
+from .linalg import LayoutError
 
 BOT = -1  # cell symbol for |bot> inside column dictionaries
 
@@ -149,6 +165,15 @@ def _trimmed(reg, cell, m: int):
     return reg[:, :width], cell[:, :width]
 
 
+def _after_pending(field: str) -> property:
+    """A read-only SparseState array, held in field and read only after the
+    state's pending product has been applied."""
+    def read(state):
+        state._apply_pending()
+        return getattr(state, field)
+    return property(read)
+
+
 class SparseState:
     def __init__(self, n: int, m: int, q_cap: int, prefix=()):
         self.n = n
@@ -157,6 +182,7 @@ class SparseState:
         self.basis = COMPUTATIONAL
         self.prefix = tuple((str(lab), int(d)) for lab, d in prefix)
         empty = np.zeros((1, 0), dtype=np.int64)
+        self._pending = None
         self._set(np.zeros((1, len(self.prefix)), dtype=np.int64), empty, empty,
                   np.ones(1, dtype=complex))
 
@@ -171,7 +197,9 @@ class SparseState:
         raise KeyError(f"unknown prefix register {label!r}")
 
     def copy(self) -> "SparseState":
-        """A copy that shares the arrays, which no operation writes into."""
+        """A copy that shares the arrays, which no operation writes into.
+        The pending product is applied first, so copies never repeat it."""
+        self._apply_pending()
         out = type(self).__new__(type(self))
         out.__dict__.update(self.__dict__)
         return out
@@ -189,6 +217,7 @@ class SparseState:
     @amps.setter
     def amps(self, mapping) -> None:
         """Load the whole state from a map (prefix tuple, db tuple) -> amplitude."""
+        self._pending = None
         keys = list(mapping)
         width = max((len(db) for _, db in keys), default=0)
         if width > self.q_cap:
@@ -224,7 +253,20 @@ class SparseState:
 
     def _set(self, pre, reg, cell, amp) -> None:
         """Hold new arrays, W cut to the longest db present."""
-        self.pre, (self.reg, self.cell), self.amp = pre, _trimmed(reg, cell, self.m), amp
+        self._pre, (self._reg, self._cell), self._amp = pre, _trimmed(reg, cell, self.m), amp
+
+    def _apply_pending(self) -> None:
+        """Apply the pending product, if any.  The slot is cleared first: the
+        product reads the arrays, and so does anything hooked on prune."""
+        if self._pending is not None:
+            axes, mat = self._pending
+            self._pending = None
+            self._product(axes, mat)
+
+    pre = _after_pending("_pre")
+    reg = _after_pending("_reg")
+    cell = _after_pending("_cell")
+    amp = _after_pending("_amp")
 
     def _kept(self, keep):
         """pre, reg, cell and amp at the entries where keep holds."""
@@ -376,15 +418,31 @@ class SparseState:
     def apply_prefix_unitary(self, labels, matrix: np.ndarray) -> None:
         """Apply a unitary to one or more prefix registers (joint, in order).
 
-        Entries are grouped by the untouched prefix values and the database;
-        the groups form the rows of one block, multiplied by the matrix once.
+        The unitary joins the pending product when that acts on the same
+        registers in the same order; otherwise the pending product is
+        applied and this one takes the slot.  The labels must be distinct
+        and the matrix (d, d), d the product of their dimensions.
         """
         if isinstance(labels, str):
             labels = [labels]
-        axes = [self.prefix_axis(lab) for lab in labels]
+        axes = tuple(self.prefix_axis(lab) for lab in labels)
+        dims = [self.prefix[a][1] for a in axes]
+        mat = np.array(matrix, dtype=complex)  # a copy: the slot may keep it
+        if len(set(axes)) != len(axes) or mat.shape != (math.prod(dims),) * 2:
+            raise LayoutError(f"matrix of shape {mat.shape} on prefix registers "
+                              f"{list(labels)} of dims {dims}")
+        if self._pending is not None and self._pending[0] == axes:
+            mat = mat @ self._pending[1]
+        else:
+            self._apply_pending()
+        self._pending = (axes, mat)
+
+    def _product(self, axes, mat) -> None:
+        """mat on the prefix registers at axes.  Entries are grouped by the
+        untouched prefix values and the database; the groups form the rows
+        of one block, multiplied by the matrix once."""
         dims = [self.prefix[a][1] for a in axes]
         rest = [i for i in range(len(self.prefix)) if i not in axes]
-        mat = np.asarray(matrix, dtype=complex)
         flat = np.ravel_multi_index(tuple(self.pre[:, axes].T), dims)
         first, group = self._group(self.pre, rest, self.reg, self.cell)
         block = np.zeros((len(first), mat.shape[1]), dtype=complex)

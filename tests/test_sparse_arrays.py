@@ -13,6 +13,11 @@ since copies share their arrays.  The sparse-map benchmark's states are
 checked entry by entry at full size: the n = 16 round trips (65,537 entries
 after each query) and the n = 5, m = 8 Grover circuits (a peak of 8,192
 entries with the uncompute query, 63,744 without).
+
+Prefix unitaries on the same registers fuse into one pending product that
+runs when the state is read (see `SparseState`), and the per-step reads above
+apply it after every op.  So the fused programs below read nothing until
+the end, and the work counts check that a run makes one block product.
 """
 
 import numpy as np
@@ -21,10 +26,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrolab.branching import RandomChooser, ReplayChooser, enumerate_distribution, enumerate_paths
-from qrolab.circuits import circuit_registers, gate_matrix
+from qrolab.circuits import (
+    circuit_registers,
+    compressed_distribution,
+    gate_matrix,
+    named_circuits,
+    run_circuit_compressed,
+)
 from qrolab.config import ATOL
 from qrolab.experiments import grover_one_iteration_circuit
-from qrolab.linalg import total_variation
+from qrolab.linalg import LayoutError, total_variation
 from qrolab.sparse import QCapError, SparseState
 from sparse_reference import ReferenceSparseState
 
@@ -323,3 +334,204 @@ def test_ops_on_a_copy_leave_the_original_unchanged(op):
     for seed in range(4):
         FORK_OPS[op](state.copy(), RandomChooser(seed))
         assert (state.basis, dict(state.amps)) == before
+
+
+@pytest.mark.parametrize("labels, dim", [("X", 6), (["X", "X"], 16), ("X", 3)])
+def test_malformed_prefix_unitaries_are_refused(labels, dim):
+    """A pending product would carry a bad matrix away from its call, so the
+    call itself refuses a matrix that is not (d, d) on distinct labels."""
+    state = SparseState(1, 4, 2, prefix=(("X", 4), ("Y", 2)))
+    state.apply_prefix_unitary("X", np.fft.fft(np.eye(4)) / 2)
+    with pytest.raises(LayoutError):
+        state.apply_prefix_unitary(labels, np.eye(dim))
+
+
+# -- fused runs of prefix unitaries ----------------------------------------------
+
+RUN_LABELS = [["X"], ["Y"], ["W"], ["X", "W"], ["Y", "X"], ["W", "Y"], ["X", "Y", "W"]]
+
+
+@st.composite
+def fused_programs(draw):
+    """Runs of 2-4 unitaries on the same labels, a copy() inside some of
+    them, and after each run at most one quantum query, classical query or
+    prefix measurement, so a program branches at most three times."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    regs = regs_of(n, m)
+    dims = dict(regs)
+    between = st.one_of(st.just(("quantum", None)),
+                        st.tuples(st.just("classical"), st.integers(0, m - 1)),
+                        st.tuples(st.just("prefix"), st.sampled_from(["X", "W"])))
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.sampled_from(RUN_LABELS))
+        dim = int(np.prod([dims[lab] for lab in labels]))
+        run = [("unitary", (labels, random_unitary(dim, draw(st.integers(0, 999)),
+                                                   draw(st.sampled_from(["dense", "permutation"])))))
+               for _ in range(draw(st.integers(2, 4)))]
+        if draw(st.booleans()):
+            run.insert(draw(st.integers(1, len(run) - 1)), ("copy", None))
+        ops += run + draw(st.lists(between, max_size=1))
+    return n, m, regs, tuple(ops)
+
+
+def play_unread(state, ops, chooser):
+    """Run ops on state without reading it in between; after a copy op the
+    program continues on the copy.  Returns the outcomes and the final map
+    of every state."""
+    outcomes, states = [], [state]
+    for kind, arg in ops:
+        if kind == "unitary":
+            state.apply_prefix_unitary(*arg)
+        elif kind == "copy":
+            state = state.copy()
+            states.append(state)
+        elif kind == "quantum":
+            state.quantum_query("X", "Y")
+        elif kind == "classical":
+            outcomes.append(state.classical_query(arg, chooser))
+        else:
+            outcomes.append(state.measure_prefix(arg, chooser))
+    return tuple(outcomes), [(s.basis, dict(s.amps)) for s in states]
+
+
+def assert_close_maps(fast, slow):
+    """Two maps equal within ATOL, a key missing from one reading as 0."""
+    (basis, amps), (slow_basis, slow_amps) = fast, slow
+    assert basis == slow_basis
+    for key in set(amps) | set(slow_amps):
+        assert abs(amps.get(key, 0) - slow_amps.get(key, 0)) <= ATOL, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(fused_programs())
+@example((1, 2, regs_of(1, 2),
+          (("unitary", (["X"], random_unitary(2, 1, "dense"))),
+           ("unitary", (["X"], random_unitary(2, 2, "dense"))), ("prefix", "X"))))
+@example((1, 2, regs_of(1, 2),
+          (("unitary", (["X"], random_unitary(2, 1, "dense"))), ("quantum", None),
+           ("unitary", (["Y", "X"], random_unitary(4, 2, "dense"))), ("copy", None),
+           ("unitary", (["Y", "X"], random_unitary(4, 3, "dense"))), ("classical", 1))))
+def test_fused_runs_match_reference(program):
+    n, m, regs, ops = program
+    q_cap = sum(kind in ("quantum", "classical") for kind, _ in ops)
+
+    def run(cls):
+        return lambda ch: play_unread(cls(n, m, q_cap, prefix=regs), ops, ch)[0]
+
+    assert total_variation(enumerate_distribution(run(SparseState)),
+                           enumerate_distribution(run(ReferenceSparseState))) <= ATOL
+
+    def run_lockstep(ch):
+        outcomes, maps = play_unread(SparseState(n, m, q_cap, prefix=regs), ops, ch)
+        slow = ReplayChooser(tuple(ch.taken))
+        slow_outcomes, slow_maps = play_unread(ReferenceSparseState(n, m, q_cap, prefix=regs),
+                                               ops, slow)
+        assert slow.taken == ch.taken and slow_outcomes == outcomes
+        for p, q in zip(ch.branch_probs, slow.branch_probs):
+            assert np.abs(p - q).max() <= ATOL
+        assert len(maps) == len(slow_maps)
+        for fast_map, slow_map in zip(maps, slow_maps):
+            assert_close_maps(fast_map, slow_map)
+        return outcomes
+
+    enumerate_paths(run_lockstep)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The input support of every block product SparseState makes."""
+    sizes = []
+    product = SparseState._product
+
+    def counted(state, axes, mat):
+        sizes.append(len(state.amp))
+        product(state, axes, mat)
+
+    monkeypatch.setattr(SparseState, "_product", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("uncompute, sizes", [(True, [1, 8, 256, 8192, 256]),
+                                              (False, [1, 8, 256, 8192])])
+def test_seeded_grover_path_fuses_its_runs(products, uncompute, sizes):
+    """The first query's closing W_Y, mark_Y and the second query's opening
+    W_Y make one product on 256 entries: seven products were five, and three
+    of them on 8,192 entries one.  Without the uncompute query the closing
+    W_Y and mark_Y make one product: five were four."""
+    circ = grover_one_iteration_circuit(5, 8, uncompute)
+    run_circuit_compressed(circ, RandomChooser(0), backend="sparse")
+    assert products == sizes
+
+
+WALKED = [c for c in named_circuits(1, 2)
+          if all(len(s.get("targets", [])) <= 1 for s in c["steps"] if s["op"] == "unitary")]
+WALKED += [grover_one_iteration_circuit(3, 4, unc) for unc in (False, True)]
+
+
+@pytest.mark.parametrize("circ", WALKED, ids=lambda c: c["name"])
+def test_walked_circuits_make_one_product_per_unitary(products, monkeypatch, circ):
+    """Under a walk every step runs on a copy of the node before it, and
+    copy() applies the pending product once for all the node's children."""
+    calls = []
+    apply = SparseState.apply_prefix_unitary
+
+    def called(state, labels, mat):
+        calls.append(labels)
+        apply(state, labels, mat)
+
+    monkeypatch.setattr(SparseState, "apply_prefix_unitary", called)
+    compressed_distribution(circ, backend="sparse")
+    assert len(products) == len(calls) > 0
+
+
+def test_copies_share_one_applied_product(products):
+    state = SparseState(1, 4, 2, prefix=(("X", 4), ("Y", 2)))
+    state.apply_prefix_unitary("X", np.fft.fft(np.eye(4)) / 2)
+    state.apply_prefix_unitary("X", random_unitary(4, 1, "dense"))
+    copies = [state.copy() for _ in range(3)]
+    assert len(products) == 1
+    assert all(dict(c.amps) == dict(state.amps) for c in copies)
+    assert len(products) == 1
+
+
+READS = {
+    "amps": lambda s, ch: len(s.amps),
+    "dense": lambda s, ch: s.to_dense_vector(),
+    "norm_sq": lambda s, ch: s.norm_sq(),
+    "support": lambda s, ch: s.support(),
+    "prune": lambda s, ch: s.prune(0.3) or s.support(),
+    "prefix": lambda s, ch: s.measure_prefix("X", ch),
+    "measure": lambda s, ch: s.measure(["X"], ch),
+    "collapses": lambda s, ch: [(q, *o) for q, _, o in s.collapses(["X"])],
+    "classical": lambda s, ch: s.classical_query(1, ch),
+    "probs": lambda s, ch: s.classical_query_probs(1),
+    "basis": lambda s, ch: s.basis_switch() or s.support(),
+    "relation": lambda s, ch: s.measure_relation(lambda x: [0], ch) or -1,
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_every_read_applies_the_pending_product(read):
+    """read on a state whose pending product was applied before it, and on
+    one whose read applies it: the same draws and the same result."""
+    def built():
+        state = SparseState(1, 4, 4, prefix=(("X", 4), ("Y", 2)))
+        state.quantum_query("X", "Y")
+        state.apply_prefix_unitary("X", np.fft.fft(np.eye(4)) / 2)
+        state.apply_prefix_unitary("X", random_unitary(4, 2, "dense"))
+        return state
+
+    eager = built()
+    eager.support()
+    out = [(READS[read](s, RandomChooser(5)), s.basis, dict(s.amps)) for s in (eager, built())]
+    assert out[0][1:] == out[1][1:]
+    assert np.array_equal(out[0][0], out[1][0])
+
+
+def test_loading_a_map_drops_the_pending_product(products):
+    state = SparseState(1, 2, 2, prefix=(("X", 2), ("Y", 2)))
+    state.apply_prefix_unitary("X", random_unitary(2, 1, "dense"))
+    state.amps = {((1, 0), ()): 1.0 + 0j}
+    assert dict(state.amps) == {((1, 0), ()): 1.0 + 0j} and products == []
